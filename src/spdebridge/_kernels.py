@@ -1,44 +1,22 @@
-"""Hot path-simulation kernels.
-
-Two interchangeable backends implement identical step semantics:
-
-* numba ``@njit`` kernels, parallel over paths (the default), and
-* pure-numpy versions vectorized over paths.
-
-Set ``SPDEBRIDGE_DISABLE_NUMBA=1`` to force the numpy backend; it is also
-selected automatically when numba is unavailable. ``BACKEND`` records the
-active choice and is echoed into run manifests. Within one backend results
-are deterministic (parallel writes are per-path, reductions happen outside).
+"""Hot path-simulation kernels, vectorized over paths with numpy.
 
 All kernels advance the exponential-Euler recursion
 
     x' = E x + P (F(x) + G(x)) + S z      (per mode, per step)
 
 with precomputed per-step coefficient rows E = exp(lam dt), P = phi(dt),
-S = sqrt(per-step noise variance) supplied by the callers, so both backends
-and any replay consume exactly the same coefficients.
+S = sqrt(per-step noise variance) supplied by the callers, so every run
+and any replay consume exactly the same coefficients. ``BACKEND`` names
+the execution engine and is echoed into run manifests.
 
 Nonlinearity codes: 0 zero, 1 linear scale, 2 bounded rational u/(1+u^2),
 3 sine. Codes 0 and 1 are evaluated spectrally (exact); 2 and 3 go through
 the sine-basis grid (synthesis matrix ``B``, analysis matrix ``C``).
 """
 
-import os
-
 import numpy as np
 
-_env = os.environ.get("SPDEBRIDGE_DISABLE_NUMBA", "").strip().lower()
-_disabled = _env in ("1", "true", "yes", "on")
-
-if not _disabled:
-    try:
-        from numba import njit, prange
-
-        BACKEND = "numba"
-    except ImportError:  # pragma: no cover - exercised via env flag instead
-        BACKEND = "numpy"
-else:
-    BACKEND = "numpy"
+BACKEND = "numpy"
 
 KIND_ZERO = 0
 KIND_LINEAR = 1
@@ -62,12 +40,7 @@ def _nemytskii_np(x: np.ndarray, B, C, kind: int, alpha: float) -> np.ndarray:
     return _pointwise_np(u, kind, alpha) @ C.T
 
 
-# ---------------------------------------------------------------------------
-# numpy backend
-# ---------------------------------------------------------------------------
-
-
-def _forward_full_np(x0, Z, E, P, S, B, C, kind, alpha):
+def forward_full(x0, Z, E, P, S, B, C, kind, alpha):
     n, n_steps, n_modes = Z.shape
     states = np.empty((n, n_steps + 1, n_modes))
     states[:, 0] = x0
@@ -79,7 +52,7 @@ def _forward_full_np(x0, Z, E, P, S, B, C, kind, alpha):
     return states
 
 
-def _forward_snap_np(x0, Z, E, P, S, B, C, kind, alpha, snap_slot, n_snap):
+def forward_snap(x0, Z, E, P, S, B, C, kind, alpha, snap_slot, n_snap):
     n, n_steps, n_modes = Z.shape
     snaps = np.empty((n, n_snap, n_modes))
     x = x0.copy()
@@ -94,43 +67,52 @@ def _forward_snap_np(x0, Z, E, P, S, B, C, kind, alpha, snap_slot, n_snap):
     return snaps
 
 
-def _dynkin_snap_np(
+def dynkin_snap(
     x0, Z, E, P, S, B, C, kind, alpha, t_nodes, dt, a, c, phase_sin, lam_a, qaa,
     snap_slot, n_snap,
 ):
+    """Dynkin functional phi(t, X_t) - trapz(L0 phi) for m test functions.
+
+    Row i of ``a`` and ``lam_a`` (m, J) and entry i of ``c``, ``phase_sin``
+    and ``qaa`` describe test function i. Each path is stepped once and
+    every function is evaluated on the same states; returns (n, m, n_snap).
+    """
     n, n_steps, _ = Z.shape
-    out = np.empty((n, n_snap))
+    funcs = range(len(c))
+    out = np.empty((n, len(c), n_snap))
 
-    def gen_val(t, x, f):
-        u = x @ a + c * t
-        drift = x @ lam_a + f @ a
-        if phase_sin:
-            return np.cos(u) * (c + drift) - 0.5 * np.sin(u) * qaa
-        return -np.sin(u) * (c + drift) - 0.5 * np.cos(u) * qaa
+    def gen_val(i, t, x, f):
+        u = x @ a[i] + c[i] * t
+        drift = x @ lam_a[i] + f @ a[i]
+        if phase_sin[i]:
+            return np.cos(u) * (c[i] + drift) - 0.5 * np.sin(u) * qaa[i]
+        return -np.sin(u) * (c[i] + drift) - 0.5 * np.cos(u) * qaa[i]
 
-    def phi_val(t, x):
-        u = x @ a + c * t
-        return np.sin(u) if phase_sin else np.cos(u)
+    def phi_val(i, t, x):
+        u = x @ a[i] + c[i] * t
+        return np.sin(u) if phase_sin[i] else np.cos(u)
 
     x = x0.copy()
     f = _nemytskii_np(x, B, C, kind, alpha)
-    g_prev = gen_val(t_nodes[0], x, f)
-    integral = np.zeros(n)
+    g_prev = [gen_val(i, t_nodes[0], x, f) for i in funcs]
+    integral = [np.zeros(n) for _ in funcs]
     if snap_slot[0] >= 0:
-        out[:, snap_slot[0]] = phi_val(t_nodes[0], x) - integral
+        for i in funcs:
+            out[:, i, snap_slot[0]] = phi_val(i, t_nodes[0], x) - integral[i]
     for k in range(n_steps):
         x = E[k] * x + P[k] * f + S[k] * Z[:, k]
         f = _nemytskii_np(x, B, C, kind, alpha)
-        g = gen_val(t_nodes[k + 1], x, f)
-        integral = integral + 0.5 * dt[k] * (g_prev + g)
-        g_prev = g
         s = snap_slot[k + 1]
-        if s >= 0:
-            out[:, s] = phi_val(t_nodes[k + 1], x) - integral
+        for i in funcs:
+            g = gen_val(i, t_nodes[k + 1], x, f)
+            integral[i] = integral[i] + 0.5 * dt[k] * (g_prev[i] + g)
+            g_prev[i] = g
+            if s >= 0:
+                out[:, i, s] = phi_val(i, t_nodes[k + 1], x) - integral[i]
     return out
 
 
-def _guided_np(
+def guided(
     x0, Z, E, P, S, B, C, kind, alpha, Ag, Bg, Wg, y, dt, pin,
     snap_slot, n_snap, wckpt_slot, n_wckpt, store_full,
 ):
@@ -176,178 +158,3 @@ def _guided_np(
         if s >= 0:
             snaps[:, s] = x
     return states, integrand, snaps, logw
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-if BACKEND == "numba":
-
-    @njit(cache=True, inline="always")
-    def _nemytskii_nb(x, B, C, kind, alpha, f):
-        n_modes = x.size
-        if kind == 0:
-            for j in range(n_modes):
-                f[j] = 0.0
-            return
-        if kind == 1:
-            for j in range(n_modes):
-                f[j] = alpha * x[j]
-            return
-        n_grid = B.shape[0]
-        for j in range(n_modes):
-            f[j] = 0.0
-        for g in range(n_grid):
-            u = 0.0
-            for j in range(n_modes):
-                u += B[g, j] * x[j]
-            if kind == 2:
-                v = alpha * u / (1.0 + u * u)
-            else:
-                v = alpha * np.sin(u)
-            for j in range(n_modes):
-                f[j] += C[j, g] * v
-        return
-
-    @njit(cache=True, parallel=True)
-    def _forward_full_nb(x0, Z, E, P, S, B, C, kind, alpha):
-        n, n_steps, n_modes = Z.shape
-        states = np.empty((n, n_steps + 1, n_modes))
-        for i in prange(n):
-            x = x0[i].copy()
-            f = np.empty(n_modes)
-            states[i, 0] = x
-            for k in range(n_steps):
-                _nemytskii_nb(x, B, C, kind, alpha, f)
-                for j in range(n_modes):
-                    x[j] = E[k, j] * x[j] + P[k, j] * f[j] + S[k, j] * Z[i, k, j]
-                states[i, k + 1] = x
-        return states
-
-    @njit(cache=True, parallel=True)
-    def _forward_snap_nb(x0, Z, E, P, S, B, C, kind, alpha, snap_slot, n_snap):
-        n, n_steps, n_modes = Z.shape
-        snaps = np.empty((n, n_snap, n_modes))
-        for i in prange(n):
-            x = x0[i].copy()
-            f = np.empty(n_modes)
-            if snap_slot[0] >= 0:
-                snaps[i, snap_slot[0]] = x
-            for k in range(n_steps):
-                _nemytskii_nb(x, B, C, kind, alpha, f)
-                for j in range(n_modes):
-                    x[j] = E[k, j] * x[j] + P[k, j] * f[j] + S[k, j] * Z[i, k, j]
-                s = snap_slot[k + 1]
-                if s >= 0:
-                    snaps[i, s] = x
-        return snaps
-
-    @njit(cache=True, inline="always")
-    def _gen_val_nb(t, x, f, a, c, phase_sin, lam_a, qaa):
-        u = c * t
-        drift = 0.0
-        for j in range(x.size):
-            u += x[j] * a[j]
-            drift += x[j] * lam_a[j] + f[j] * a[j]
-        if phase_sin:
-            return np.cos(u) * (c + drift) - 0.5 * np.sin(u) * qaa
-        return -np.sin(u) * (c + drift) - 0.5 * np.cos(u) * qaa
-
-    @njit(cache=True, inline="always")
-    def _phi_val_nb(t, x, a, c, phase_sin):
-        u = c * t
-        for j in range(x.size):
-            u += x[j] * a[j]
-        return np.sin(u) if phase_sin else np.cos(u)
-
-    @njit(cache=True, parallel=True)
-    def _dynkin_snap_nb(
-        x0, Z, E, P, S, B, C, kind, alpha, t_nodes, dt, a, c, phase_sin,
-        lam_a, qaa, snap_slot, n_snap,
-    ):
-        n, n_steps, n_modes = Z.shape
-        out = np.empty((n, n_snap))
-        for i in prange(n):
-            x = x0[i].copy()
-            f = np.empty(n_modes)
-            _nemytskii_nb(x, B, C, kind, alpha, f)
-            g_prev = _gen_val_nb(t_nodes[0], x, f, a, c, phase_sin, lam_a, qaa)
-            integral = 0.0
-            if snap_slot[0] >= 0:
-                out[i, snap_slot[0]] = _phi_val_nb(t_nodes[0], x, a, c, phase_sin)
-            for k in range(n_steps):
-                for j in range(n_modes):
-                    x[j] = E[k, j] * x[j] + P[k, j] * f[j] + S[k, j] * Z[i, k, j]
-                _nemytskii_nb(x, B, C, kind, alpha, f)
-                g = _gen_val_nb(t_nodes[k + 1], x, f, a, c, phase_sin, lam_a, qaa)
-                integral += 0.5 * dt[k] * (g_prev + g)
-                g_prev = g
-                s = snap_slot[k + 1]
-                if s >= 0:
-                    out[i, s] = _phi_val_nb(t_nodes[k + 1], x, a, c, phase_sin) - integral
-        return out
-
-    @njit(cache=True, parallel=True)
-    def _guided_nb(
-        x0, Z, E, P, S, B, C, kind, alpha, Ag, Bg, Wg, y, dt, pin,
-        snap_slot, n_snap, wckpt_slot, n_wckpt, store_full,
-    ):
-        # y is per-path, shape (n, n_modes)
-        n, n_steps, n_modes = Z.shape
-        if store_full:
-            states = np.empty((n, n_steps + 1, n_modes))
-            integrand = np.zeros((n, n_steps + 1))
-            snaps = np.empty((n, 0, n_modes))
-            logw = np.empty((n, 0))
-        else:
-            states = np.empty((n, 0, n_modes))
-            integrand = np.empty((n, 0))
-            snaps = np.empty((n, n_snap, n_modes))
-            logw = np.empty((n, n_wckpt))
-        for i in prange(n):
-            x = x0[i].copy()
-            f = np.empty(n_modes)
-            w_prev = 0.0
-            cum = 0.0
-            for k in range(n_steps):
-                _nemytskii_nb(x, B, C, kind, alpha, f)
-                w_here = 0.0
-                for j in range(n_modes):
-                    w_here += f[j] * (Wg[k, j] * (y[i, j] - Bg[k, j] * x[j]))
-                if k > 0:
-                    cum += 0.5 * dt[k - 1] * (w_prev + w_here)
-                w_prev = w_here
-                if store_full:
-                    states[i, k] = x
-                    integrand[i, k] = w_here
-                else:
-                    s = snap_slot[k]
-                    if s >= 0:
-                        snaps[i, s] = x
-                    ws = wckpt_slot[k]
-                    if ws >= 0:
-                        logw[i, ws] = cum
-                for j in range(n_modes):
-                    g = Ag[k, j] * (y[i, j] - Bg[k, j] * x[j])
-                    x[j] = E[k, j] * x[j] + P[k, j] * (f[j] + g) + S[k, j] * Z[i, k, j]
-            if pin:
-                for j in range(n_modes):
-                    x[j] = y[i, j]
-            if store_full:
-                states[i, n_steps] = x
-            else:
-                s = snap_slot[n_steps]
-                if s >= 0:
-                    snaps[i, s] = x
-        return states, integrand, snaps, logw
-
-    forward_full = _forward_full_nb
-    forward_snap = _forward_snap_nb
-    dynkin_snap = _dynkin_snap_nb
-    guided = _guided_nb
-else:
-    forward_full = _forward_full_np
-    forward_snap = _forward_snap_np
-    dynkin_snap = _dynkin_snap_np
-    guided = _guided_np

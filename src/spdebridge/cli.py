@@ -5,8 +5,7 @@
 
 Exit codes: 0 ok, 1 usage/schema error, 2 numerical-domain error,
 3 assertion/comparison failure. All state flows through the scenario file;
-no environment variables are consulted (the kernel-backend flag changes
-only the execution engine, never the contract).
+no environment variables are consulted.
 """
 
 import argparse
@@ -35,7 +34,10 @@ def _build_parser() -> _Parser:
     run_p = sub.add_parser("run", help="execute a scenario")
     run_p.add_argument("scenario", help="path to the scenario JSON file")
     run_p.add_argument("--out", help="output directory (default from scenario)")
-    run_p.add_argument("--threads", type=int, default=None, help="kernel thread count")
+    run_p.add_argument(
+        "--threads", type=int, default=None,
+        help="accepted and ignored: the numpy kernels run on one thread",
+    )
     run_p.add_argument(
         "--assert", dest="assert_mode", action="store_true",
         help="turn built-in consistency checks into failures",
@@ -59,13 +61,6 @@ def _load_json(path: str) -> dict:
 
 def _cmd_run(args) -> int:
     scenario = resolve_scenario(_load_json(args.scenario))
-    if args.threads is not None:
-        try:
-            import numba
-
-            numba.set_num_threads(max(1, args.threads))
-        except ImportError:
-            pass
     outdir = args.out or scenario["output"].get("directory") or "run"
     task = scenario["task"]["name"]
     try:

@@ -10,7 +10,7 @@ martingale conditions (Novikov estimate, Lipschitz probe).
 """
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -294,7 +294,7 @@ def dynkin_residual(
 def dynkin_residual_mc(
     model: SpectralModel,
     nonlin: Nonlinearity,
-    phi: ExpTestFunction,
+    phi: ExpTestFunction | Sequence[ExpTestFunction],
     x0,
     grid: TimeGrid,
     rng_seed,
@@ -303,8 +303,19 @@ def dynkin_residual_mc(
     *,
     oversample: int = 4,
     chunk: int = _CHUNK,
-) -> DynkinStats:
-    """Streaming large-ensemble version of dynkin_residual (no path storage)."""
+) -> DynkinStats | list[DynkinStats]:
+    """Streaming large-ensemble version of dynkin_residual (no path storage).
+
+    ``phi`` is one test function or a sequence of them. All functions share
+    one pass over the paths, so each path's noise is drawn and stepped once;
+    a sequence gives one DynkinStats per function, in order.
+    """
+    single = isinstance(phi, ExpTestFunction)
+    phis = [phi] if single else list(phi)
+    if not phis:
+        raise DomainError("need at least one test function")
+    if any(p.a.shape != (model.n_modes,) for p in phis):
+        raise DomainError("test function dimension mismatch")
     x0 = model.validate_field(x0)
     node_idx = np.array([nearest_node(grid, t) for t in out_times], dtype=np.int64)
     order = np.argsort(node_idx)
@@ -315,28 +326,34 @@ def dynkin_residual_mc(
     slots[sorted_idx] = np.arange(sorted_idx.size, dtype=np.int64)
     exp_ldt, phi_dt, sqrt_qdt = step_coefficients(model, grid.steps)
     B, C = _transform_matrices(model, nonlin, oversample)
-    lam_a = model.lam * phi.a
-    qaa = float(np.sum(model.q * phi.a * phi.a))
-    phase_sin = phi.phase == "sin"
-    total = np.zeros(sorted_idx.size)
-    total_sq = np.zeros(sorted_idx.size)
+    a = np.stack([p.a for p in phis])
+    c = np.array([p.c for p in phis], dtype=np.float64)
+    phase_sin = [p.phase == "sin" for p in phis]
+    lam_a = model.lam * a
+    qaa = np.array([np.sum(model.q * p.a * p.a) for p in phis])
+    total = np.zeros((len(phis), sorted_idx.size))
+    total_sq = np.zeros((len(phis), sorted_idx.size))
     for lo in range(0, n_paths, chunk):
         hi = min(lo + chunk, n_paths)
         z = rng.path_increments(rng_seed, range(lo, hi), grid.n_steps, model.n_modes)
         x0b = np.broadcast_to(x0, (hi - lo, model.n_modes)).copy()
         vals = _kernels.dynkin_snap(
             x0b, z, exp_ldt, phi_dt, sqrt_qdt, B, C, nonlin.code, nonlin.alpha,
-            grid.nodes, grid.steps, phi.a, phi.c, phase_sin, lam_a, qaa,
+            grid.nodes, grid.steps, a, c, phase_sin, lam_a, qaa,
             slots, sorted_idx.size,
         )
         total += vals.sum(axis=0)
         total_sq += (vals * vals).sum(axis=0)
     mean = total / n_paths
     var = (total_sq - n_paths * mean**2) / (n_paths - 1)
-    est = mean - phi.value(0.0, x0)
     stderr = np.sqrt(var / n_paths)
     inv = np.argsort(order)
-    return DynkinStats(grid.nodes[sorted_idx][inv], est[inv], stderr[inv])
+    times = grid.nodes[sorted_idx][inv]
+    stats = [
+        DynkinStats(times, (m - p.value(0.0, x0))[inv], se[inv])
+        for p, m, se in zip(phis, mean, stderr)
+    ]
+    return stats[0] if single else stats
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from scipy.special import roots_hermite
 
 from . import rng
 from .errors import DomainError
-from .forward import Path, PathEnsemble, model_id
+from .forward import Path, PathEnsemble, _snap_slots, model_id
 from .grids import TimeGrid
 from .spectral import (
     DiagonalOperator,
@@ -225,15 +225,13 @@ def ou_bridge_snapshots(
     x0 = model.validate_field(x0)
     y = model.validate_field(y)
     _check_bridge_grid(grid, horizon)
-    snap_nodes = np.asarray(snap_nodes, dtype=np.int64)
-    slot = np.full(grid.n_steps + 1, -1, dtype=np.int64)
-    slot[snap_nodes] = np.arange(snap_nodes.size)
+    slot, n_snap = _snap_slots(grid, snap_nodes)
     nodes = grid.nodes
     coeffs = [
         _conditional_coeffs(model, nodes[k + 1] - nodes[k], horizon - nodes[k + 1])
         for k in range(grid.n_steps)
     ]
-    out = np.empty((n_paths, snap_nodes.size, model.n_modes))
+    out = np.empty((n_paths, n_snap, model.n_modes))
     for lo in range(0, n_paths, chunk):
         hi = min(lo + chunk, n_paths)
         z = rng.path_increments(rng_seed, range(lo, hi), grid.n_steps, model.n_modes)

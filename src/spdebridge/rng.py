@@ -47,8 +47,18 @@ def path_increments(
     """
     key = philox_key(master_seed, PATHS)
     idx = np.asarray(path_indices, dtype=np.int64)
+    if np.any(idx < 0):
+        raise ValueError("path indices must be non-negative")
     out = np.empty((idx.size, n_steps, n_modes))
+    bitgen = Philox(key=key)
+    gen = Generator(bitgen)
+    state = bitgen.state
     for row, i in enumerate(idx):
-        gen = Generator(Philox(key=key, counter=int(i) << 192))
-        out[row] = gen.standard_normal((n_steps, n_modes))
+        # Same state as Philox(key=key, counter=i << 192): counter block i,
+        # empty output buffer.
+        state["state"]["counter"] = np.array([0, 0, 0, i], dtype=np.uint64)
+        state["buffer_pos"] = 4
+        state["has_uint32"] = 0
+        bitgen.state = state
+        gen.standard_normal(out=out[row])
     return out

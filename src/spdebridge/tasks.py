@@ -73,6 +73,17 @@ def _moment_rows(rows, label, snaps, times, provenance):
     return rows
 
 
+def _n_paths(scenario) -> int:
+    """sampling.n_paths of a task that reports sample variances or stderrs."""
+    n_paths = scenario["sampling"]["n_paths"]
+    if n_paths < 2:
+        raise DomainError(
+            f"sampling.n_paths is {n_paths}; this task reports sample variances "
+            "and needs at least 2 paths"
+        )
+    return n_paths
+
+
 def _check(failures, ok: bool, message: str):
     if not ok:
         failures.append(message)
@@ -84,7 +95,7 @@ def task_forward(scenario, outdir, assert_mode):
     x0 = build_x0(scenario, model)
     grid = build_grid(scenario)
     seed = scenario["sampling"]["seed"]
-    n_paths = scenario["sampling"]["n_paths"]
+    n_paths = _n_paths(scenario)
     oversample = scenario["dynamics"]["oversample"]
     times = scenario["task"].get("times", [grid.horizon])
     node_idx = sorted({nearest_node(grid, t) for t in times})
@@ -151,7 +162,7 @@ def task_ou_bridge(scenario, outdir, assert_mode):
     y = np.asarray(task["target"], dtype=np.float64)
     horizon = grid.horizon
     seed = scenario["sampling"]["seed"]
-    n_paths = scenario["sampling"]["n_paths"]
+    n_paths = _n_paths(scenario)
     times = task.get("times", [horizon / 2.0])
     node_idx = sorted({nearest_node(grid, t) for t in times})
     node_times = grid.nodes[node_idx]
@@ -206,7 +217,7 @@ def task_guided(scenario, outdir, assert_mode):
     cutoffs = task.get("weight_cutoffs", [0.95 * horizon])
     probe_time = task.get("probe_time", horizon / 2.0)
     seed = scenario["sampling"]["seed"]
-    n_paths = scenario["sampling"]["n_paths"]
+    n_paths = _n_paths(scenario)
     oversample = scenario["dynamics"]["oversample"]
     spec = GuidedSpec(
         y=y, horizon=horizon, conditioning=conditioning, obs_var=obs_var,
@@ -298,7 +309,7 @@ def task_conditioned(scenario, outdir, assert_mode):
     probe_time = task.get("probe_time", horizon / 2.0)
     cutoff = task.get("weight_cutoff", 0.95 * horizon)
     seed = scenario["sampling"]["seed"]
-    n_paths = scenario["sampling"]["n_paths"]
+    n_paths = _n_paths(scenario)
     oversample = scenario["dynamics"]["oversample"]
     probe_node = nearest_node(grid, probe_time)
     k_w = weight_node(grid, cutoff)
@@ -364,19 +375,22 @@ def task_dynkin(scenario, outdir, assert_mode):
     grid = build_grid(scenario)
     task = scenario["task"]
     seed = scenario["sampling"]["seed"]
-    n_paths = scenario["sampling"]["n_paths"]
+    n_paths = _n_paths(scenario)
     oversample = scenario["dynamics"]["oversample"]
     times = task.get("times", [grid.horizon])
     rows = []
     failures = []
     max_stat = 0.0
-    for fi, tf in enumerate(task["test_functions"]):
-        phi = ExpTestFunction(
+    phis = [
+        ExpTestFunction(
             np.asarray(tf["a"], dtype=np.float64), float(tf["c"]), tf.get("phase", "sin")
         )
-        stats = dynkin_residual_mc(
-            model, nonlin, phi, x0, grid, seed, n_paths, times, oversample=oversample
-        )
+        for tf in task["test_functions"]
+    ]
+    all_stats = dynkin_residual_mc(
+        model, nonlin, phis, x0, grid, seed, n_paths, times, oversample=oversample
+    )
+    for fi, stats in enumerate(all_stats):
         for t, est, se in zip(stats.times, stats.estimates, stats.stderrs):
             rows.append(
                 io.summary_row(
@@ -401,7 +415,7 @@ def task_martingale_diag(scenario, outdir, assert_mode):
     times = task.get("times", [grid.horizon / 2.0, grid.horizon])
     probe_time = task.get("probe_time", 0.0)
     seed = scenario["sampling"]["seed"]
-    n_paths = scenario["sampling"]["n_paths"]
+    n_paths = _n_paths(scenario)
     h = bridge_h(model, nonlin, horizon_h, y)
     node_idx = sorted({nearest_node(grid, t) for t in times})
     probe_node = nearest_node(grid, probe_time)

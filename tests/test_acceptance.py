@@ -48,17 +48,6 @@ def _report(num: int, name: str, ok: bool, detail: str = ""):
     print(f"criterion {num} {status}: {name}{suffix}")
 
 
-def _single_threaded():
-    try:
-        import numba
-
-        previous = numba.get_num_threads()
-        numba.set_num_threads(1)
-        return lambda: numba.set_num_threads(previous)
-    except ImportError:
-        return lambda: None
-
-
 class TestAcceptance:
     def test_criterion_1_ou_bridge_equivalence(self):
         """Guided sampling with zero drift reproduces the exact pinned-process
@@ -66,48 +55,44 @@ class TestAcceptance:
         n_paths = 20_000
         # allowance constants: weak-order-one scheme, pinned with safety margin
         a_mean, a_var = 0.5, 2.0
-        restore = _single_threaded()
-        try:
-            results = {}
-            elapsed_512 = None
-            for n_steps in (256, 512):
-                grid = geometric_grid(1.0, n_steps)
-                k = nearest_node(grid, 0.5)
-                spec = GuidedSpec(y=TARGET4, horizon=1.0)
-                t0 = time.time()
-                snaps, logw = guided_snapshots(
-                    MODEL4, sb.zero(), np.zeros(4), spec, grid, 1001, n_paths,
-                    [k], [weight_node(grid, 0.9)],
-                )
-                elapsed = time.time() - t0
-                if n_steps == 512:
-                    elapsed_512 = elapsed
-                t_probe = float(grid.nodes[k])
-                mm, vv = bridge_marginal_mean_var(
-                    MODEL4, np.zeros(4), 1.0, TARGET4, t_probe
-                )
-                mean_hat = snaps[:, 0, :].mean(axis=0)
-                var_hat = snaps[:, 0, :].var(axis=0, ddof=1)
-                dt_max = float(grid.steps.max())
-                se_m = np.sqrt(vv / n_paths)
-                se_v = vv * np.sqrt(2.0 / (n_paths - 1))
-                mean_ok = np.all(
-                    np.abs(mean_hat - mm) <= 4 * se_m + a_mean * dt_max * (1 + np.abs(TARGET4))
-                )
-                var_ok = np.all(
-                    np.abs(var_hat - vv) <= 4 * se_v + a_var * dt_max * vv
-                )
-                weights_zero = bool(np.all(logw == 0.0))
-                results[n_steps] = bool(mean_ok and var_ok and weights_zero)
-            ok = all(results.values()) and elapsed_512 < 60.0
-            _report(
-                1, "guided marginals match exact pinned-process closed forms", ok,
-                f"256/512 nodes ok={results}, 512-node runtime {elapsed_512:.1f}s",
+        results = {}
+        elapsed_512 = None
+        for n_steps in (256, 512):
+            grid = geometric_grid(1.0, n_steps)
+            k = nearest_node(grid, 0.5)
+            spec = GuidedSpec(y=TARGET4, horizon=1.0)
+            t0 = time.time()
+            snaps, logw = guided_snapshots(
+                MODEL4, sb.zero(), np.zeros(4), spec, grid, 1001, n_paths,
+                [k], [weight_node(grid, 0.9)],
             )
-            assert results[256] and results[512]
-            assert elapsed_512 < 60.0
-        finally:
-            restore()
+            elapsed = time.time() - t0
+            if n_steps == 512:
+                elapsed_512 = elapsed
+            t_probe = float(grid.nodes[k])
+            mm, vv = bridge_marginal_mean_var(
+                MODEL4, np.zeros(4), 1.0, TARGET4, t_probe
+            )
+            mean_hat = snaps[:, 0, :].mean(axis=0)
+            var_hat = snaps[:, 0, :].var(axis=0, ddof=1)
+            dt_max = float(grid.steps.max())
+            se_m = np.sqrt(vv / n_paths)
+            se_v = vv * np.sqrt(2.0 / (n_paths - 1))
+            mean_ok = np.all(
+                np.abs(mean_hat - mm) <= 4 * se_m + a_mean * dt_max * (1 + np.abs(TARGET4))
+            )
+            var_ok = np.all(
+                np.abs(var_hat - vv) <= 4 * se_v + a_var * dt_max * vv
+            )
+            weights_zero = bool(np.all(logw == 0.0))
+            results[n_steps] = bool(mean_ok and var_ok and weights_zero)
+        ok = all(results.values()) and elapsed_512 < 60.0
+        _report(
+            1, "guided marginals match exact pinned-process closed forms", ok,
+            f"256/512 nodes ok={results}, 512-node runtime {elapsed_512:.1f}s",
+        )
+        assert results[256] and results[512]
+        assert elapsed_512 < 60.0
 
     def test_criterion_2_dynkin_martingale_suite(self):
         """Dynkin residual statistics stay below 4 for randomized exponential

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path as FilePath
 
 import numpy as np
 import pytest
 
+import spdebridge
 from spdebridge import replay_path, simulate_ensemble, sine_nemytskii, uniform_grid
 from spdebridge.cli import main
 from spdebridge.io import read_manifest, read_path_dump, write_path_dump
@@ -93,6 +98,32 @@ class TestExitCodes:
         f = tmp_path / "scn.json"
         f.write_text(json.dumps(scn))
         assert run_cli(["run", str(f), "--out", str(tmp_path / "r"), "--assert"]) == 3
+
+    @pytest.mark.parametrize(
+        "task",
+        [
+            {"name": "forward"},
+            {"name": "ou-bridge", "target": [0.5, -0.2]},
+            {"name": "guided", "target": [0.5, -0.2]},
+            {"name": "conditioned", "endpoint": {"kind": "dirac", "target": [0.5, -0.2]}},
+            {"name": "dynkin", "test_functions": [{"a": [0.5, 0.1], "c": 0.0}]},
+            {"name": "martingale-diag", "target": [0.5, -0.2]},
+        ],
+        ids=lambda task: task["name"],
+    )
+    def test_single_path_is_a_domain_error(self, tmp_path, task):
+        scn = base_scenario(task)
+        scn["sampling"]["n_paths"] = 1
+        f = tmp_path / "scn.json"
+        f.write_text(json.dumps(scn))
+        env = dict(os.environ, PYTHONPATH=str(FilePath(spdebridge.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "spdebridge.cli", "run", str(f), "--out", str(tmp_path / "r")],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "n_paths" in proc.stderr and len(proc.stderr.strip().splitlines()) == 1
 
     def test_successful_assert_run(self, tmp_path):
         scn = base_scenario({"name": "forward", "times": [1.0]})

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from spdebridge import DomainError, TimeGrid, geometric_grid, uniform_grid
 from spdebridge import rng
@@ -55,6 +56,22 @@ class TestRngStreams:
         a = rng.path_increments(9, [5], 16, 3)[0]
         b = rng.path_increments(9, range(10), 16, 3)[5]
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "indices", [[0, 2047, 2048, 2**40], [2**40, 2048, 2047, 0], []],
+        ids=["ascending", "reversed", "empty"],
+    )
+    def test_path_block_matches_fresh_generator(self, indices):
+        key = rng.philox_key(31)
+        got = rng.path_increments(31, indices, 16, 3)
+        assert got.shape == (len(indices), 16, 3)
+        for row, i in enumerate(indices):
+            fresh = Generator(Philox(key=key, counter=i << 192)).standard_normal((16, 3))
+            assert np.array_equal(got[row], fresh)
+
+    def test_negative_path_index_rejected(self):
+        with pytest.raises(ValueError):
+            rng.path_increments(31, [3, -1], 4, 2)
 
     def test_purposes_are_disjoint_streams(self):
         a = rng.stream(9, rng.PATHS).standard_normal(8)

@@ -165,6 +165,33 @@ class TestDynkin:
         with pytest.raises(DomainError):
             dynkin_residual([], phi, dirichlet4, zero(), [0.5])
 
+    @pytest.mark.parametrize("nonlin", [sine_nemytskii(1.5), zero()], ids=["sine", "zero"])
+    def test_shared_pass_matches_separate_calls(self, dirichlet4, nonlin):
+        grid = uniform_grid(1.0, 16)
+        x0 = np.array([0.3, -0.1, 0.05, 0.0])
+        phis = (
+            ExpTestFunction(np.array([0.9, 0.2, 0.1, 0.05]), 0.3, "sin"),
+            ExpTestFunction(np.array([0.5, -0.4, 0.2, 0.1]), 0.0, "cos"),
+            ExpTestFunction(np.array([0.1, 0.6, -0.2, 0.3]), -1.2, "cos"),
+        )
+        # 2050 paths cross the border between the first two chunks
+        times = [1.0, 0.25, 0.5]
+        shared = dynkin_residual_mc(dirichlet4, nonlin, phis, x0, grid, 19, 2050, times)
+        assert len(shared) == len(phis)
+        for phi, stats in zip(phis, shared):
+            alone = dynkin_residual_mc(dirichlet4, nonlin, phi, x0, grid, 19, 2050, times)
+            assert np.array_equal(stats.times, alone.times)
+            assert np.array_equal(stats.estimates, alone.estimates)
+            assert np.array_equal(stats.stderrs, alone.stderrs)
+
+    def test_streaming_rejects_bad_test_functions(self, dirichlet4):
+        grid = uniform_grid(0.5, 8)
+        with pytest.raises(DomainError, match="at least one"):
+            dynkin_residual_mc(dirichlet4, zero(), [], np.zeros(4), grid, 1, 4, [0.5])
+        short = ExpTestFunction(np.ones(3), 0.0, "sin")
+        with pytest.raises(DomainError, match="dimension"):
+            dynkin_residual_mc(dirichlet4, zero(), [short], np.zeros(4), grid, 1, 4, [0.5])
+
 
 class TestExpMartingale:
     def test_identity_for_constant_h(self, dirichlet4):

@@ -1,14 +1,10 @@
-"""Cross-backend agreement between the numba kernels and the numpy fallbacks."""
-
-import os
-import subprocess
-import sys
+"""The stepping kernels against each other and against the one-step map."""
 
 import numpy as np
 
-from spdebridge import _kernels
+from spdebridge import _kernels, exponential_euler_step, sine_nemytskii
 from spdebridge.forward import step_coefficients
-from spdebridge.spectral import sine_basis
+from spdebridge.spectral import covariance_qt_diag, sine_basis
 
 
 def _setup(dirichlet4, n=7, n_steps=12):
@@ -21,43 +17,57 @@ def _setup(dirichlet4, n=7, n_steps=12):
     return x0, z, dt, E, P, S, B, C
 
 
-def test_forward_full_backends_agree(dirichlet4):
+def test_forward_full_matches_one_step_map(dirichlet4):
     x0, z, dt, E, P, S, B, C = _setup(dirichlet4)
-    a = _kernels.forward_full(x0, z, E, P, S, B, C, 3, 0.5)
-    b = _kernels._forward_full_np(x0, z, E, P, S, B, C, 3, 0.5)
-    np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-15)
+    states = _kernels.forward_full(x0, z, E, P, S, B, C, 3, 0.5)
+    assert np.array_equal(states[:, 0], x0)
+    for i in range(x0.shape[0]):
+        x = x0[i]
+        for k in range(dt.size):
+            x = exponential_euler_step(
+                dirichlet4, sine_nemytskii(0.5), k * dt[k], dt[k], x, z[i, k], oversample=4
+            )
+            np.testing.assert_allclose(states[i, k + 1], x, rtol=1e-13, atol=1e-15)
 
 
-def test_forward_snap_backends_agree(dirichlet4):
+def test_forward_snap_matches_forward_full(dirichlet4):
     x0, z, dt, E, P, S, B, C = _setup(dirichlet4)
     slots = np.full(13, -1, dtype=np.int64)
     slots[[0, 6, 12]] = [0, 1, 2]
-    a = _kernels.forward_snap(x0, z, E, P, S, B, C, 2, 0.8, slots, 3)
-    b = _kernels._forward_snap_np(x0, z, E, P, S, B, C, 2, 0.8, slots, 3)
-    np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-15)
+    snaps = _kernels.forward_snap(x0, z, E, P, S, B, C, 2, 0.8, slots, 3)
+    full = _kernels.forward_full(x0, z, E, P, S, B, C, 2, 0.8)
+    assert np.array_equal(snaps, full[:, [0, 6, 12]])
 
 
-def test_dynkin_backends_agree(dirichlet4):
+def test_dynkin_snap_stacked_matches_single(dirichlet4):
     x0, z, dt, E, P, S, B, C = _setup(dirichlet4)
     nodes = np.concatenate([[0.0], np.cumsum(dt)])
-    a_vec = np.array([0.9, 0.3, 0.1, 0.05])
-    lam_a = dirichlet4.lam * a_vec
-    qaa = float(np.sum(dirichlet4.q * a_vec**2))
+    a = np.array([[0.9, 0.3, 0.1, 0.05], [0.5, -0.4, 0.2, 0.1], [0.0, 0.7, -0.3, 0.2]])
+    c = np.array([0.2, 0.0, -1.1])
+    phase_sin = [True, False, True]
+    lam_a = dirichlet4.lam * a
+    qaa = np.array([np.sum(dirichlet4.q * row * row) for row in a])
     slots = np.full(13, -1, dtype=np.int64)
-    slots[[6, 12]] = [0, 1]
-    args = (x0, z, E, P, S, B, C, 3, 0.5, nodes, dt, a_vec, 0.2, True, lam_a, qaa, slots, 2)
-    a = _kernels.dynkin_snap(*args)
-    b = _kernels._dynkin_snap_np(*args)
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
+    slots[[0, 6, 12]] = [0, 1, 2]
+    common = (x0, z, E, P, S, B, C, 3, 0.5, nodes, dt)
+    stacked = _kernels.dynkin_snap(*common, a, c, phase_sin, lam_a, qaa, slots, 3)
+    assert stacked.shape == (7, 3, 3)
+    for i in range(3):
+        one = _kernels.dynkin_snap(
+            *common, a[i : i + 1], c[i : i + 1], phase_sin[i : i + 1],
+            lam_a[i : i + 1], qaa[i : i + 1], slots, 3,
+        )
+        assert np.array_equal(stacked[:, i], one[:, 0])
+    # at t = 0 the functional is phi(0, x0)
+    expected = np.where(phase_sin, np.sin(x0 @ a.T), np.cos(x0 @ a.T))
+    np.testing.assert_allclose(stacked[:, :, 0], expected, rtol=1e-14, atol=1e-15)
 
 
-def test_guided_backends_agree(dirichlet4):
+def test_guided_snapshots_match_full_storage(dirichlet4):
     x0, z, dt, E, P, S, B, C = _setup(dirichlet4)
     gen = np.random.default_rng(1)
     y = gen.standard_normal((7, 4)) * 0.2
     r = np.cumsum(dt[::-1])[::-1].copy()
-    from spdebridge.spectral import covariance_qt_diag
-
     den = covariance_qt_diag(dirichlet4, r)
     Bg = np.exp(dirichlet4.lam * r[:, None])
     Wg = Bg / den
@@ -66,45 +76,12 @@ def test_guided_backends_agree(dirichlet4):
     slots[[6, 12]] = [0, 1]
     wslots = np.full(13, -1, dtype=np.int64)
     wslots[[10]] = [0]
-    for store_full in (True, False):
-        args = (
-            x0, z, E, P, S, B, C, 2, 0.8, Ag, Bg, Wg, y, dt, True,
-            slots, 2, wslots, 1, store_full,
-        )
-        a = _kernels.guided(*args)
-        b = _kernels._guided_np(*args)
-        for arr_a, arr_b in zip(a, b):
-            np.testing.assert_allclose(arr_a, arr_b, rtol=1e-12, atol=1e-14)
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, SPDEBRIDGE_DISABLE_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "import spdebridge; print(spdebridge.BACKEND)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-def test_cross_backend_simulation_agrees(tmp_path):
-    script = """
-import numpy as np
-import spdebridge as sb
-m = sb.dirichlet_model(4)
-grid = sb.uniform_grid(0.5, 32)
-p = sb.simulate_path(m, sb.sine_nemytskii(0.5), np.zeros(4), grid, 77)
-np.save(r"{out}", p.states)
-"""
-    results = []
-    for tag, disable in (("numba", ""), ("numpy", "1")):
-        out = tmp_path / f"{tag}.npy"
-        env = dict(os.environ, SPDEBRIDGE_DISABLE_NUMBA=disable)
-        subprocess.run(
-            [sys.executable, "-c", script.format(out=out)], env=env, check=True,
-            capture_output=True,
-        )
-        results.append(np.load(out))
-    np.testing.assert_allclose(results[0], results[1], rtol=1e-12, atol=1e-15)
+    common = (x0, z, E, P, S, B, C, 2, 0.8, Ag, Bg, Wg, y, dt, True, slots, 2, wslots, 1)
+    states, integrand, _, _ = _kernels.guided(*common, True)
+    _, _, snaps, logw = _kernels.guided(*common, False)
+    assert np.array_equal(snaps, states[:, [6, 12]])
+    assert np.array_equal(states[:, 12], y)
+    cum = np.zeros(7)
+    for k in range(1, 11):
+        cum = cum + 0.5 * dt[k - 1] * (integrand[:, k - 1] + integrand[:, k])
+    assert np.array_equal(logw[:, 0], cum)

@@ -19,6 +19,7 @@ from spdebridge import (
 from spdebridge.ou import (
     grad_log_h_noisy_obs,
     ou_bridge_ensemble,
+    ou_bridge_snapshots,
     ou_bridge_states,
 )
 from spdebridge.spectral import covariance_qt_diag
@@ -210,6 +211,18 @@ class TestBridge:
         grid = uniform_grid(0.9, 16)
         with pytest.raises(DomainError):
             ou_bridge_exact_sample(single_mode, np.zeros(1), 1.0, np.array([0.0]), grid, 1)
+
+    def test_snapshots_match_ensemble_and_validate_nodes(self, single_mode):
+        grid = uniform_grid(1.0, 8)
+        y = np.array([0.3])
+        ens = ou_bridge_ensemble(single_mode, np.zeros(1), 1.0, y, grid, 5, 10)
+        snaps = ou_bridge_snapshots(
+            single_mode, np.zeros(1), 1.0, y, grid, 5, 10, [0, 3, 8], chunk=4
+        )
+        assert np.array_equal(snaps, ens.states[:, [0, 3, 8]])
+        for bad in ([2, 9], [5, 3], [4, 4], [-1, 2], []):
+            with pytest.raises(DomainError):
+                ou_bridge_snapshots(single_mode, np.zeros(1), 1.0, y, grid, 5, 10, bad)
 
 
 class TestNoisyObservation:

@@ -294,7 +294,7 @@ def dynkin_residual(
 def dynkin_residual_mc(
     model: SpectralModel,
     nonlin: Nonlinearity,
-    phi: ExpTestFunction | Sequence[ExpTestFunction],
+    phis: Sequence[ExpTestFunction],
     x0,
     grid: TimeGrid,
     rng_seed,
@@ -303,15 +303,13 @@ def dynkin_residual_mc(
     *,
     oversample: int = 4,
     chunk: int = _CHUNK,
-) -> DynkinStats | list[DynkinStats]:
+) -> list[DynkinStats]:
     """Streaming large-ensemble version of dynkin_residual (no path storage).
 
-    ``phi`` is one test function or a sequence of them. All functions share
-    one pass over the paths, so each path's noise is drawn and stepped once;
-    a sequence gives one DynkinStats per function, in order.
+    All test functions in ``phis`` share one pass over the paths, so each
+    path's noise is drawn and stepped once; the result holds one DynkinStats
+    per function, in order.
     """
-    single = isinstance(phi, ExpTestFunction)
-    phis = [phi] if single else list(phi)
     if not phis:
         raise DomainError("need at least one test function")
     if any(p.a.shape != (model.n_modes,) for p in phis):
@@ -349,11 +347,10 @@ def dynkin_residual_mc(
     stderr = np.sqrt(var / n_paths)
     inv = np.argsort(order)
     times = grid.nodes[sorted_idx][inv]
-    stats = [
+    return [
         DynkinStats(times, (m - p.value(0.0, x0))[inv], se[inv])
         for p, m, se in zip(phis, mean, stderr)
     ]
-    return stats[0] if single else stats
 
 
 # ---------------------------------------------------------------------------

@@ -136,8 +136,8 @@ class TestDynkin:
         x0 = np.array([0.3, -0.1, 0.05, 0.0])
         n = 20_000
         stats = dynkin_residual_mc(
-            dirichlet4, zero(), phi, x0, grid, 71, n, [0.5, 1.0]
-        )
+            dirichlet4, zero(), [phi], x0, grid, 71, n, [0.5, 1.0]
+        )[0]
         assert stats.max_stat <= 4.0
         # the mean of phi itself matches the closed-form Gaussian expectation
         from spdebridge.forward import forward_snapshots
@@ -155,8 +155,8 @@ class TestDynkin:
         ens = simulate_ensemble(dirichlet4, nonlin, np.zeros(4), grid, 55, n_paths=n)
         stored = dynkin_residual(ens, phi, dirichlet4, nonlin, [0.25, 0.5])
         streamed = dynkin_residual_mc(
-            dirichlet4, nonlin, phi, np.zeros(4), grid, 55, n, [0.25, 0.5]
-        )
+            dirichlet4, nonlin, [phi], np.zeros(4), grid, 55, n, [0.25, 0.5]
+        )[0]
         np.testing.assert_allclose(stored.estimates, streamed.estimates, atol=1e-12)
         np.testing.assert_allclose(stored.stderrs, streamed.stderrs, rtol=1e-10)
 
@@ -179,7 +179,7 @@ class TestDynkin:
         shared = dynkin_residual_mc(dirichlet4, nonlin, phis, x0, grid, 19, 2050, times)
         assert len(shared) == len(phis)
         for phi, stats in zip(phis, shared):
-            alone = dynkin_residual_mc(dirichlet4, nonlin, phi, x0, grid, 19, 2050, times)
+            (alone,) = dynkin_residual_mc(dirichlet4, nonlin, [phi], x0, grid, 19, 2050, times)
             assert np.array_equal(stats.times, alone.times)
             assert np.array_equal(stats.estimates, alone.estimates)
             assert np.array_equal(stats.stderrs, alone.stderrs)

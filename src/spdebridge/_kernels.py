@@ -114,20 +114,20 @@ def dynkin_snap(
 
 def guided(
     x0, Z, E, P, S, B, C, kind, alpha, Ag, Bg, Wg, y, dt, pin,
-    snap_slot, n_snap, wckpt_slot, n_wckpt, store_full,
+    snap_slot, n_snap, wckpt_slot, n_wckpt,
 ):
-    # y is per-path, shape (n, n_modes)
+    """Guided paths toward per-path targets y (n, J), with Girsanov log weights.
+
+    Returns (snaps (n, n_snap, J), logw (n, n_wckpt)): the states at the
+    nodes whose ``snap_slot`` entry is set, and at each node k < n_steps
+    whose ``wckpt_slot`` entry is set, the trapezoid integral of the weight
+    integrand <F(x), Wg (y - Bg x)> from node 0 to node k. The integrand is
+    singular at the horizon, so no weight is read at the last node. With
+    ``pin`` the final state is set to y.
+    """
     n, n_steps, n_modes = Z.shape
-    if store_full:
-        states = np.empty((n, n_steps + 1, n_modes))
-        integrand = np.zeros((n, n_steps + 1))
-        snaps = np.empty((n, 0, n_modes))
-        logw = np.empty((n, 0))
-    else:
-        states = np.empty((n, 0, n_modes))
-        integrand = np.empty((n, 0))
-        snaps = np.empty((n, n_snap, n_modes))
-        logw = np.empty((n, n_wckpt))
+    snaps = np.empty((n, n_snap, n_modes))
+    logw = np.empty((n, n_wckpt))
     x = x0.copy()
     w_prev = np.zeros(n)
     cum = np.zeros(n)
@@ -137,24 +137,17 @@ def guided(
         if k > 0:
             cum = cum + 0.5 * dt[k - 1] * (w_prev + w_here)
         w_prev = w_here
-        if store_full:
-            states[:, k] = x
-            integrand[:, k] = w_here
-        else:
-            s = snap_slot[k]
-            if s >= 0:
-                snaps[:, s] = x
-            ws = wckpt_slot[k]
-            if ws >= 0:
-                logw[:, ws] = cum
+        s = snap_slot[k]
+        if s >= 0:
+            snaps[:, s] = x
+        ws = wckpt_slot[k]
+        if ws >= 0:
+            logw[:, ws] = cum
         g = Ag[k] * (y - Bg[k] * x)
         x = E[k] * x + P[k] * (f + g) + S[k] * Z[:, k]
     if pin:
         x = y.copy()
-    if store_full:
-        states[:, n_steps] = x
-    else:
-        s = snap_slot[n_steps]
-        if s >= 0:
-            snaps[:, s] = x
-    return states, integrand, snaps, logw
+    s = snap_slot[n_steps]
+    if s >= 0:
+        snaps[:, s] = x
+    return snaps, logw

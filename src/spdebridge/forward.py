@@ -25,7 +25,9 @@ _KIND_CODES = {
 }
 
 DEFAULT_OVERSAMPLE = 4
-_CHUNK = 2048
+# Paths per chunk of every streamed ensemble. Path i draws counter block i
+# of the seed's path stream, so the chunking never changes a path's noise.
+CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -274,17 +276,35 @@ def replay_path(
     return ens.states[0]
 
 
-def _snap_slots(grid: TimeGrid, snap_nodes) -> tuple[np.ndarray, int]:
-    snap_nodes = np.asarray(snap_nodes, dtype=np.int64)
-    if snap_nodes.size == 0:
-        raise DomainError("need at least one snapshot node")
-    if np.any(snap_nodes < 0) or np.any(snap_nodes > grid.n_steps):
-        raise DomainError("snapshot node out of range")
-    if np.any(np.diff(snap_nodes) <= 0):
-        raise DomainError("snapshot nodes must be strictly increasing")
+def _snap_slots(grid: TimeGrid, nodes) -> tuple[np.ndarray, int]:
+    """Slot table: entry k is the output column of node k, or -1.
+
+    ``nodes`` must be nonempty, strictly increasing and within the grid.
+    """
+    nodes = np.asarray(nodes, dtype=np.int64)
+    if nodes.size == 0:
+        raise DomainError("need at least one output node")
+    if np.any(nodes < 0) or np.any(nodes > grid.n_steps):
+        raise DomainError("output node out of range")
+    if np.any(np.diff(nodes) <= 0):
+        raise DomainError("output nodes must be strictly increasing")
     slots = np.full(grid.n_steps + 1, -1, dtype=np.int64)
-    slots[snap_nodes] = np.arange(snap_nodes.size, dtype=np.int64)
-    return slots, snap_nodes.size
+    slots[nodes] = np.arange(nodes.size, dtype=np.int64)
+    return slots, nodes.size
+
+
+def stream_paths(model: SpectralModel, x0, grid: TimeGrid, rng_seed, n_paths: int):
+    """Yield (lo, hi, x0 rows, standard normals) for paths lo..hi-1, in chunk order.
+
+    This is the one chunk loop of every streamed ensemble; callers write
+    rows lo..hi or reduce over chunks in the order they arrive.
+    """
+    for lo in range(0, n_paths, CHUNK):
+        hi = min(lo + CHUNK, n_paths)
+        x0b = np.broadcast_to(x0, (hi - lo, model.n_modes)).copy()
+        yield lo, hi, x0b, rng.path_increments(
+            rng_seed, range(lo, hi), grid.n_steps, model.n_modes
+        )
 
 
 def nearest_node(grid: TimeGrid, t: float) -> int:
@@ -302,8 +322,6 @@ def forward_snapshots(
     snap_nodes,
     *,
     oversample: int = DEFAULT_OVERSAMPLE,
-    increments=None,
-    chunk: int = _CHUNK,
 ) -> np.ndarray:
     """States at selected nodes for a large ensemble, streamed in chunks.
 
@@ -314,13 +332,7 @@ def forward_snapshots(
     exp_ldt, phi_dt, sqrt_qdt = step_coefficients(model, grid.steps)
     B, C = _transform_matrices(model, nonlin, oversample)
     out = np.empty((n_paths, n_snap, model.n_modes))
-    for lo in range(0, n_paths, chunk):
-        hi = min(lo + chunk, n_paths)
-        if increments is not None:
-            z = np.ascontiguousarray(increments[lo:hi])
-        else:
-            z = rng.path_increments(rng_seed, range(lo, hi), grid.n_steps, model.n_modes)
-        x0b = np.broadcast_to(x0, (hi - lo, model.n_modes)).copy()
+    for lo, hi, x0b, z in stream_paths(model, x0, grid, rng_seed, n_paths):
         out[lo:hi] = _kernels.forward_snap(
             x0b, z, exp_ldt, phi_dt, sqrt_qdt, B, C, nonlin.code, nonlin.alpha,
             slots, n_snap,

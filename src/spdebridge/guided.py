@@ -23,13 +23,12 @@ from .forward import (
     _transform_matrices,
     model_id,
     step_coefficients,
+    stream_paths,
     _snap_slots,
 )
 from .grids import GEOMETRIC, TimeGrid
 from .ou import _obs_var_array
 from .spectral import SpectralModel, covariance_qt_diag
-
-_CHUNK = 2048
 
 EXACT = "exact"
 NOISY_OBS = "noisy_obs"
@@ -96,35 +95,34 @@ def _check_guided_grid(spec: GuidedSpec, grid: TimeGrid):
         raise DomainError("exact conditioning requires a geometric grid")
 
 
-def _run_guided(
+def _guided_kernel(
     model: SpectralModel,
     nonlin: Nonlinearity,
-    x0,
     spec: GuidedSpec,
     grid: TimeGrid,
-    z: np.ndarray,
-    y_batch: np.ndarray,
     oversample: int,
-    *,
-    store_full: bool,
-    snap_slots=None,
-    n_snap: int = 0,
-    wckpt_slots=None,
-    n_wckpt: int = 0,
+    snap_nodes,
+    weight_nodes,
 ):
+    """Guided kernel with its coefficients and slot tables built once.
+
+    Returns run(x0 rows, normals, targets) -> (states at snap_nodes, log
+    weights at weight_nodes) for one batch of paths.
+    """
     exp_ldt, phi_dt, sqrt_qdt = step_coefficients(model, grid.steps)
     B, C = _transform_matrices(model, nonlin, oversample)
     ag, bg, wg = _guide_precomps(model, spec, grid)
-    n = z.shape[0]
-    x0b = np.broadcast_to(x0, (n, model.n_modes)).copy()
-    dummy = np.full(grid.n_steps + 1, -1, dtype=np.int64)
-    return _kernels.guided(
-        x0b, z, exp_ldt, phi_dt, sqrt_qdt, B, C, nonlin.code, nonlin.alpha,
-        ag, bg, wg, y_batch, grid.steps, spec.conditioning == EXACT,
-        dummy if snap_slots is None else snap_slots, n_snap,
-        dummy if wckpt_slots is None else wckpt_slots, n_wckpt,
-        store_full,
-    )
+    slots, n_snap = _snap_slots(grid, snap_nodes)
+    wslots, n_w = _snap_slots(grid, weight_nodes)
+    pin = spec.conditioning == EXACT
+
+    def run(x0b, z, y_batch):
+        return _kernels.guided(
+            x0b, z, exp_ldt, phi_dt, sqrt_qdt, B, C, nonlin.code, nonlin.alpha,
+            ag, bg, wg, y_batch, grid.steps, pin, slots, n_snap, wslots, n_w,
+        )
+
+    return run
 
 
 def weight_node(grid: TimeGrid, cutoff: float) -> int:
@@ -135,22 +133,6 @@ def weight_node(grid: TimeGrid, cutoff: float) -> int:
     if k < 1:
         raise DomainError("weight cutoff precedes the first grid step")
     return k
-
-
-def cumulative_log_weight(grid: TimeGrid, integrand: np.ndarray) -> np.ndarray:
-    """Trapezoid accumulation of the weight integrand along the grid.
-
-    Valid at nodes 0 .. n_steps-1; the entry at the final node is NaN (the
-    integrand is singular at the horizon and weights are never read there).
-    """
-    dt = grid.steps
-    cum = np.empty_like(integrand)
-    cum[..., 0] = 0.0
-    cum[..., 1:] = np.cumsum(
-        0.5 * dt * (integrand[..., :-1] + integrand[..., 1:]), axis=-1
-    )
-    cum[..., -1] = np.nan
-    return cum
 
 
 def simulate_guided(
@@ -167,22 +149,18 @@ def simulate_guided(
     zero_noise: bool = False,
 ) -> WeightedPath:
     """One guided path with its log weight read at the configured cutoff."""
-    x0 = model.validate_field(x0)
-    y = model.validate_field(spec.y)
-    _check_guided_grid(spec, grid)
     if zero_noise:
-        z = np.zeros((1, grid.n_steps, model.n_modes))
-    elif increments is not None:
-        z = np.asarray(increments, dtype=np.float64)[None]
-    else:
-        z = rng.path_increments(rng_seed, [path_index], grid.n_steps, model.n_modes)
-    states, integrand, _, _ = _run_guided(
-        model, nonlin, x0, spec, grid, z, y[None], oversample, store_full=True
+        increments = np.zeros((grid.n_steps, model.n_modes))
+    elif increments is None:
+        increments = rng.path_increments(
+            rng_seed, [path_index], grid.n_steps, model.n_modes
+        )[0]
+    ens, cum = guided_ensemble_full(
+        model, nonlin, x0, spec, grid, None, 1,
+        oversample=oversample, increments=np.asarray(increments)[None],
     )
-    cum = cumulative_log_weight(grid, integrand[0])
     k = weight_node(grid, spec.weight_cutoff)
-    path = Path(grid, states[0], z[0], model_id(model))
-    return WeightedPath(path, float(cum[k]), float(grid.nodes[k]))
+    return WeightedPath(ens.path(0), float(cum[0, k]), float(grid.nodes[k]))
 
 
 def guided_ensemble_full(
@@ -198,10 +176,14 @@ def guided_ensemble_full(
     increments=None,
     endpoints=None,
 ) -> tuple[PathEnsemble, np.ndarray]:
-    """Guided ensemble with full storage; returns (ensemble, integrand).
+    """Guided ensemble with full storage; returns (ensemble, cumulative log weights).
 
-    ``endpoints`` optionally gives a per-path target array (n_paths, J);
-    memory scales as n_paths * n_nodes * J, so this is for desk-scale runs.
+    The log weights (n_paths, n_nodes) are the trapezoid accumulation of
+    the weight integrand up to each node; the entry at the horizon node is
+    NaN (the integrand is singular there and weights are never read
+    there). ``endpoints`` optionally gives a per-path target array
+    (n_paths, J); memory scales as n_paths * n_nodes * J, so this is for
+    desk-scale runs.
     """
     x0 = model.validate_field(x0)
     _check_guided_grid(spec, grid)
@@ -214,10 +196,12 @@ def guided_ensemble_full(
         y_batch = np.broadcast_to(y, (z.shape[0], model.n_modes)).copy()
     else:
         y_batch = model.validate_field(np.ascontiguousarray(endpoints, dtype=np.float64))
-    states, integrand, _, _ = _run_guided(
-        model, nonlin, x0, spec, grid, z, y_batch, oversample, store_full=True
-    )
-    return PathEnsemble(grid, states, z, model_id(model)), integrand
+    nodes = np.arange(grid.n_steps + 1)
+    run = _guided_kernel(model, nonlin, spec, grid, oversample, nodes, nodes[:-1])
+    x0b = np.broadcast_to(x0, (z.shape[0], model.n_modes)).copy()
+    states, logw = run(x0b, z, y_batch)
+    cum = np.concatenate([logw, np.full((z.shape[0], 1), np.nan)], axis=1)
+    return PathEnsemble(grid, states, z, model_id(model)), cum
 
 
 def guided_snapshots(
@@ -233,7 +217,6 @@ def guided_snapshots(
     *,
     oversample: int = 4,
     endpoints=None,
-    chunk: int = _CHUNK,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Streaming guided ensemble: states at snap_nodes, log weights at weight_nodes.
 
@@ -243,14 +226,12 @@ def guided_snapshots(
     """
     x0 = model.validate_field(x0)
     _check_guided_grid(spec, grid)
-    snap_slots, n_snap = _snap_slots(grid, snap_nodes)
     weight_nodes = np.asarray(weight_nodes, dtype=np.int64)
     if np.any(weight_nodes < 1) or np.any(weight_nodes >= grid.n_steps):
         raise DomainError("weight nodes must lie strictly inside the grid")
-    if grid.nodes[weight_nodes].max() >= spec.horizon:
+    if np.any(grid.nodes[weight_nodes] >= spec.horizon):
         raise DomainError("weight nodes must precede the horizon")
-    wslots = np.full(grid.n_steps + 1, -1, dtype=np.int64)
-    wslots[weight_nodes] = np.arange(weight_nodes.size, dtype=np.int64)
+    run = _guided_kernel(model, nonlin, spec, grid, oversample, snap_nodes, weight_nodes)
     if endpoints is None:
         y_all = np.broadcast_to(
             model.validate_field(spec.y), (n_paths, model.n_modes)
@@ -259,20 +240,10 @@ def guided_snapshots(
         y_all = model.validate_field(np.asarray(endpoints, dtype=np.float64))
         if y_all.shape != (n_paths, model.n_modes):
             raise DomainError("endpoints must have shape (n_paths, n_modes)")
-    snaps = np.empty((n_paths, n_snap, model.n_modes))
+    snaps = np.empty((n_paths, len(snap_nodes), model.n_modes))
     logw = np.empty((n_paths, weight_nodes.size))
-    for lo in range(0, n_paths, chunk):
-        hi = min(lo + chunk, n_paths)
-        z = rng.path_increments(rng_seed, range(lo, hi), grid.n_steps, model.n_modes)
-        _, _, s, w = _run_guided(
-            model, nonlin, x0, spec, grid, z,
-            np.ascontiguousarray(y_all[lo:hi]), oversample,
-            store_full=False,
-            snap_slots=snap_slots, n_snap=n_snap,
-            wckpt_slots=wslots, n_wckpt=weight_nodes.size,
-        )
-        snaps[lo:hi] = s
-        logw[lo:hi] = w
+    for lo, hi, x0b, z in stream_paths(model, x0, grid, rng_seed, n_paths):
+        snaps[lo:hi], logw[lo:hi] = run(x0b, z, np.ascontiguousarray(y_all[lo:hi]))
     return snaps, logw
 
 
@@ -344,11 +315,10 @@ def sample_conditioned(
         raise DomainError("need at least one path")
     endpoints = draw_endpoints(endpoint_sampler, rng_seed, n_paths)
     spec = GuidedSpec(y=endpoints[0], horizon=horizon, weight_cutoff=weight_cutoff)
-    ensemble, integrand = guided_ensemble_full(
+    ensemble, cum = guided_ensemble_full(
         model, nonlin, x0, spec, grid, rng_seed, n_paths,
         oversample=oversample, endpoints=endpoints,
     )
-    cum = cumulative_log_weight(grid, integrand)
     k_w = weight_node(grid, spec.weight_cutoff)
     t_w = float(grid.nodes[k_w])
     return [

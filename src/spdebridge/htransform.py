@@ -22,8 +22,10 @@ from .forward import (
     PathEnsemble,
     _transform_matrices,
     apply_nonlinearity,
+    _snap_slots,
     nearest_node,
     step_coefficients,
+    stream_paths,
 )
 from .grids import TimeGrid
 from .ou import (
@@ -36,8 +38,6 @@ from .spectral import SpectralModel, covariance_qt_diag
 
 HARMONIC = "harmonic"
 UNAVAILABLE = "unavailable"
-
-_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -302,7 +302,6 @@ def dynkin_residual_mc(
     out_times,
     *,
     oversample: int = 4,
-    chunk: int = _CHUNK,
 ) -> list[DynkinStats]:
     """Streaming large-ensemble version of dynkin_residual (no path storage).
 
@@ -320,8 +319,7 @@ def dynkin_residual_mc(
     sorted_idx = node_idx[order]
     if np.any(np.diff(sorted_idx) == 0):
         raise DomainError("output times map to duplicate grid nodes")
-    slots = np.full(grid.n_steps + 1, -1, dtype=np.int64)
-    slots[sorted_idx] = np.arange(sorted_idx.size, dtype=np.int64)
+    slots, n_snap = _snap_slots(grid, sorted_idx)
     exp_ldt, phi_dt, sqrt_qdt = step_coefficients(model, grid.steps)
     B, C = _transform_matrices(model, nonlin, oversample)
     a = np.stack([p.a for p in phis])
@@ -329,16 +327,12 @@ def dynkin_residual_mc(
     phase_sin = [p.phase == "sin" for p in phis]
     lam_a = model.lam * a
     qaa = np.array([np.sum(model.q * p.a * p.a) for p in phis])
-    total = np.zeros((len(phis), sorted_idx.size))
-    total_sq = np.zeros((len(phis), sorted_idx.size))
-    for lo in range(0, n_paths, chunk):
-        hi = min(lo + chunk, n_paths)
-        z = rng.path_increments(rng_seed, range(lo, hi), grid.n_steps, model.n_modes)
-        x0b = np.broadcast_to(x0, (hi - lo, model.n_modes)).copy()
+    total = np.zeros((len(phis), n_snap))
+    total_sq = np.zeros((len(phis), n_snap))
+    for _, _, x0b, z in stream_paths(model, x0, grid, rng_seed, n_paths):
         vals = _kernels.dynkin_snap(
             x0b, z, exp_ldt, phi_dt, sqrt_qdt, B, C, nonlin.code, nonlin.alpha,
-            grid.nodes, grid.steps, a, c, phase_sin, lam_a, qaa,
-            slots, sorted_idx.size,
+            grid.nodes, grid.steps, a, c, phase_sin, lam_a, qaa, slots, n_snap,
         )
         total += vals.sum(axis=0)
         total_sq += (vals * vals).sum(axis=0)

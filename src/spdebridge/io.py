@@ -97,19 +97,30 @@ def write_path_dump(path: FilePath, ensemble: PathEnsemble) -> None:
 
 
 def read_path_dump(path: FilePath, grid_kind: str = UNIFORM) -> PathEnsemble:
+    size = FilePath(path).stat().st_size
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
             raise DomainError(f"not a path dump: bad magic {magic!r}")
-        version, n_modes, n_nodes, n_paths = struct.unpack("<IIII", fh.read(16))
+        header = fh.read(16)
+        if len(header) != 16:
+            raise DomainError(f"path dump header cut short: {size} bytes")
+        version, n_modes, n_nodes, n_paths = struct.unpack("<IIII", header)
         if version != FORMAT_VERSION:
             raise DomainError(f"unsupported dump version {version}")
+        if n_nodes < 2:
+            raise DomainError(f"path dump has {n_nodes} grid nodes; need at least 2")
+        n_states = n_paths * n_nodes * n_modes
+        n_increments = n_paths * (n_nodes - 1) * n_modes
+        expected = 20 + 8 * (n_nodes + n_states + n_increments)
+        if size != expected:
+            raise DomainError(f"path dump is {size} bytes; its header implies {expected}")
         nodes = np.frombuffer(fh.read(8 * n_nodes), dtype="<f8")
         states = np.frombuffer(
-            fh.read(8 * n_paths * n_nodes * n_modes), dtype="<f8"
+            fh.read(8 * n_states), dtype="<f8"
         ).reshape(n_paths, n_nodes, n_modes)
         increments = np.frombuffer(
-            fh.read(8 * n_paths * (n_nodes - 1) * n_modes), dtype="<f8"
+            fh.read(8 * n_increments), dtype="<f8"
         ).reshape(n_paths, n_nodes - 1, n_modes)
     if grid_kind == GEOMETRIC or np.ptp(np.diff(nodes)) > 1e-12 * nodes[-1]:
         kind = GEOMETRIC

@@ -14,7 +14,7 @@ from scipy.special import roots_hermite
 
 from . import rng
 from .errors import DomainError
-from .forward import Path, PathEnsemble, _snap_slots, model_id
+from .forward import Path, PathEnsemble, _snap_slots, model_id, stream_paths
 from .grids import TimeGrid
 from .spectral import (
     DiagonalOperator,
@@ -219,7 +219,6 @@ def ou_bridge_snapshots(
     rng_seed,
     n_paths: int,
     snap_nodes,
-    chunk: int = 4096,
 ) -> np.ndarray:
     """Bridge states at selected nodes for a large ensemble (no full storage)."""
     x0 = model.validate_field(x0)
@@ -232,10 +231,7 @@ def ou_bridge_snapshots(
         for k in range(grid.n_steps)
     ]
     out = np.empty((n_paths, n_snap, model.n_modes))
-    for lo in range(0, n_paths, chunk):
-        hi = min(lo + chunk, n_paths)
-        z = rng.path_increments(rng_seed, range(lo, hi), grid.n_steps, model.n_modes)
-        x = np.broadcast_to(x0, (hi - lo, model.n_modes)).copy()
+    for lo, hi, x, z in stream_paths(model, x0, grid, rng_seed, n_paths):
         if slot[0] >= 0:
             out[lo:hi, slot[0]] = x
         for k in range(grid.n_steps):

@@ -14,6 +14,7 @@ from . import __version__, io, rng
 from ._kernels import BACKEND
 from .errors import DomainError
 from .forward import (
+    PathEnsemble,
     forward_snapshots,
     nearest_node,
     simulate_ensemble,
@@ -471,10 +472,16 @@ def task_martingale_diag(scenario, outdir, assert_mode):
     novikov_fracs = task.get("novikov_fractions", [0.5, 0.75, 0.95])
     if novikov_fracs:
         n_nov = min(n_paths, 4000)
-        ens_nov = simulate_ensemble(
-            model, nonlin, x0, grid, seed, n_nov,
-            oversample=scenario["dynamics"]["oversample"],
-        )
+        if nonlin.kind == "zero":
+            ens_nov = simulate_ensemble(
+                model, nonlin, x0, grid, seed, n_nov,
+                oversample=scenario["dynamics"]["oversample"],
+            )
+        else:
+            ens_nov = PathEnsemble(
+                grid, ensemble.states[:n_nov], ensemble.increments[:n_nov],
+                ensemble.model_ref,
+            )
         for frac in novikov_fracs:
             upto = float(frac) * grid.horizon
             est, se = novikov_estimate(ens_nov, h, model, upto)

@@ -198,6 +198,20 @@ class TestPathDump:
         with pytest.raises(DomainError):
             read_path_dump(f)
 
+    def test_size_checked_against_header(self, tmp_path, two_mode):
+        from spdebridge import DomainError
+
+        ens = simulate_ensemble(
+            two_mode, sine_nemytskii(0.5), np.zeros(2), uniform_grid(0.5, 4), 5, n_paths=2
+        )
+        f = tmp_path / "paths.spdb"
+        write_path_dump(f, ens)
+        data = f.read_bytes()
+        for bad in (data[:10], data[:-8], data + b"\0"):
+            f.write_bytes(bad)
+            with pytest.raises(DomainError):
+                read_path_dump(f)
+
     def test_forward_task_writes_dump(self, tmp_path):
         scn = base_scenario({"name": "forward", "times": [1.0]})
         scn["output"]["formats"] = ["csv", "json", "paths"]

@@ -21,7 +21,6 @@ from spdebridge import (
 from spdebridge.forward import nearest_node
 from spdebridge.guided import (
     conditioned_snapshots,
-    cumulative_log_weight,
     draw_endpoints,
     guided_ensemble_full,
     guided_snapshots,
@@ -101,13 +100,22 @@ class TestSimulateGuided:
         grid = geometric_grid(1.0, 32)
         nonlin = sine_nemytskii(0.5)
         spec = GuidedSpec(y=np.array([0.7]), horizon=1.0)
-        ens, integrand = guided_ensemble_full(
+        ens, cum = guided_ensemble_full(
             single_mode, nonlin, np.zeros(1), spec, grid, 4, 3
         )
-        cum = cumulative_log_weight(grid, integrand)
-        assert cum.shape == integrand.shape
+        assert cum.shape == ens.states.shape[:2]
         assert np.all(np.isfinite(cum[:, :-1]))
         assert np.all(np.isnan(cum[:, -1]))
+
+    def test_snapshots_reject_bad_weight_nodes(self, single_mode):
+        grid = geometric_grid(1.0, 32)
+        spec = GuidedSpec(y=np.array([0.7]), horizon=1.0)
+        for bad in ([20, 20], [21, 20], [], [0], [32], [5, 40]):
+            with pytest.raises(DomainError):
+                guided_snapshots(
+                    single_mode, sine_nemytskii(0.5), np.zeros(1), spec, grid, 4, 3,
+                    [16], bad,
+                )
 
     def test_guided_matches_exact_bridge_marginals(self, single_mode):
         grid = geometric_grid(1.0, 256)

@@ -63,7 +63,7 @@ def test_dynkin_snap_stacked_matches_single(dirichlet4):
     np.testing.assert_allclose(stacked[:, :, 0], expected, rtol=1e-14, atol=1e-15)
 
 
-def test_guided_snapshots_match_full_storage(dirichlet4):
+def test_guided_log_weights_are_trapezoid_of_own_states(dirichlet4):
     x0, z, dt, E, P, S, B, C = _setup(dirichlet4)
     gen = np.random.default_rng(1)
     y = gen.standard_normal((7, 4)) * 0.2
@@ -72,16 +72,26 @@ def test_guided_snapshots_match_full_storage(dirichlet4):
     Bg = np.exp(dirichlet4.lam * r[:, None])
     Wg = Bg / den
     Ag = dirichlet4.q * Wg
+    every = np.arange(13, dtype=np.int64)
+    common = (x0, z, E, P, S, B, C, 2, 0.8, Ag, Bg, Wg, y, dt, True)
+    snaps, logw = _kernels.guided(*common, every, 13, every, 12)
+    assert np.array_equal(snaps[:, 0], x0)
+    assert np.array_equal(snaps[:, 12], y)
+    cum = np.zeros(7)
+    w_prev = None
+    for k in range(12):
+        x = np.ascontiguousarray(snaps[:, k])
+        f = _kernels._nemytskii_np(x, B, C, 2, 0.8)
+        w = np.sum(f * (Wg[k] * (y - Bg[k] * x)), axis=1)
+        if k > 0:
+            cum = cum + 0.5 * dt[k - 1] * (w_prev + w)
+        w_prev = w
+        assert np.array_equal(logw[:, k], cum)
+    # sparse slot tables read the same states and weights
     slots = np.full(13, -1, dtype=np.int64)
     slots[[6, 12]] = [0, 1]
     wslots = np.full(13, -1, dtype=np.int64)
     wslots[[10]] = [0]
-    common = (x0, z, E, P, S, B, C, 2, 0.8, Ag, Bg, Wg, y, dt, True, slots, 2, wslots, 1)
-    states, integrand, _, _ = _kernels.guided(*common, True)
-    _, _, snaps, logw = _kernels.guided(*common, False)
-    assert np.array_equal(snaps, states[:, [6, 12]])
-    assert np.array_equal(states[:, 12], y)
-    cum = np.zeros(7)
-    for k in range(1, 11):
-        cum = cum + 0.5 * dt[k - 1] * (integrand[:, k - 1] + integrand[:, k])
-    assert np.array_equal(logw[:, 0], cum)
+    sparse_snaps, sparse_logw = _kernels.guided(*common, slots, 2, wslots, 1)
+    assert np.array_equal(sparse_snaps, snaps[:, [6, 12]])
+    assert np.array_equal(sparse_logw, logw[:, [10]])

@@ -215,9 +215,10 @@ class TestBridge:
     def test_snapshots_match_ensemble_and_validate_nodes(self, single_mode):
         grid = uniform_grid(1.0, 8)
         y = np.array([0.3])
-        ens = ou_bridge_ensemble(single_mode, np.zeros(1), 1.0, y, grid, 5, 10)
+        # 2050 paths cross the 2048-path chunk border
+        ens = ou_bridge_ensemble(single_mode, np.zeros(1), 1.0, y, grid, 5, 2050)
         snaps = ou_bridge_snapshots(
-            single_mode, np.zeros(1), 1.0, y, grid, 5, 10, [0, 3, 8], chunk=4
+            single_mode, np.zeros(1), 1.0, y, grid, 5, 2050, [0, 3, 8]
         )
         assert np.array_equal(snaps, ens.states[:, [0, 3, 8]])
         for bad in ([2, 9], [5, 3], [4, 4], [-1, 2], []):

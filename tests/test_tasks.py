@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from spdebridge import rng
 from spdebridge.cli import compare_runs, main
 from spdebridge.io import read_summary
 from spdebridge.scenario import resolve_scenario
@@ -131,6 +132,27 @@ def test_martingale_diag_task(tmp_path):
     assert len(means) == 3
     novikov = [float(r["value"]) for r in rows if r["quantity"] == "novikov_estimate"]
     assert len(novikov) == 3 and novikov[0] < novikov[1] < novikov[2]
+
+
+def test_martingale_diag_sine_draws_each_path_once(tmp_path, monkeypatch):
+    drawn = []
+    original = rng.path_increments
+
+    def recording(seed, path_indices, n_steps, n_modes):
+        drawn.extend(path_indices)
+        return original(seed, path_indices, n_steps, n_modes)
+
+    monkeypatch.setattr(rng, "path_increments", recording)
+    scn = resolve_scenario(
+        scenario(
+            {"name": "martingale-diag", "target": [1.0], "h_horizon": 1.0},
+            grid={"horizon": 0.8, "n_steps": 16, "kind": "uniform"},
+            sampling={"n_paths": 300, "seed": 41},
+            nonlinearity={"kind": "sine", "alpha": 0.5},
+        )
+    )
+    run_scenario(scn, tmp_path / "r")
+    assert len(drawn) == len(set(drawn)) == 300
 
 
 def test_gamma_diag_task(tmp_path):

@@ -109,9 +109,6 @@ class PathEnsemble:
     def path(self, i: int) -> Path:
         return Path(self.grid, self.states[i], self.increments[i], self.model_ref)
 
-    def __iter__(self):
-        return (self.path(i) for i in range(self.n_paths))
-
 
 def grid_size(model: SpectralModel, oversample: int) -> int:
     return max(int(oversample) * model.n_modes, model.n_modes)

@@ -20,6 +20,7 @@ from .forward import (
     Nonlinearity,
     Path,
     PathEnsemble,
+    _resolve_increments,
     _transform_matrices,
     model_id,
     step_coefficients,
@@ -149,15 +150,12 @@ def simulate_guided(
     zero_noise: bool = False,
 ) -> WeightedPath:
     """One guided path with its log weight read at the configured cutoff."""
-    if zero_noise:
-        increments = np.zeros((grid.n_steps, model.n_modes))
-    elif increments is None:
-        increments = rng.path_increments(
-            rng_seed, [path_index], grid.n_steps, model.n_modes
-        )[0]
+    inc = None if increments is None else np.asarray(increments)[None]
+    z = _resolve_increments(
+        grid, model.n_modes, 1, rng_seed, inc, zero_noise, path_index
+    )
     ens, cum = guided_ensemble_full(
-        model, nonlin, x0, spec, grid, None, 1,
-        oversample=oversample, increments=np.asarray(increments)[None],
+        model, nonlin, x0, spec, grid, None, 1, oversample=oversample, increments=z
     )
     k = weight_node(grid, spec.weight_cutoff)
     return WeightedPath(ens.path(0), float(cum[0, k]), float(grid.nodes[k]))
@@ -187,20 +185,19 @@ def guided_ensemble_full(
     """
     x0 = model.validate_field(x0)
     _check_guided_grid(spec, grid)
-    if increments is not None:
-        z = np.asarray(increments, dtype=np.float64)
-    else:
-        z = rng.path_increments(rng_seed, range(n_paths), grid.n_steps, model.n_modes)
+    z = _resolve_increments(
+        grid, model.n_modes, n_paths, rng_seed, increments, False, 0
+    )
     if endpoints is None:
         y = model.validate_field(spec.y)
-        y_batch = np.broadcast_to(y, (z.shape[0], model.n_modes)).copy()
+        y_batch = np.broadcast_to(y, (n_paths, model.n_modes)).copy()
     else:
         y_batch = model.validate_field(np.ascontiguousarray(endpoints, dtype=np.float64))
     nodes = np.arange(grid.n_steps + 1)
     run = _guided_kernel(model, nonlin, spec, grid, oversample, nodes, nodes[:-1])
-    x0b = np.broadcast_to(x0, (z.shape[0], model.n_modes)).copy()
+    x0b = np.broadcast_to(x0, (n_paths, model.n_modes)).copy()
     states, logw = run(x0b, z, y_batch)
-    cum = np.concatenate([logw, np.full((z.shape[0], 1), np.nan)], axis=1)
+    cum = np.concatenate([logw, np.full((n_paths, 1), np.nan)], axis=1)
     return PathEnsemble(grid, states, z, model_id(model)), cum
 
 

@@ -91,9 +91,9 @@ def write_path_dump(path: FilePath, ensemble: PathEnsemble) -> None:
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<IIII", FORMAT_VERSION, n_modes, n_nodes, n_paths))
-        fh.write(np.ascontiguousarray(ensemble.grid.nodes, dtype="<f8").tobytes())
-        fh.write(states.tobytes())
-        fh.write(increments.tobytes())
+        np.ascontiguousarray(ensemble.grid.nodes, dtype="<f8").tofile(fh)
+        states.tofile(fh)
+        increments.tofile(fh)
 
 
 def read_path_dump(path: FilePath, grid_kind: str = UNIFORM) -> PathEnsemble:

@@ -159,6 +159,30 @@ def _check_bridge_grid(grid: TimeGrid, horizon: float):
         raise DomainError("grid horizon does not match the bridge horizon")
 
 
+def _bridge_table(model: SpectralModel, horizon: float, grid: TimeGrid):
+    """Per-step (ca, cy, sqrt v) of the bridge recursion on the grid."""
+    nodes = grid.nodes
+    table = []
+    for k in range(grid.n_steps):
+        a, b = nodes[k + 1] - nodes[k], horizon - nodes[k + 1]
+        ca, cy, v = _conditional_coeffs(model, a, b)
+        table.append((ca, cy, np.sqrt(v)))
+    return table
+
+
+def _bridge_run(x, y, table, z, out, slot):
+    """Bridge recursion from states x (..., J) with normals z (..., steps, J).
+
+    Writes the state at node k into out[..., slot[k], :] where slot[k] >= 0.
+    """
+    if slot[0] >= 0:
+        out[..., slot[0], :] = x
+    for k, (ca, cy, sv) in enumerate(table):
+        x = ca * x + cy * y + sv * z[..., k, :]
+        if slot[k + 1] >= 0:
+            out[..., slot[k + 1], :] = x
+
+
 def ou_bridge_states(
     model: SpectralModel, x0, horizon: float, y, grid: TimeGrid, z: np.ndarray
 ) -> np.ndarray:
@@ -166,17 +190,12 @@ def ou_bridge_states(
     x0 = model.validate_field(x0)
     y = model.validate_field(y)
     _check_bridge_grid(grid, horizon)
-    nodes = grid.nodes
     lead = z.shape[:-2]
-    states = np.empty(lead + (nodes.size, model.n_modes))
-    states[..., 0, :] = x0
+    states = np.empty(lead + (grid.nodes.size, model.n_modes))
     x = np.broadcast_to(x0, lead + (model.n_modes,)).copy()
-    for k in range(grid.n_steps):
-        a = nodes[k + 1] - nodes[k]
-        b = horizon - nodes[k + 1]
-        ca, cy, v = _conditional_coeffs(model, a, b)
-        x = ca * x + cy * y + np.sqrt(v) * z[..., k, :]
-        states[..., k + 1, :] = x
+    _bridge_run(
+        x, y, _bridge_table(model, horizon, grid), z, states, range(grid.nodes.size)
+    )
     return states
 
 
@@ -225,20 +244,10 @@ def ou_bridge_snapshots(
     y = model.validate_field(y)
     _check_bridge_grid(grid, horizon)
     slot, n_snap = _snap_slots(grid, snap_nodes)
-    nodes = grid.nodes
-    coeffs = [
-        _conditional_coeffs(model, nodes[k + 1] - nodes[k], horizon - nodes[k + 1])
-        for k in range(grid.n_steps)
-    ]
+    table = _bridge_table(model, horizon, grid)
     out = np.empty((n_paths, n_snap, model.n_modes))
     for lo, hi, x, z in stream_paths(model, x0, grid, rng_seed, n_paths):
-        if slot[0] >= 0:
-            out[lo:hi, slot[0]] = x
-        for k in range(grid.n_steps):
-            ca, cy, v = coeffs[k]
-            x = ca * x + cy * y + np.sqrt(v) * z[:, k]
-            if slot[k + 1] >= 0:
-                out[lo:hi, slot[k + 1]] = x
+        _bridge_run(x, y, table, z, out[lo:hi], slot)
     return out
 
 

@@ -82,7 +82,7 @@ def dirichlet_model(n_modes: int, rho: float = 0.0, domain_length: float = 1.0) 
 
 @dataclass(frozen=True)
 class DiagonalOperator:
-    """Operator diagonal in the model basis; composition is entrywise."""
+    """Operator diagonal in the model basis, stored as its diagonal."""
 
     diag: np.ndarray
 
@@ -90,15 +90,6 @@ class DiagonalOperator:
         d = np.asarray(self.diag, dtype=np.float64)
         object.__setattr__(self, "diag", d)
         d.setflags(write=False)
-
-    def apply(self, x) -> np.ndarray:
-        return self.diag * np.asarray(x, dtype=np.float64)
-
-    def compose(self, other: "DiagonalOperator") -> "DiagonalOperator":
-        return DiagonalOperator(self.diag * other.diag)
-
-    def sqrt(self) -> "DiagonalOperator":
-        return DiagonalOperator(np.sqrt(self.diag))
 
     def trace(self) -> float:
         return float(np.sum(self.diag))
@@ -176,11 +167,6 @@ def sine_basis(model: SpectralModel, n_grid: int):
     basis = np.sqrt(2.0 / length) * np.sin(np.outer(s, j) * np.pi / length)
     analysis = basis.T * (length / (n_grid + 1))
     return basis, analysis
-
-
-def grid_points(model: SpectralModel, n_grid: int) -> np.ndarray:
-    length = model.domain_length
-    return np.arange(1, n_grid + 1, dtype=np.float64) * length / (n_grid + 1)
 
 
 def synthesize_on_grid(model: SpectralModel, x, n_grid: int) -> np.ndarray:

@@ -99,6 +99,21 @@ class TestExitCodes:
         f.write_text(json.dumps(scn))
         assert run_cli(["run", str(f), "--out", str(tmp_path / "r"), "--assert"]) == 3
 
+    def test_failed_check_is_fatal_only_under_assert(self, tmp_path, capsys):
+        # a zero tolerance fails the CK check on every run
+        scn = base_scenario({"name": "ck-check", "mid": [0.5], "tolerance": 0.0})
+        f = tmp_path / "scn.json"
+        f.write_text(json.dumps(scn))
+        assert run_cli(["run", str(f), "--out", str(tmp_path / "a"), "--assert"]) == 3
+        err = capsys.readouterr().err
+        assert "assertion failure: CK residual" in err and ">= 0.0e+00" in err
+        diag = json.loads((tmp_path / "a" / "diagnostics.json").read_text())
+        assert len(diag["assertion_failures"]) == 1
+        assert diag["assertion_failures"][0] in err
+        assert run_cli(["run", str(f), "--out", str(tmp_path / "n")]) == 0
+        diag = json.loads((tmp_path / "n" / "diagnostics.json").read_text())
+        assert diag["assertion_failures"] == []
+
     @pytest.mark.parametrize(
         "task",
         [

@@ -18,6 +18,7 @@ from spdebridge import (
     uniform_grid,
     zero,
 )
+from spdebridge import rng
 from spdebridge.forward import nearest_node
 from spdebridge.guided import (
     conditioned_snapshots,
@@ -63,6 +64,34 @@ class TestSimulateGuided:
         for k, t in enumerate(grid.nodes):
             assert wp.path.states[k, 0] == pytest.approx(
                 semigroup_apply(single_mode, t, x0)[0], rel=1e-10
+            )
+
+    def test_noise_needs_a_seed_or_increments(self, single_mode):
+        grid = geometric_grid(1.0, 8)
+        spec = GuidedSpec(y=np.array([0.7]), horizon=1.0)
+        msg = "rng_seed is required unless increments are supplied"
+        with pytest.raises(DomainError, match=msg):
+            simulate_guided(single_mode, zero(), np.zeros(1), spec, grid)
+        with pytest.raises(DomainError, match=msg):
+            guided_ensemble_full(single_mode, zero(), np.zeros(1), spec, grid, None, 2)
+
+    def test_noise_resolved_like_simulate_path(self, single_mode):
+        grid = geometric_grid(1.0, 8)
+        nonlin = sine_nemytskii(0.5)
+        spec = GuidedSpec(y=np.array([0.7]), horizon=1.0)
+        wp = simulate_guided(single_mode, nonlin, np.zeros(1), spec, grid, 5, path_index=3)
+        z = rng.path_increments(5, [3], 8, 1)[0]
+        np.testing.assert_array_equal(wp.path.increments, z)
+        again = simulate_guided(single_mode, nonlin, np.zeros(1), spec, grid, increments=z)
+        np.testing.assert_array_equal(again.path.states, wp.path.states)
+        assert again.log_weight == wp.log_weight
+        with pytest.raises(DomainError, match="increments must have shape"):
+            simulate_guided(
+                single_mode, nonlin, np.zeros(1), spec, grid, increments=np.zeros((7, 1))
+            )
+        with pytest.raises(DomainError, match="increments must have shape"):
+            guided_ensemble_full(
+                single_mode, nonlin, np.zeros(1), spec, grid, None, 2, increments=z[None]
             )
 
     def test_rejects_uniform_grid_for_exact(self, dirichlet4):

@@ -7,7 +7,7 @@ from spdebridge import rng
 from spdebridge.cli import compare_runs, main
 from spdebridge.io import read_summary
 from spdebridge.scenario import resolve_scenario
-from spdebridge.tasks import AssertionFailure, run_scenario
+from spdebridge.tasks import AssertionFailure, _gaussian_check, run_scenario
 
 
 def scenario(task, *, n_modes=1, lam=(-1.0,), q=(2.0,), grid=None, sampling=None,
@@ -40,6 +40,49 @@ def test_ou_bridge_task_asserts(tmp_path):
     rows = read_summary(tmp_path / "r")
     quantities = {r["quantity"] for r in rows}
     assert {"sample_mean", "sample_var", "closed_mean", "closed_var"} <= quantities
+
+
+@pytest.mark.parametrize(
+    "times, x0",
+    [([0.0], {"kind": "explicit", "values": [0.7]}), ([1.0], {"kind": "zero"})],
+    ids=["start", "horizon"],
+)
+def test_ou_bridge_task_asserts_at_pinned_node(tmp_path, times, x0):
+    # the bridge law is a point mass at x0 and at the target, checked exactly;
+    # the sample mean of 5000 copies of 0.7 is not 0.7 in floating point
+    raw = scenario(
+        {"name": "ou-bridge", "target": [0.7], "times": times},
+        sampling={"n_paths": 5000, "seed": 3},
+    )
+    raw["dynamics"]["x0"] = x0
+    diag = run_scenario(resolve_scenario(raw), tmp_path / "r", assert_mode=True)
+    assert diag["assertion_failures"] == []
+    rows = read_summary(tmp_path / "r")
+    assert [float(r["value"]) for r in rows if r["quantity"] == "closed_var"] == [0.0]
+
+
+def test_guided_task_asserts_with_probe_at_horizon(tmp_path):
+    scn = resolve_scenario(
+        scenario(
+            {"name": "guided", "target": [0.7], "probe_time": 1.0},
+            grid={"horizon": 1.0, "n_steps": 64, "kind": "geometric"},
+            sampling={"n_paths": 3000, "seed": 21},
+        )
+    )
+    diag = run_scenario(scn, tmp_path / "r", assert_mode=True)
+    assert diag["probe_time"] == 1.0 and diag["assertion_failures"] == []
+
+
+def test_gaussian_check_pins_zero_variance_modes_exactly():
+    gen = np.random.default_rng(0)
+    samples = np.column_stack([np.full(400, 0.1), gen.standard_normal(400)])
+    mean, var = np.array([0.1, 0.0]), np.array([0.0, 1.0])
+    failures = []
+    _gaussian_check(failures, samples, mean, var, "x", "here")
+    assert failures == []
+    samples[7, 0] = np.nextafter(0.1, 1.0)
+    _gaussian_check(failures, samples, mean, var, "x", "here")
+    assert failures == ["x mean off here", "x variance off here"]
 
 
 def test_guided_task_and_compare_with_bridge(tmp_path):

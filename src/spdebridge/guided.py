@@ -126,6 +126,16 @@ def _guided_kernel(
     return run
 
 
+def _targets(model: SpectralModel, spec: GuidedSpec, n_paths: int, endpoints):
+    """Per-path targets (n_paths, J): ``endpoints`` if given, else spec.y on every row."""
+    if endpoints is None:
+        return np.broadcast_to(model.validate_field(spec.y), (n_paths, model.n_modes))
+    y = model.validate_field(np.asarray(endpoints, dtype=np.float64))
+    if y.shape != (n_paths, model.n_modes):
+        raise DomainError("endpoints must have shape (n_paths, n_modes)")
+    return y
+
+
 def weight_node(grid: TimeGrid, cutoff: float) -> int:
     """Largest node index whose time does not exceed the cutoff."""
     k = int(np.searchsorted(grid.nodes, cutoff + 1e-12 * max(1.0, cutoff), side="right")) - 1
@@ -188,11 +198,7 @@ def guided_ensemble_full(
     z = _resolve_increments(
         grid, model.n_modes, n_paths, rng_seed, increments, False, 0
     )
-    if endpoints is None:
-        y = model.validate_field(spec.y)
-        y_batch = np.broadcast_to(y, (n_paths, model.n_modes)).copy()
-    else:
-        y_batch = model.validate_field(np.ascontiguousarray(endpoints, dtype=np.float64))
+    y_batch = np.ascontiguousarray(_targets(model, spec, n_paths, endpoints))
     nodes = np.arange(grid.n_steps + 1)
     run = _guided_kernel(model, nonlin, spec, grid, oversample, nodes, nodes[:-1])
     x0b = np.broadcast_to(x0, (n_paths, model.n_modes)).copy()
@@ -229,14 +235,7 @@ def guided_snapshots(
     if np.any(grid.nodes[weight_nodes] >= spec.horizon):
         raise DomainError("weight nodes must precede the horizon")
     run = _guided_kernel(model, nonlin, spec, grid, oversample, snap_nodes, weight_nodes)
-    if endpoints is None:
-        y_all = np.broadcast_to(
-            model.validate_field(spec.y), (n_paths, model.n_modes)
-        )
-    else:
-        y_all = model.validate_field(np.asarray(endpoints, dtype=np.float64))
-        if y_all.shape != (n_paths, model.n_modes):
-            raise DomainError("endpoints must have shape (n_paths, n_modes)")
+    y_all = _targets(model, spec, n_paths, endpoints)
     snaps = np.empty((n_paths, len(snap_nodes), model.n_modes))
     logw = np.empty((n_paths, weight_nodes.size))
     for lo, hi, x0b, z in stream_paths(model, x0, grid, rng_seed, n_paths):

@@ -359,6 +359,31 @@ def _as_ensemble(path_or_ensemble) -> PathEnsemble:
     return PathEnsemble(p.grid, p.states[None], p.increments[None], p.model_ref)
 
 
+def _exp_martingale(ens: PathEnsemble, h: HFunction, node_idx) -> np.ndarray:
+    """E at the nodes ``node_idx``, one column per node: (n_paths, len(node_idx)).
+
+    A harmonic h skips the zero Lh/h integral: (a - b) - 0.0 == a - b, bit for bit.
+    """
+    nodes = ens.grid.nodes
+    node_idx = np.asarray(node_idx, dtype=np.int64)
+    log_h0 = h.log_h(nodes[0], ens.states[:, 0])
+    if h.is_harmonic:
+        integral = 0.0
+    else:
+        lh = np.empty((ens.n_paths, nodes.size))
+        for k in range(nodes.size):
+            lh[:, k] = h.lh_values(nodes[k], ens.states[:, k])
+        cum = np.zeros((ens.n_paths, nodes.size))
+        cum[:, 1:] = np.cumsum(0.5 * ens.grid.steps * (lh[:, :-1] + lh[:, 1:]), axis=1)
+        integral = cum[:, node_idx]
+    log_h = np.empty((ens.n_paths, node_idx.size))
+    for col, k in enumerate(node_idx):
+        log_h[:, col] = h.log_h(nodes[k], ens.states[:, k])
+    series = np.exp(log_h - log_h0[:, None] - integral)
+    series[:, node_idx == 0] = 1.0
+    return series
+
+
 def exp_martingale_from_definition(path_or_ensemble, h: HFunction) -> np.ndarray:
     """E(t_k) = exp(log h(t_k, X_k) - log h(0, X_0) - trapz(Lh/h)); E(0) = 1.
 
@@ -367,18 +392,7 @@ def exp_martingale_from_definition(path_or_ensemble, h: HFunction) -> np.ndarray
     defined (strictly before h.horizon for density-based transforms).
     """
     ens = _as_ensemble(path_or_ensemble)
-    nodes = ens.grid.nodes
-    n = ens.n_paths
-    log_h = np.empty((n, nodes.size))
-    lh = np.empty((n, nodes.size))
-    for k in range(nodes.size):
-        log_h[:, k] = h.log_h(nodes[k], ens.states[:, k])
-        lh[:, k] = h.lh_values(nodes[k], ens.states[:, k])
-    dt = ens.grid.steps
-    integral = np.zeros((n, nodes.size))
-    integral[:, 1:] = np.cumsum(0.5 * dt * (lh[:, :-1] + lh[:, 1:]), axis=1)
-    series = np.exp(log_h - log_h[:, :1] - integral)
-    series[:, 0] = 1.0
+    series = _exp_martingale(ens, h, np.arange(ens.grid.nodes.size))
     if isinstance(path_or_ensemble, Path):
         return series[0]
     return series
@@ -413,15 +427,8 @@ def exp_martingale_from_girsanov(
     return series
 
 
-def novikov_estimate(
-    path_or_ensemble, h: HFunction, model: SpectralModel, upto: float
-):
-    """Monte Carlo estimate of E[exp(0.5 int_0^S |sqrt(Q) grad log h|^2 dt)].
-
-    Diagnostic evidence (not proof) for the Novikov sufficient condition.
-    Returns (estimate, stderr).
-    """
-    ens = _as_ensemble(path_or_ensemble)
+def _novikov_values(ens: PathEnsemble, h: HFunction, model: SpectralModel, upto: float):
+    """Per-path exp(0.5 int_0^S |sqrt(Q) grad log h|^2 dt), shape (n_paths,)."""
     if h.horizon is not None and upto >= h.horizon:
         raise DomainError("Novikov time must lie strictly before the h horizon")
     nodes = ens.grid.nodes
@@ -434,8 +441,19 @@ def novikov_estimate(
         norms[:, k] = np.sum(g * g, axis=-1)
     dt = np.diff(nodes[: k_max + 1])
     integral = np.sum(0.5 * dt * (norms[:, :-1] + norms[:, 1:]), axis=1)
-    vals = np.exp(0.5 * integral)
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(ens.n_paths))
+    return np.exp(0.5 * integral)
+
+
+def novikov_estimate(
+    path_or_ensemble, h: HFunction, model: SpectralModel, upto: float
+):
+    """Monte Carlo estimate of E[exp(0.5 int_0^S |sqrt(Q) grad log h|^2 dt)].
+
+    Diagnostic evidence (not proof) for the Novikov sufficient condition.
+    Returns (estimate, stderr).
+    """
+    vals = _novikov_values(_as_ensemble(path_or_ensemble), h, model, upto)
+    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(vals.size))
 
 
 def lipschitz_probe(

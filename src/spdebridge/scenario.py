@@ -14,16 +14,20 @@ from .forward import Nonlinearity, sample_stationary
 from .grids import GEOMETRIC, UNIFORM, geometric_grid, uniform_grid
 from .spectral import SpectralModel
 
-TASK_NAMES = [
-    "forward",
-    "ou-bridge",
-    "guided",
-    "conditioned",
-    "dynkin",
-    "martingale-diag",
-    "gamma-diag",
-    "ck-check",
-]
+# Keys of each task block besides "name"; "*" marks a required key.
+_TASK_KEYS = {
+    "forward": "times",
+    "ou-bridge": "target* times",
+    "guided": "target* conditioning obs_var weight_cutoffs probe_time",
+    "conditioned": "endpoint* probe_time weight_cutoff",
+    "dynkin": "test_functions* times",
+    "martingale-diag": "target* h_horizon times probe_time novikov_fractions",
+    "gamma-diag": "upto n_points",
+    "ck-check": "s t modes mid x y tolerance",
+}
+_ENDPOINT_KEYS = {"dirac": "kind* target*", "tilted": "kind* mean* var*"}
+_TEST_FUNCTION_KEYS = "a* c* phase"
+TASK_NAMES = list(_TASK_KEYS)
 
 _NUMBER_ARRAY = {"type": "array", "items": {"type": "number"}, "minItems": 1}
 
@@ -189,6 +193,34 @@ def _check_semantics(scenario: dict) -> None:
             raise SchemaError("$.dynamics.x0.values: required for explicit rule")
         if len(x0["values"]) != n:
             raise SchemaError(f"$.dynamics.x0.values: expected {n} entries")
+    task = scenario["task"]
+    _check_keys(task, "name* " + _TASK_KEYS[task["name"]], "$.task")
+    if task["name"] == "conditioned":
+        endpoint = task["endpoint"]
+        if not isinstance(endpoint, dict) or endpoint.get("kind") not in _ENDPOINT_KEYS:
+            raise SchemaError('$.task.endpoint.kind: expected "dirac" or "tilted"')
+        _check_keys(endpoint, _ENDPOINT_KEYS[endpoint["kind"]], "$.task.endpoint")
+    if task["name"] == "dynkin":
+        if not isinstance(task["test_functions"], list):
+            raise SchemaError("$.task.test_functions: expected an array")
+        for i, tf in enumerate(task["test_functions"]):
+            _check_keys(tf, _TEST_FUNCTION_KEYS, f"$.task.test_functions[{i}]")
+    if "paths" in scenario["output"]["formats"] and task["name"] != "forward":
+        raise SchemaError('$.output.formats: "paths" is written only by the forward task')
+
+
+def _check_keys(block, spec: str, where: str) -> None:
+    """Reject keys of ``block`` missing from ``spec`` and required keys it lacks."""
+    if not isinstance(block, dict):
+        raise SchemaError(f"{where}: expected an object")
+    keys = spec.split()
+    allowed = {key.rstrip("*") for key in keys}
+    for key in block:
+        if key not in allowed:
+            raise SchemaError(f"{where}.{key}: unknown key")
+    for key in keys:
+        if key.endswith("*") and key[:-1] not in block:
+            raise SchemaError(f"{where}.{key[:-1]}: required")
 
 
 def build_model(scenario: dict) -> SpectralModel:

@@ -16,10 +16,10 @@ from . import __version__, io, rng
 from ._kernels import BACKEND
 from .errors import DomainError
 from .forward import (
-    PathEnsemble,
     forward_snapshots,
     nearest_node,
     simulate_ensemble,
+    stream_paths,
 )
 from .guided import (
     GaussianTilt,
@@ -34,11 +34,11 @@ from .guided import (
 )
 from .htransform import (
     ExpTestFunction,
+    _exp_martingale,
+    _novikov_values,
     bridge_h,
     dynkin_residual_mc,
-    exp_martingale_from_definition,
     increment_orthogonality,
-    novikov_estimate,
 )
 from .ou import (
     bridge_marginal_mean_var,
@@ -381,34 +381,31 @@ def task_martingale_diag(scenario, outdir):
     probe_time = task.get("probe_time", 0.0)
     seed = scenario["sampling"]["seed"]
     n_paths = _n_paths(scenario)
+    oversample = scenario["dynamics"]["oversample"]
     h = bridge_h(model, nonlin, horizon_h, y)
     node_idx = sorted({nearest_node(grid, t) for t in times})
     probe_node = nearest_node(grid, probe_time)
+    # Novikov growth curve on the first 4000 paths: reported, never asserted
+    fracs = task.get("novikov_fractions", [0.5, 0.75, 0.95])
+    novikov_upto = [float(frac) * grid.horizon for frac in fracs]
+    n_nov = min(n_paths, 4000)
+    series = np.empty((n_paths, len(node_idx)))
+    probes = np.empty((n_paths, model.n_modes))
+    novikov = np.empty((len(novikov_upto), n_nov))
+    for lo, hi, _, z in stream_paths(model, x0, grid, seed, n_paths):
+        ens = simulate_ensemble(
+            model, nonlin, x0, grid, n_paths=hi - lo, oversample=oversample, increments=z
+        )
+        series[lo:hi] = _exp_martingale(ens, h, node_idx)
+        probes[lo:hi] = ens.states[:, probe_node]
+        if lo < n_nov:
+            for i, upto in enumerate(novikov_upto):
+                novikov[i, lo:hi] = _novikov_values(ens, h, model, upto)[: n_nov - lo]
     rows = []
     failures = []
-    if nonlin.kind == "zero":
-        all_nodes = sorted(set(node_idx) | {probe_node, 0})
-        snaps = forward_snapshots(model, nonlin, x0, grid, seed, n_paths, all_nodes)
-        log_h0 = h.log_h(0.0, x0)
-        series = np.empty((n_paths, len(node_idx)))
-        for col, k in enumerate(node_idx):
-            slot = all_nodes.index(k)
-            series[:, col] = np.exp(
-                h.log_h(float(grid.nodes[k]), snaps[:, slot, :]) - log_h0
-            )
-        probes = snaps[:, all_nodes.index(probe_node), :]
-    else:
-        ensemble = simulate_ensemble(
-            model, nonlin, x0, grid, seed, n_paths,
-            oversample=scenario["dynamics"]["oversample"],
-        )
-        full = exp_martingale_from_definition(ensemble, h)
-        series = full[:, node_idx]
-        probes = ensemble.states[:, probe_node, :]
-    n = series.shape[0]
     for col, k in enumerate(node_idx):
         mean = float(series[:, col].mean())
-        se = float(series[:, col].std(ddof=1) / np.sqrt(n))
+        se = float(series[:, col].std(ddof=1) / np.sqrt(n_paths))
         rows.append(
             io.summary_row(
                 "exp_martingale_mean", mean, time=float(grid.nodes[k]), stderr=se,
@@ -430,29 +427,14 @@ def task_martingale_diag(scenario, outdir):
             )
         )
         _check(failures, worst <= 4.0, f"orthogonality statistic {worst:.2f} > 4")
-    # Novikov growth curve toward the horizon: reported, never asserted
-    novikov_fracs = task.get("novikov_fractions", [0.5, 0.75, 0.95])
-    if novikov_fracs:
-        n_nov = min(n_paths, 4000)
-        if nonlin.kind == "zero":
-            ens_nov = simulate_ensemble(
-                model, nonlin, x0, grid, seed, n_nov,
-                oversample=scenario["dynamics"]["oversample"],
+    for upto, vals in zip(novikov_upto, novikov):
+        rows.append(
+            io.summary_row(
+                "novikov_estimate", float(vals.mean()), time=upto,
+                stderr=float(vals.std(ddof=1) / np.sqrt(n_nov)),
+                provenance="htransform.novikov_estimate",
             )
-        else:
-            ens_nov = PathEnsemble(
-                grid, ensemble.states[:n_nov], ensemble.increments[:n_nov],
-                ensemble.model_ref,
-            )
-        for frac in novikov_fracs:
-            upto = float(frac) * grid.horizon
-            est, se = novikov_estimate(ens_nov, h, model, upto)
-            rows.append(
-                io.summary_row(
-                    "novikov_estimate", est, time=upto, stderr=se,
-                    provenance="htransform.novikov_estimate",
-                )
-            )
+        )
     return rows, {"diagnostic": "evidence only, not a proof"}, failures
 
 

@@ -140,6 +140,36 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert "n_paths" in proc.stderr and len(proc.stderr.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "task, formats, field",
+        [
+            ({"name": "forward", "timez": [0.5]}, None, "$.task.timez"),
+            ({"name": "ou-bridge"}, None, "$.task.target"),
+            ({"name": "conditioned", "endpoint": {"kind": "dirac"}}, None,
+             "$.task.endpoint.target"),
+            ({"name": "conditioned", "endpoint": {"kind": "uniform"}}, None,
+             "$.task.endpoint.kind"),
+            ({"name": "dynkin", "test_functions": [{"a": [0.5, 0.1]}]}, None,
+             "$.task.test_functions[0].c"),
+            ({"name": "ou-bridge", "target": [0.5, -0.2]}, ["csv", "json", "paths"],
+             "$.output.formats"),
+        ],
+        ids=[
+            "unknown-key", "bridge-target", "dirac-target", "endpoint-kind", "dynkin-c",
+            "paths-format",
+        ],
+    )
+    def test_task_block_checked_at_resolve_time(self, tmp_path, capsys, task, formats, field):
+        scn = base_scenario(task)
+        if formats:
+            scn["output"]["formats"] = formats
+        f = tmp_path / "scn.json"
+        f.write_text(json.dumps(scn))
+        assert run_cli(["run", str(f), "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {field}: ")
+        assert not (tmp_path / "r").exists()
+
     def test_successful_assert_run(self, tmp_path):
         scn = base_scenario({"name": "forward", "times": [1.0]})
         f = tmp_path / "scn.json"

@@ -146,6 +146,21 @@ class TestSimulateGuided:
                     [16], bad,
                 )
 
+    def test_endpoints_need_one_row_per_path(self, two_mode):
+        grid = geometric_grid(1.0, 8)
+        spec = GuidedSpec(y=np.zeros(2), horizon=1.0)
+        endpoints = np.zeros((2, 2))
+        match = r"endpoints must have shape \(n_paths, n_modes\)"
+        with pytest.raises(DomainError, match=match):
+            guided_ensemble_full(
+                two_mode, zero(), np.zeros(2), spec, grid, 4, 3, endpoints=endpoints
+            )
+        with pytest.raises(DomainError, match=match):
+            guided_snapshots(
+                two_mode, zero(), np.zeros(2), spec, grid, 4, 3, [8], [4],
+                endpoints=endpoints,
+            )
+
     def test_guided_matches_exact_bridge_marginals(self, single_mode):
         grid = geometric_grid(1.0, 256)
         y = np.array([1.0])

@@ -5,8 +5,15 @@ import pytest
 
 from spdebridge import rng
 from spdebridge.cli import compare_runs, main
+from spdebridge.forward import nearest_node, simulate_ensemble
+from spdebridge.htransform import (
+    bridge_h,
+    exp_martingale_from_definition,
+    increment_orthogonality,
+    novikov_estimate,
+)
 from spdebridge.io import read_summary
-from spdebridge.scenario import resolve_scenario
+from spdebridge.scenario import build_grid, build_model, build_nonlinearity, resolve_scenario
 from spdebridge.tasks import AssertionFailure, _gaussian_check, run_scenario
 
 
@@ -177,7 +184,10 @@ def test_martingale_diag_task(tmp_path):
     assert len(novikov) == 3 and novikov[0] < novikov[1] < novikov[2]
 
 
-def test_martingale_diag_sine_draws_each_path_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "nonlinearity", [{"kind": "zero"}, {"kind": "sine", "alpha": 0.5}], ids=["zero", "sine"]
+)
+def test_martingale_diag_draws_each_path_once(tmp_path, monkeypatch, nonlinearity):
     drawn = []
     original = rng.path_increments
 
@@ -191,11 +201,49 @@ def test_martingale_diag_sine_draws_each_path_once(tmp_path, monkeypatch):
             {"name": "martingale-diag", "target": [1.0], "h_horizon": 1.0},
             grid={"horizon": 0.8, "n_steps": 16, "kind": "uniform"},
             sampling={"n_paths": 300, "seed": 41},
-            nonlinearity={"kind": "sine", "alpha": 0.5},
+            nonlinearity=nonlinearity,
         )
     )
     run_scenario(scn, tmp_path / "r")
     assert len(drawn) == len(set(drawn)) == 300
+
+
+def test_martingale_diag_streamed_rows_equal_one_full_ensemble(tmp_path):
+    # 2050 paths cross the 2048-path chunk border of the streamed task
+    times, target = [0.2, 0.5, 0.8], [1.0, -0.5]
+    scn = resolve_scenario(
+        scenario(
+            {
+                "name": "martingale-diag", "target": target, "h_horizon": 1.0,
+                "times": times, "probe_time": 0.2, "novikov_fractions": [0.5, 0.9],
+            },
+            n_modes=2, lam=(-1.0, -4.0), q=(2.0, 1.0),
+            grid={"horizon": 0.8, "n_steps": 16, "kind": "uniform"},
+            sampling={"n_paths": 2050, "seed": 41},
+            nonlinearity={"kind": "sine", "alpha": 0.5},
+        )
+    )
+    run_scenario(scn, tmp_path / "r")
+    rows = read_summary(tmp_path / "r")
+    model, nonlin, grid = build_model(scn), build_nonlinearity(scn), build_grid(scn)
+    ens = simulate_ensemble(model, nonlin, np.zeros(2), grid, 41, n_paths=2050)
+    h = bridge_h(model, nonlin, 1.0, target)
+    nodes = [nearest_node(grid, t) for t in times]
+    series = exp_martingale_from_definition(ens, h)[:, nodes]
+    expected = [
+        (series[:, col].mean(), series[:, col].std(ddof=1) / np.sqrt(2050))
+        for col in range(len(nodes))
+    ]
+    stats = increment_orthogonality(series, ens.states[:, nodes[0]])
+    expected.append((np.max(np.abs(stats)), None))
+    expected += [novikov_estimate(ens, h, model, frac * 0.8) for frac in (0.5, 0.9)]
+    assert [r["quantity"] for r in rows] == (
+        ["exp_martingale_mean"] * 3 + ["increment_orthogonality_max_stat"]
+        + ["novikov_estimate"] * 2
+    )
+    for row, (value, stderr) in zip(rows, expected):
+        assert float(row["value"]) == value
+        assert row["stderr"] == ("" if stderr is None else repr(float(stderr)))
 
 
 def test_gamma_diag_task(tmp_path):

@@ -1,13 +1,17 @@
 """Hot path-simulation kernels, vectorized over paths with numpy.
 
-All kernels advance the exponential-Euler recursion
+One loop, ``_nodes``, runs the exponential-Euler recursion
 
     x' = E x + P (F(x) + G(x)) + S z      (per mode, per step)
 
-with precomputed per-step coefficient rows E = exp(lam dt), P = phi(dt),
-S = sqrt(per-step noise variance) supplied by the callers, so every run
-and any replay consume exactly the same coefficients. ``BACKEND`` names
-the execution engine and is echoed into run manifests.
+on per-step coefficient rows E = exp(lam dt), P = phi(dt), S = sqrt(per-step
+noise variance) supplied by the callers, so every run and any replay use the
+same coefficients. G, the guide drift of the h-transformed process, exists
+only in ``guided``. Each public kernel is a readout of that loop (stored
+states, a Dynkin functional, guided states with log weights) and never calls
+another: the benchmark's tracer wraps the four by name and counts one pass
+per call. ``BACKEND`` names the execution engine and is echoed into run
+manifests.
 
 Nonlinearity codes: 0 zero, 1 linear scale, 2 bounded rational u/(1+u^2),
 3 sine. Codes 0 and 1 are evaluated spectrally (exact); 2 and 3 go through
@@ -40,30 +44,39 @@ def _nemytskii_np(x: np.ndarray, B, C, kind: int, alpha: float) -> np.ndarray:
     return _pointwise_np(u, kind, alpha) @ C.T
 
 
-def forward_full(x0, Z, E, P, S, B, C, kind, alpha):
-    n, n_steps, n_modes = Z.shape
-    states = np.empty((n, n_steps + 1, n_modes))
-    states[:, 0] = x0
+def _nodes(x0, Z, E, P, S, B, C, kind, alpha, drift=None):
+    """Yield (k, x_k, F(x_k)) at each node k < n_steps, then (n_steps, x_n, None).
+
+    The state is stepped after each yield. ``drift(k, x)`` is the extra
+    term G; without it the update is ``P * F`` rather than ``P * (F + 0)``,
+    which would turn a -0.0 entry of F into +0.0.
+    """
+    n_steps = Z.shape[1]
     x = x0.copy()
     for k in range(n_steps):
         f = _nemytskii_np(x, B, C, kind, alpha)
-        x = E[k] * x + P[k] * f + S[k] * Z[:, k]
-        states[:, k + 1] = x
+        yield k, x, f
+        if drift is None:
+            x = E[k] * x + P[k] * f + S[k] * Z[:, k]
+        else:
+            x = E[k] * x + P[k] * (f + drift(k, x)) + S[k] * Z[:, k]
+    yield n_steps, x, None
+
+
+def forward_full(x0, Z, E, P, S, B, C, kind, alpha):
+    n, n_steps, n_modes = Z.shape
+    states = np.empty((n, n_steps + 1, n_modes))
+    for k, x, _ in _nodes(x0, Z, E, P, S, B, C, kind, alpha):
+        states[:, k] = x
     return states
 
 
 def forward_snap(x0, Z, E, P, S, B, C, kind, alpha, snap_slot, n_snap):
-    n, n_steps, n_modes = Z.shape
+    n, _, n_modes = Z.shape
     snaps = np.empty((n, n_snap, n_modes))
-    x = x0.copy()
-    if snap_slot[0] >= 0:
-        snaps[:, snap_slot[0]] = x
-    for k in range(n_steps):
-        f = _nemytskii_np(x, B, C, kind, alpha)
-        x = E[k] * x + P[k] * f + S[k] * Z[:, k]
-        s = snap_slot[k + 1]
-        if s >= 0:
-            snaps[:, s] = x
+    for k, x, _ in _nodes(x0, Z, E, P, S, B, C, kind, alpha):
+        if snap_slot[k] >= 0:
+            snaps[:, snap_slot[k]] = x
     return snaps
 
 
@@ -77,38 +90,28 @@ def dynkin_snap(
     and ``qaa`` describe test function i. Each path is stepped once and
     every function is evaluated on the same states; returns (n, m, n_snap).
     """
-    n, n_steps, _ = Z.shape
+    n = Z.shape[0]
     funcs = range(len(c))
     out = np.empty((n, len(c), n_snap))
-
-    def gen_val(i, t, x, f):
-        u = x @ a[i] + c[i] * t
-        drift = x @ lam_a[i] + f @ a[i]
-        if phase_sin[i]:
-            return np.cos(u) * (c[i] + drift) - 0.5 * np.sin(u) * qaa[i]
-        return -np.sin(u) * (c[i] + drift) - 0.5 * np.cos(u) * qaa[i]
-
-    def phi_val(i, t, x):
-        u = x @ a[i] + c[i] * t
-        return np.sin(u) if phase_sin[i] else np.cos(u)
-
-    x = x0.copy()
-    f = _nemytskii_np(x, B, C, kind, alpha)
-    g_prev = [gen_val(i, t_nodes[0], x, f) for i in funcs]
     integral = [np.zeros(n) for _ in funcs]
-    if snap_slot[0] >= 0:
+    g_prev = [None] * len(c)
+    for k, x, f in _nodes(x0, Z, E, P, S, B, C, kind, alpha):
+        if f is None:
+            f = _nemytskii_np(x, B, C, kind, alpha)
+        t, s = t_nodes[k], snap_slot[k]
         for i in funcs:
-            out[:, i, snap_slot[0]] = phi_val(i, t_nodes[0], x) - integral[i]
-    for k in range(n_steps):
-        x = E[k] * x + P[k] * f + S[k] * Z[:, k]
-        f = _nemytskii_np(x, B, C, kind, alpha)
-        s = snap_slot[k + 1]
-        for i in funcs:
-            g = gen_val(i, t_nodes[k + 1], x, f)
-            integral[i] = integral[i] + 0.5 * dt[k] * (g_prev[i] + g)
+            u = x @ a[i] + c[i] * t
+            drift = x @ lam_a[i] + f @ a[i]
+            if phase_sin[i]:
+                g = np.cos(u) * (c[i] + drift) - 0.5 * np.sin(u) * qaa[i]
+            else:
+                g = -np.sin(u) * (c[i] + drift) - 0.5 * np.cos(u) * qaa[i]
+            if k > 0:
+                integral[i] = integral[i] + 0.5 * dt[k - 1] * (g_prev[i] + g)
             g_prev[i] = g
             if s >= 0:
-                out[:, i, s] = phi_val(i, t_nodes[k + 1], x) - integral[i]
+                phi = np.sin(u) if phase_sin[i] else np.cos(u)
+                out[:, i, s] = phi - integral[i]
     return out
 
 
@@ -125,29 +128,24 @@ def guided(
     singular at the horizon, so no weight is read at the last node. With
     ``pin`` the final state is set to y.
     """
-    n, n_steps, n_modes = Z.shape
+    n, _, n_modes = Z.shape
     snaps = np.empty((n, n_snap, n_modes))
     logw = np.empty((n, n_wckpt))
-    x = x0.copy()
-    w_prev = np.zeros(n)
     cum = np.zeros(n)
-    for k in range(n_steps):
-        f = _nemytskii_np(x, B, C, kind, alpha)
-        w_here = np.sum(f * (Wg[k] * (y - Bg[k] * x)), axis=1)
-        if k > 0:
-            cum = cum + 0.5 * dt[k - 1] * (w_prev + w_here)
-        w_prev = w_here
-        s = snap_slot[k]
-        if s >= 0:
-            snaps[:, s] = x
-        ws = wckpt_slot[k]
-        if ws >= 0:
-            logw[:, ws] = cum
-        g = Ag[k] * (y - Bg[k] * x)
-        x = E[k] * x + P[k] * (f + g) + S[k] * Z[:, k]
-    if pin:
-        x = y.copy()
-    s = snap_slot[n_steps]
-    if s >= 0:
-        snaps[:, s] = x
+
+    def guide(k, x):
+        return Ag[k] * (y - Bg[k] * x)
+
+    for k, x, f in _nodes(x0, Z, E, P, S, B, C, kind, alpha, guide):
+        if f is not None:
+            w = np.sum(f * (Wg[k] * (y - Bg[k] * x)), axis=1)
+            if k > 0:
+                cum = cum + 0.5 * dt[k - 1] * (w_prev + w)
+            w_prev = w
+            if wckpt_slot[k] >= 0:
+                logw[:, wckpt_slot[k]] = cum
+        elif pin:
+            x = y
+        if snap_slot[k] >= 0:
+            snaps[:, snap_slot[k]] = x
     return snaps, logw

@@ -3,9 +3,9 @@
     spdebridge run <scenario.json> [--out DIR] [--threads N] [--assert]
     spdebridge compare <dirA> <dirB> <tolerances.json>
 
-Exit codes: 0 ok, 1 usage/schema error, 2 numerical-domain error,
-3 assertion/comparison failure. All state flows through the scenario file;
-no environment variables are consulted.
+Exit codes: 0 ok, 1 usage/schema error (and any unforeseen failure, as one
+stderr line), 2 numerical-domain error, 3 assertion/comparison failure. All
+state flows through the scenario file; no environment variables are consulted.
 """
 
 import argparse
@@ -159,6 +159,12 @@ def main(argv=None) -> int:
             code = _cmd_compare(args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_USAGE
+    except Exception as exc:
+        # last resort: the exit-code contract holds for every input, so an
+        # unforeseen failure is one stderr line, never a traceback
+        message = " ".join(str(exc).split())
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         code = EXIT_USAGE
     if argv is None:
         sys.exit(code)

@@ -17,6 +17,7 @@ import numpy as np
 from . import _kernels, rng
 from .errors import DomainError
 from .forward import (
+    DEFAULT_OVERSAMPLE,
     Nonlinearity,
     Path,
     PathEnsemble,
@@ -84,11 +85,13 @@ def bridge_h(
     horizon: float,
     y,
     r_min: float | None = None,
+    oversample: int = DEFAULT_OVERSAMPLE,
 ) -> HFunction:
     """Transform built from the linear-process transition density to (horizon, y).
 
     Harmonic when the nonlinearity vanishes; otherwise Lh/h is the inner
-    product of the nonlinearity with grad log h.
+    product of the nonlinearity with grad log h. ``oversample`` sets the
+    grid of the nonlinearity; it should match the one the paths use.
     """
     y = model.validate_field(np.asarray(y, dtype=np.float64))
 
@@ -103,7 +106,7 @@ def bridge_h(
     else:
 
         def lh(t, x):
-            f = apply_nonlinearity(model, nonlin, t, x)
+            f = apply_nonlinearity(model, nonlin, t, x, oversample)
             return np.sum(f * _grad(t, x), axis=-1)
 
     return HFunction(_log_h, _grad, lh, horizon)
@@ -115,8 +118,12 @@ def noisy_obs_h(
     horizon: float,
     v,
     obs_var,
+    oversample: int = DEFAULT_OVERSAMPLE,
 ) -> HFunction:
-    """Transform conditioning on a noisy endpoint observation v."""
+    """Transform conditioning on a noisy endpoint observation v.
+
+    ``oversample`` sets the grid of the nonlinearity in Lh/h, as in bridge_h.
+    """
     v = model.validate_field(np.asarray(v, dtype=np.float64))
 
     def _log_h(t, x):
@@ -130,7 +137,7 @@ def noisy_obs_h(
     else:
 
         def lh(t, x):
-            f = apply_nonlinearity(model, nonlin, t, x)
+            f = apply_nonlinearity(model, nonlin, t, x, oversample)
             return np.sum(f * _grad(t, x), axis=-1)
 
     return HFunction(_log_h, _grad, lh, horizon)

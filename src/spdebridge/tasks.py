@@ -382,7 +382,7 @@ def task_martingale_diag(scenario, outdir):
     seed = scenario["sampling"]["seed"]
     n_paths = _n_paths(scenario)
     oversample = scenario["dynamics"]["oversample"]
-    h = bridge_h(model, nonlin, horizon_h, y)
+    h = bridge_h(model, nonlin, horizon_h, y, oversample=oversample)
     node_idx = sorted({nearest_node(grid, t) for t in times})
     probe_node = nearest_node(grid, probe_time)
     # Novikov growth curve on the first 4000 paths: reported, never asserted

@@ -140,6 +140,20 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert "n_paths" in proc.stderr and len(proc.stderr.strip().splitlines()) == 1
 
+    def test_unforeseen_error_is_one_line_exit_one(self, tmp_path):
+        # task values are not type-checked yet; a string time fails inside numpy
+        f = tmp_path / "scn.json"
+        f.write_text(json.dumps(base_scenario({"name": "forward", "times": ["soon"]})))
+        env = dict(os.environ, PYTHONPATH=str(FilePath(spdebridge.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "spdebridge.cli", "run", str(f), "--out", str(tmp_path / "r")],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        err = proc.stderr.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     @pytest.mark.parametrize(
         "task, formats, field",
         [

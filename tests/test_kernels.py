@@ -1,8 +1,16 @@
 """The stepping kernels against each other and against the one-step map."""
 
 import numpy as np
+import pytest
 
-from spdebridge import _kernels, exponential_euler_step, sine_nemytskii
+from spdebridge import (
+    _kernels,
+    bounded_rational,
+    exponential_euler_step,
+    linear_scale,
+    sine_nemytskii,
+    zero,
+)
 from spdebridge.forward import step_coefficients
 from spdebridge.spectral import covariance_qt_diag, sine_basis
 
@@ -17,26 +25,50 @@ def _setup(dirichlet4, n=7, n_steps=12):
     return x0, z, dt, E, P, S, B, C
 
 
-def test_forward_full_matches_one_step_map(dirichlet4):
+# one nonlinearity per kernel code 0..3
+NONLINS = [zero(), linear_scale(-0.7), bounded_rational(0.8), sine_nemytskii(0.5)]
+by_kind = pytest.mark.parametrize("nonlin", NONLINS, ids=lambda nl: nl.kind)
+
+
+@by_kind
+def test_forward_full_matches_one_step_map(dirichlet4, nonlin):
     x0, z, dt, E, P, S, B, C = _setup(dirichlet4)
-    states = _kernels.forward_full(x0, z, E, P, S, B, C, 3, 0.5)
+    states = _kernels.forward_full(x0, z, E, P, S, B, C, nonlin.code, nonlin.alpha)
     assert np.array_equal(states[:, 0], x0)
     for i in range(x0.shape[0]):
         x = x0[i]
         for k in range(dt.size):
             x = exponential_euler_step(
-                dirichlet4, sine_nemytskii(0.5), k * dt[k], dt[k], x, z[i, k], oversample=4
+                dirichlet4, nonlin, k * dt[k], dt[k], x, z[i, k], oversample=4
             )
             np.testing.assert_allclose(states[i, k + 1], x, rtol=1e-13, atol=1e-15)
 
 
-def test_forward_snap_matches_forward_full(dirichlet4):
+@by_kind
+def test_forward_snap_matches_forward_full(dirichlet4, nonlin):
     x0, z, dt, E, P, S, B, C = _setup(dirichlet4)
+    common = (x0, z, E, P, S, B, C, nonlin.code, nonlin.alpha)
     slots = np.full(13, -1, dtype=np.int64)
     slots[[0, 6, 12]] = [0, 1, 2]
-    snaps = _kernels.forward_snap(x0, z, E, P, S, B, C, 2, 0.8, slots, 3)
-    full = _kernels.forward_full(x0, z, E, P, S, B, C, 2, 0.8)
+    snaps = _kernels.forward_snap(*common, slots, 3)
+    full = _kernels.forward_full(*common)
     assert np.array_equal(snaps, full[:, [0, 6, 12]])
+
+
+@by_kind
+def test_guided_without_guide_is_forward_snap(dirichlet4, nonlin):
+    # Ag = Bg = Wg = 0: the guided update differs from the forward one only
+    # by the guide term, so states match bit for bit and weights stay zero
+    x0, z, dt, E, P, S, B, C = _setup(dirichlet4)
+    common = (x0, z, E, P, S, B, C, nonlin.code, nonlin.alpha)
+    y = np.random.default_rng(1).standard_normal((7, 4))
+    nil = np.zeros((12, 4))
+    every = np.arange(13, dtype=np.int64)
+    snaps, logw = _kernels.guided(
+        *common, nil, nil, nil, y, dt, False, every, 13, every, 12
+    )
+    assert np.array_equal(snaps, _kernels.forward_snap(*common, every, 13))
+    assert np.all(logw == 0.0)
 
 
 def test_dynkin_snap_stacked_matches_single(dirichlet4):

@@ -208,8 +208,7 @@ def test_martingale_diag_draws_each_path_once(tmp_path, monkeypatch, nonlinearit
     assert len(drawn) == len(set(drawn)) == 300
 
 
-def test_martingale_diag_streamed_rows_equal_one_full_ensemble(tmp_path):
-    # 2050 paths cross the 2048-path chunk border of the streamed task
+def _martingale_rows_equal_one_full_ensemble(tmp_path, n_paths, oversample):
     times, target = [0.2, 0.5, 0.8], [1.0, -0.5]
     scn = resolve_scenario(
         scenario(
@@ -219,19 +218,22 @@ def test_martingale_diag_streamed_rows_equal_one_full_ensemble(tmp_path):
             },
             n_modes=2, lam=(-1.0, -4.0), q=(2.0, 1.0),
             grid={"horizon": 0.8, "n_steps": 16, "kind": "uniform"},
-            sampling={"n_paths": 2050, "seed": 41},
+            sampling={"n_paths": n_paths, "seed": 41},
             nonlinearity={"kind": "sine", "alpha": 0.5},
         )
     )
+    scn["dynamics"]["oversample"] = oversample
     run_scenario(scn, tmp_path / "r")
     rows = read_summary(tmp_path / "r")
     model, nonlin, grid = build_model(scn), build_nonlinearity(scn), build_grid(scn)
-    ens = simulate_ensemble(model, nonlin, np.zeros(2), grid, 41, n_paths=2050)
-    h = bridge_h(model, nonlin, 1.0, target)
+    ens = simulate_ensemble(
+        model, nonlin, np.zeros(2), grid, 41, n_paths=n_paths, oversample=oversample
+    )
+    h = bridge_h(model, nonlin, 1.0, target, oversample=oversample)
     nodes = [nearest_node(grid, t) for t in times]
     series = exp_martingale_from_definition(ens, h)[:, nodes]
     expected = [
-        (series[:, col].mean(), series[:, col].std(ddof=1) / np.sqrt(2050))
+        (series[:, col].mean(), series[:, col].std(ddof=1) / np.sqrt(n_paths))
         for col in range(len(nodes))
     ]
     stats = increment_orthogonality(series, ens.states[:, nodes[0]])
@@ -244,6 +246,16 @@ def test_martingale_diag_streamed_rows_equal_one_full_ensemble(tmp_path):
     for row, (value, stderr) in zip(rows, expected):
         assert float(row["value"]) == value
         assert row["stderr"] == ("" if stderr is None else repr(float(stderr)))
+
+
+def test_martingale_diag_streamed_rows_equal_one_full_ensemble(tmp_path):
+    # 2050 paths cross the 2048-path chunk border of the streamed task
+    _martingale_rows_equal_one_full_ensemble(tmp_path, 2050, 4)
+
+
+def test_martingale_diag_h_uses_the_scenario_oversample(tmp_path):
+    # Lh/h must apply the same pseudo-spectral F as the simulated paths
+    _martingale_rows_equal_one_full_ensemble(tmp_path, 300, 1)
 
 
 def test_gamma_diag_task(tmp_path):

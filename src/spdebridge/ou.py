@@ -10,9 +10,8 @@ as the mode count grows.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_hermite
 
-from . import rng
+from . import _kernels, rng
 from .errors import DomainError
 from .forward import Path, PathEnsemble, _snap_slots, model_id, stream_paths
 from .grids import TimeGrid
@@ -159,28 +158,39 @@ def _check_bridge_grid(grid: TimeGrid, horizon: float):
         raise DomainError("grid horizon does not match the bridge horizon")
 
 
-def _bridge_table(model: SpectralModel, horizon: float, grid: TimeGrid):
-    """Per-step (ca, cy, sqrt v) of the bridge recursion on the grid."""
-    nodes = grid.nodes
-    table = []
-    for k in range(grid.n_steps):
-        a, b = nodes[k + 1] - nodes[k], horizon - nodes[k + 1]
-        ca, cy, v = _conditional_coeffs(model, a, b)
-        table.append((ca, cy, np.sqrt(v)))
-    return table
+def _bridge_table(model: SpectralModel, horizon: float, grid: TimeGrid, y):
+    """Per-step rows (ca, cy * y, sqrt v) of the bridge recursion to target y (J,).
 
-
-def _bridge_run(x, y, table, z, out, slot):
-    """Bridge recursion from states x (..., J) with normals z (..., steps, J).
-
-    Writes the state at node k into out[..., slot[k], :] where slot[k] >= 0.
+    Each is an (n_steps, J) array.
     """
+    if y.shape != (model.n_modes,):
+        raise DomainError("the bridge target must be one field")
+    nodes = grid.nodes
+    steps = [
+        _conditional_coeffs(model, nodes[k + 1] - nodes[k], horizon - nodes[k + 1])
+        for k in range(grid.n_steps)
+    ]
+    ca, cy, v = (np.array(c) for c in zip(*steps))
+    return ca, cy * y, np.sqrt(v)
+
+
+def _bridge_run(x, table, z, out, slot):
+    """Bridge recursion from states x (n, J) with normals z (n, steps, J).
+
+    Writes the state at node k into out[:, slot[k], :] where slot[k] >= 0.
+    Steps on the wide view of x, as the kernels do (see ``_kernels``).
+    """
+    n, n_modes = x.shape
+    g = _kernels.fold_factor(n, n_modes)
+    wide = (n // g, g * n_modes)
+    ca, cyy, sv = (np.tile(c, g) for c in table)
     if slot[0] >= 0:
-        out[..., slot[0], :] = x
-    for k, (ca, cy, sv) in enumerate(table):
-        x = ca * x + cy * y + sv * z[..., k, :]
+        out[:, slot[0]] = x
+    xw = x.reshape(wide)
+    for k in range(ca.shape[0]):
+        xw = ca[k] * xw + cyy[k] + sv[k] * z[:, k].reshape(wide)
         if slot[k + 1] >= 0:
-            out[..., slot[k + 1], :] = x
+            out[:, slot[k + 1]] = xw.reshape(n, n_modes)
 
 
 def ou_bridge_states(
@@ -191,12 +201,13 @@ def ou_bridge_states(
     y = model.validate_field(y)
     _check_bridge_grid(grid, horizon)
     lead = z.shape[:-2]
-    states = np.empty(lead + (grid.nodes.size, model.n_modes))
-    x = np.broadcast_to(x0, lead + (model.n_modes,)).copy()
+    z = z.reshape((-1,) + z.shape[-2:])
+    states = np.empty((z.shape[0], grid.nodes.size, model.n_modes))
+    x = np.broadcast_to(x0, (z.shape[0], model.n_modes)).copy()
     _bridge_run(
-        x, y, _bridge_table(model, horizon, grid), z, states, range(grid.nodes.size)
+        x, _bridge_table(model, horizon, grid, y), z, states, range(grid.nodes.size)
     )
-    return states
+    return states.reshape(lead + states.shape[1:])
 
 
 def ou_bridge_exact_sample(
@@ -244,10 +255,10 @@ def ou_bridge_snapshots(
     y = model.validate_field(y)
     _check_bridge_grid(grid, horizon)
     slot, n_snap = _snap_slots(grid, snap_nodes)
-    table = _bridge_table(model, horizon, grid)
+    table = _bridge_table(model, horizon, grid, y)
     out = np.empty((n_paths, n_snap, model.n_modes))
     for lo, hi, x, z in stream_paths(model, x0, grid, rng_seed, n_paths):
-        _bridge_run(x, y, table, z, out[lo:hi], slot)
+        _bridge_run(x, table, z, out[lo:hi], slot)
     return out
 
 
@@ -350,6 +361,10 @@ def chapman_kolmogorov_residual(
     qinf = q / (2.0 * abs(lam))
     q_mid = q * one_minus_exp(2.0 * lam * (r - s)) / (2.0 * abs(lam))
     m_mid = np.exp(lam * (r - s)) * x
+    # imported here, not at module level: only the ck-check task needs scipy,
+    # and loading it doubles the package's import time and adds ~20 MB RSS
+    from scipy.special import roots_hermite
+
     nodes, weights = roots_hermite(n_quad)
     z = m_mid + np.sqrt(2.0 * q_mid) * nodes
 

@@ -509,16 +509,35 @@ TASKS = {
 }
 
 
+def _check_finite(rows):
+    """Raise DomainError at the first row whose value or stderr is not finite."""
+    for row in rows:
+        for column in ("value", "stderr"):
+            v = row[column]
+            if v != "" and not np.isfinite(v):
+                raise DomainError(
+                    f"{row['quantity']} {column} is {float(v)} at mode "
+                    f"{row['mode'] if row['mode'] != '' else '-'}, time "
+                    f"{row['time'] if row['time'] != '' else '-'}"
+                )
+
+
 def run_scenario(scenario: dict, outdir, assert_mode: bool = False) -> dict:
     """Execute the scenario's task, writing all artifacts into outdir.
 
     Returns the diagnostics dict. The task's failed checks are recorded and
-    raised as AssertionFailure in assertion mode, and dropped otherwise.
+    raised as AssertionFailure in assertion mode, and dropped otherwise. A
+    summary row whose value or stderr is not finite raises DomainError
+    before the manifest, summary and diagnostics are written.
     """
     outdir = FilePath(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     name = scenario["task"]["name"]
-    rows, diagnostics, failures = TASKS[name](scenario, outdir)
+    # a result that left the finite range is reported once, as the
+    # DomainError below, not as numpy warnings on the way there
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows, diagnostics, failures = TASKS[name](scenario, outdir)
+    _check_finite(rows)
     if not assert_mode:
         failures = []
     manifest = {

@@ -154,6 +154,23 @@ class TestExitCodes:
         err = proc.stderr.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    def test_non_finite_result_is_a_domain_error(self, tmp_path):
+        # alpha = 1e308 overflows the states; the run must not report "ok"
+        scn = base_scenario({"name": "forward"})
+        scn["dynamics"]["nonlinearity"] = {"kind": "sine", "alpha": 1e308}
+        f = tmp_path / "scn.json"
+        f.write_text(json.dumps(scn))
+        env = dict(os.environ, PYTHONPATH=str(FilePath(spdebridge.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "spdebridge.cli", "run", str(f), "--out", str(tmp_path / "r")],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        err = proc.stderr.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("task forward: domain error: sample_")
+        assert not (tmp_path / "r" / "summary.csv").exists()
+
     @pytest.mark.parametrize(
         "task, formats, field",
         [
@@ -189,6 +206,19 @@ class TestExitCodes:
         f = tmp_path / "scn.json"
         f.write_text(json.dumps(scn))
         assert run_cli(["run", str(f), "--out", str(tmp_path / "r"), "--assert"]) == 0
+
+
+def test_package_import_leaves_scipy_unloaded():
+    # only the ck-check task needs scipy; it is imported there, on first use
+    code = (
+        "import sys, spdebridge, spdebridge.tasks, spdebridge.scenario, spdebridge.io; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(FilePath(spdebridge.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 class TestCompare:

@@ -8,7 +8,9 @@ from spdebridge import (
     bounded_rational,
     exponential_euler_step,
     linear_scale,
+    ou,
     sine_nemytskii,
+    uniform_grid,
     zero,
 )
 from spdebridge.forward import step_coefficients
@@ -28,11 +30,31 @@ def _setup(dirichlet4, n=7, n_steps=12):
 # one nonlinearity per kernel code 0..3
 NONLINS = [zero(), linear_scale(-0.7), bounded_rational(0.8), sine_nemytskii(0.5)]
 by_kind = pytest.mark.parametrize("nonlin", NONLINS, ids=lambda nl: nl.kind)
+# path counts whose wide view folds g rows together at 4 modes: 7 -> g = 1
+# (the narrow (n, J) form), 2 -> g = 2, 64 -> g = 32
+ROWS = {7: 1, 2: 2, 64: 32}
+by_kind_and_rows = pytest.mark.parametrize(
+    "nonlin, n",
+    [
+        pytest.param(nl, n, id=nl.kind if n == 7 else f"{nl.kind}-n{n}")
+        for n in ROWS
+        for nl in NONLINS
+    ],
+)
 
 
-@by_kind
-def test_forward_full_matches_one_step_map(dirichlet4, nonlin):
-    x0, z, dt, E, P, S, B, C = _setup(dirichlet4)
+def test_fold_factor():
+    assert all(_kernels.fold_factor(n, 4) == g for n, g in ROWS.items())
+    assert _kernels.fold_factor(2048, 4) == 32
+    assert _kernels.fold_factor(2048, 3) == 32
+    assert _kernels.fold_factor(2048, 1) == 128
+    assert _kernels.fold_factor(2048, 200) == 1
+    assert _kernels.fold_factor(2050, 4) == 2
+
+
+@by_kind_and_rows
+def test_forward_full_matches_one_step_map(dirichlet4, nonlin, n):
+    x0, z, dt, E, P, S, B, C = _setup(dirichlet4, n)
     states = _kernels.forward_full(x0, z, E, P, S, B, C, nonlin.code, nonlin.alpha)
     assert np.array_equal(states[:, 0], x0)
     for i in range(x0.shape[0]):
@@ -44,9 +66,9 @@ def test_forward_full_matches_one_step_map(dirichlet4, nonlin):
             np.testing.assert_allclose(states[i, k + 1], x, rtol=1e-13, atol=1e-15)
 
 
-@by_kind
-def test_forward_snap_matches_forward_full(dirichlet4, nonlin):
-    x0, z, dt, E, P, S, B, C = _setup(dirichlet4)
+@by_kind_and_rows
+def test_forward_snap_matches_forward_full(dirichlet4, nonlin, n):
+    x0, z, dt, E, P, S, B, C = _setup(dirichlet4, n)
     common = (x0, z, E, P, S, B, C, nonlin.code, nonlin.alpha)
     slots = np.full(13, -1, dtype=np.int64)
     slots[[0, 6, 12]] = [0, 1, 2]
@@ -55,13 +77,13 @@ def test_forward_snap_matches_forward_full(dirichlet4, nonlin):
     assert np.array_equal(snaps, full[:, [0, 6, 12]])
 
 
-@by_kind
-def test_guided_without_guide_is_forward_snap(dirichlet4, nonlin):
+@by_kind_and_rows
+def test_guided_without_guide_is_forward_snap(dirichlet4, nonlin, n):
     # Ag = Bg = Wg = 0: the guided update differs from the forward one only
     # by the guide term, so states match bit for bit and weights stay zero
-    x0, z, dt, E, P, S, B, C = _setup(dirichlet4)
+    x0, z, dt, E, P, S, B, C = _setup(dirichlet4, n)
     common = (x0, z, E, P, S, B, C, nonlin.code, nonlin.alpha)
-    y = np.random.default_rng(1).standard_normal((7, 4))
+    y = np.random.default_rng(1).standard_normal((n, 4))
     nil = np.zeros((12, 4))
     every = np.arange(13, dtype=np.int64)
     snaps, logw = _kernels.guided(
@@ -127,3 +149,44 @@ def test_guided_log_weights_are_trapezoid_of_own_states(dirichlet4):
     sparse_snaps, sparse_logw = _kernels.guided(*common, slots, 2, wslots, 1)
     assert np.array_equal(sparse_snaps, snaps[:, [6, 12]])
     assert np.array_equal(sparse_logw, logw[:, [10]])
+
+
+@by_kind
+def test_rows_do_not_depend_on_batch_size(dirichlet4, nonlin):
+    # 64, 7 and 2 paths step on wide views with g = 32, 1 and 2; a path's
+    # row must come out the same bits in each (one-row batches round their
+    # matmul differently and are not covered here)
+    x0, z, dt, E, P, S, B, C = _setup(dirichlet4, 64)
+    nodes = np.concatenate([[0.0], np.cumsum(dt)])
+    gen = np.random.default_rng(2)
+    y = gen.standard_normal((64, 4)) * 0.2
+    a = np.array([[0.9, 0.3, 0.1, 0.05], [0.5, -0.4, 0.2, 0.1]])
+    r = np.cumsum(dt[::-1])[::-1].copy()
+    Bg = np.exp(dirichlet4.lam * r[:, None])
+    Wg = Bg / covariance_qt_diag(dirichlet4, r)
+    every = np.arange(13, dtype=np.int64)
+    slots = np.full(13, -1, dtype=np.int64)
+    slots[[0, 6, 12]] = [0, 1, 2]
+    table = ou._bridge_table(dirichlet4, 1.0, uniform_grid(1.0, 12), y[0])
+
+    def run(n):
+        common = (x0[:n], z[:n], E, P, S, B, C, nonlin.code, nonlin.alpha)
+        bridge = np.empty((n, 13, 4))
+        ou._bridge_run(x0[:n].copy(), table, z[:n], bridge, range(13))
+        return [
+            _kernels.forward_full(*common),
+            _kernels.forward_snap(*common, slots, 3),
+            _kernels.dynkin_snap(
+                *common, nodes, dt, a, np.array([0.2, -1.1]), [True, False],
+                dirichlet4.lam * a, np.sum(dirichlet4.q * a * a, axis=1), slots, 3,
+            ),
+            *_kernels.guided(
+                *common, dirichlet4.q * Wg, Bg, Wg, y[:n], dt, True, every, 13, every, 12
+            ),
+            bridge,
+        ]
+
+    wide = run(64)
+    for n in (7, 2):
+        for got, ref in zip(run(n), wide):
+            assert np.array_equal(got, ref[:n])

@@ -90,12 +90,25 @@ def _within(a: float, b: float, tol: dict) -> bool:
     return diff <= tol.get("abs", 0.0) + tol.get("rel", 0.0) * max(abs(a), abs(b))
 
 
+def _row_key(key) -> dict:
+    return {"quantity": key[0], "mode": key[1], "time": key[2]}
+
+
+def _only_in(rows: dict, other: dict) -> list:
+    """Keys of rows missing from ``other`` whose quantity ``other`` reports."""
+    reported = {key[0] for key in other}
+    return [_row_key(k) for k in sorted(rows) if k not in other and k[0] in reported]
+
+
 def compare_runs(dir_a: str, dir_b: str, tol_spec: dict) -> dict:
     """Field-by-field comparison of two runs' summary tables.
 
     Runs must share the model and grid blocks. Rows are matched by
     (quantity, mode, time); numeric cells on common keys are compared under
-    the tolerance spec. Returns a report dict with any offending cells.
+    the tolerance spec. A quantity both runs report must have the same rows
+    in each, and a cell empty in one run must be empty in the other;
+    quantities only one run reports are not compared. Returns a report dict
+    listing every offending cell and unmatched row.
     """
     man_a = read_manifest(dir_a)
     man_b = read_manifest(dir_b)
@@ -114,25 +127,20 @@ def compare_runs(dir_a: str, dir_b: str, tol_spec: dict) -> dict:
             if va == "" and vb == "":
                 continue
             tol = _tolerance_for(tol_spec, key[0], column)
-            a, b = float(va), float(vb)
-            if not _within(a, b, tol):
+            a = None if va == "" else float(va)
+            b = None if vb == "" else float(vb)
+            if a is None or b is None or not _within(a, b, tol):
                 offending.append(
-                    {
-                        "quantity": key[0],
-                        "mode": key[1],
-                        "time": key[2],
-                        "column": column,
-                        "a": a,
-                        "b": b,
-                        "tolerance": tol,
-                    }
+                    {**_row_key(key), "column": column, "a": a, "b": b, "tolerance": tol}
                 )
+    only_in_a = _only_in(rows_a, rows_b)
+    only_in_b = _only_in(rows_b, rows_a)
     return {
         "compared": len(common),
-        "only_in_a": len(rows_a) - len(common),
-        "only_in_b": len(rows_b) - len(common),
+        "only_in_a": only_in_a,
+        "only_in_b": only_in_b,
         "offending": offending,
-        "pass": not offending,
+        "pass": not (offending or only_in_a or only_in_b),
     }
 
 

@@ -294,13 +294,16 @@ def stream_paths(model: SpectralModel, x0, grid: TimeGrid, rng_seed, n_paths: in
     """Yield (lo, hi, x0 rows, standard normals) for paths lo..hi-1, in chunk order.
 
     This is the one chunk loop of every streamed ensemble; callers write
-    rows lo..hi or reduce over chunks in the order they arrive.
+    rows lo..hi or reduce over chunks in the order they arrive. Every chunk
+    is drawn into one normals buffer, so the yielded normals are
+    overwritten by the next chunk: use them inside the loop body only.
     """
+    buf = np.empty((min(CHUNK, n_paths), grid.n_steps, model.n_modes))
     for lo in range(0, n_paths, CHUNK):
         hi = min(lo + CHUNK, n_paths)
         x0b = np.broadcast_to(x0, (hi - lo, model.n_modes)).copy()
         yield lo, hi, x0b, rng.path_increments(
-            rng_seed, range(lo, hi), grid.n_steps, model.n_modes
+            rng_seed, range(lo, hi), grid.n_steps, model.n_modes, out=buf[: hi - lo]
         )
 
 

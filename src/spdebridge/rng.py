@@ -38,18 +38,29 @@ def stream(master_seed: int, purpose: int = PATHS, index: int = 0) -> Generator:
 
 
 def path_increments(
-    master_seed: int, path_indices, n_steps: int, n_modes: int
+    master_seed: int, path_indices, n_steps: int, n_modes: int, *, out=None
 ) -> np.ndarray:
     """Standard-normal increments for the given paths, shape (n, n_steps, n_modes).
 
     Path ``i`` always receives the same draws regardless of which other
-    paths are requested alongside it.
+    paths are requested alongside it. If ``out`` is given it must be a
+    C-contiguous float64 array of exactly that shape; it is filled and
+    returned.
     """
     key = philox_key(master_seed, PATHS)
     idx = np.asarray(path_indices, dtype=np.int64)
     if np.any(idx < 0):
         raise ValueError("path indices must be non-negative")
-    out = np.empty((idx.size, n_steps, n_modes))
+    shape = (idx.size, n_steps, n_modes)
+    if out is None:
+        out = np.empty(shape)
+    elif (
+        not isinstance(out, np.ndarray)
+        or out.shape != shape
+        or out.dtype != np.float64
+        or not out.flags.c_contiguous
+    ):
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
     bitgen = Philox(key=key)
     gen = Generator(bitgen)
     state = bitgen.state

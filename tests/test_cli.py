@@ -252,6 +252,46 @@ class TestCompare:
         assert len(report["offending"]) == 1
         assert report["offending"][0]["quantity"] == rows[0]["quantity"]
 
+    def _edit_summary(self, run, row, column, value):
+        rows = list(csv.DictReader((run / "summary.csv").open()))
+        rows[row][column] = value
+        with (run / "summary.csv").open("w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+            writer.writeheader()
+            writer.writerows(rows)
+        return rows[row]
+
+    def _compare_zero_tol(self, tmp_path, a, b):
+        tol = tmp_path / "tol.json"
+        tol.write_text(json.dumps({"default": {"abs": 0.0, "rel": 0.0}}))
+        return run_cli(["compare", str(a), str(b), str(tol)])
+
+    def test_differing_row_sets_fail_listing_keys(self, tmp_path, capsys):
+        a = self._write_and_run(tmp_path, "a")
+        b = self._write_and_run(tmp_path, "b")
+        row = self._edit_summary(b, 0, "time", "0.75")
+        assert self._compare_zero_tol(tmp_path, a, b) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["offending"] == []
+        assert report["only_in_a"] == [
+            {"quantity": row["quantity"], "mode": row["mode"], "time": "0.5"}
+        ]
+        assert report["only_in_b"] == [
+            {"quantity": row["quantity"], "mode": row["mode"], "time": "0.75"}
+        ]
+        assert not report["pass"]
+
+    def test_empty_against_numeric_cell_fails(self, tmp_path, capsys):
+        a = self._write_and_run(tmp_path, "a")
+        b = self._write_and_run(tmp_path, "b")
+        row = self._edit_summary(b, 0, "stderr", "")
+        assert self._compare_zero_tol(tmp_path, a, b) == 3
+        (cell,) = json.loads(capsys.readouterr().out)["offending"]
+        assert (cell["quantity"], cell["mode"], cell["time"]) == (
+            row["quantity"], row["mode"], row["time"]
+        )
+        assert cell["column"] == "stderr" and cell["b"] is None
+
     def test_incompatible_models_rejected(self, tmp_path):
         a = self._write_and_run(tmp_path, "a")
         scn = base_scenario({"name": "forward", "times": [0.5, 1.0]})

@@ -73,6 +73,26 @@ class TestRngStreams:
         with pytest.raises(ValueError):
             rng.path_increments(31, [3, -1], 4, 2)
 
+    def test_out_filled_and_returned(self):
+        buf = np.full((3, 16, 3), np.nan)
+        got = rng.path_increments(31, [7, 0, 2048], 16, 3, out=buf)
+        assert got is buf
+        assert np.array_equal(buf, rng.path_increments(31, [7, 0, 2048], 16, 3))
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            np.empty((2, 16, 3)),
+            np.empty((3, 16, 3), dtype=np.float32),
+            np.empty((3, 16, 6))[:, :, ::2],
+            np.empty((3, 3, 16)).transpose(0, 2, 1),
+        ],
+        ids=["shape", "float32", "strided", "transposed"],
+    )
+    def test_bad_out_rejected(self, out):
+        with pytest.raises(ValueError):
+            rng.path_increments(31, [7, 0, 2048], 16, 3, out=out)
+
     def test_purposes_are_disjoint_streams(self):
         a = rng.stream(9, rng.PATHS).standard_normal(8)
         b = rng.stream(9, rng.ENDPOINTS).standard_normal(8)

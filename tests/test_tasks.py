@@ -191,9 +191,9 @@ def test_martingale_diag_draws_each_path_once(tmp_path, monkeypatch, nonlinearit
     drawn = []
     original = rng.path_increments
 
-    def recording(seed, path_indices, n_steps, n_modes):
+    def recording(seed, path_indices, n_steps, n_modes, **kwargs):
         drawn.extend(path_indices)
-        return original(seed, path_indices, n_steps, n_modes)
+        return original(seed, path_indices, n_steps, n_modes, **kwargs)
 
     monkeypatch.setattr(rng, "path_increments", recording)
     scn = resolve_scenario(

@@ -24,6 +24,27 @@ narrow form. g is ``fold_factor(n, J)``. The operations whose rounding does
 depend on shape (``x @ B.T``, ``@ C.T``, Dynkin's ``x @ a[i]`` and the row
 sums of the weight integrand) still see the (n, J) state.
 
+The update runs in place on one state buffer and one scratch block per
+call, as ((E x) + (P F)) + (S z) with ``out=``: the same operations on the
+same operands in the same order as the expression with temporaries, so the
+same bits.
+
+Normals Z (n, n_steps, J) come in either of two layouts with the same
+values: path-major (C-contiguous, as ``rng.path_increments`` returns by
+default) or step-major (``np.empty((n_steps, n, J)).transpose(1, 0, 2)``,
+as ``forward.stream_paths`` draws them). In the step-major layout the
+normals of step k, ``Z[:, k]``, are one contiguous (n, J) block and their
+wide view is free; path-major they are gathered with a copy. The products
+are elementwise, so both layouts give the same bits.
+
+Row sums: the guided weight integrand is summed over modes by
+``row_sum``, with column adds over all rows at once in the order numpy's
+pairwise summation uses within a row (one running sum below 8 terms, 8
+interleaved accumulators from 8 up, halves above 128), added to an initial
+0.0 as numpy's reduction does. ``np.sum(p, axis=1)`` runs one J-element
+reduction per row; ``row_sum`` runs J adds over n-element columns, with the
+same operations on the same operands, so the same bits.
+
 Nonlinearity codes: 0 zero, 1 linear scale, 2 bounded rational u/(1+u^2),
 3 sine. Codes 0 and 1 are evaluated spectrally (exact); 2 and 3 go through
 the sine-basis grid (synthesis matrix ``B``, analysis matrix ``C``).
@@ -56,6 +77,48 @@ def fold_factor(n: int, n_modes: int) -> int:
     return g
 
 
+# numpy's pairwise summation: rows shorter than this are summed by one
+# running sum, longer ones by 8 interleaved accumulators, and rows longer
+# than PAIRWISE_BLOCK are split in two near the middle.
+PAIRWISE_UNROLL = 8
+PAIRWISE_BLOCK = 128
+
+
+def row_sum(p: np.ndarray) -> np.ndarray:
+    """``np.sum(p, axis=1)`` of a C-contiguous (n, J) block, bit for bit.
+
+    Adds whole columns in the order numpy adds the entries of one row (see
+    the module docstring). The leading 0.0 is numpy's initial value: it
+    turns a row sum of -0.0 into +0.0 as ``np.sum`` does.
+    """
+    res = _pairwise_cols(p, 0, p.shape[1])
+    res += 0.0
+    return res
+
+
+def _pairwise_cols(p, lo, m):
+    """Pairwise sum of columns lo..lo+m-1 of p, one result per row."""
+    u = PAIRWISE_UNROLL
+    if m < u:
+        res = p[:, lo].copy()
+        for j in range(lo + 1, lo + m):
+            res += p[:, j]
+        return res
+    if m <= PAIRWISE_BLOCK:
+        r = [p[:, lo + j].copy() for j in range(u)]
+        body = m - m % u
+        for i in range(u, body, u):
+            for j in range(u):
+                r[j] += p[:, lo + i + j]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for j in range(lo + body, lo + m):
+            res += p[:, j]
+        return res
+    half = m // 2
+    half -= half % u
+    return _pairwise_cols(p, lo, half) + _pairwise_cols(p, lo + half, m - half)
+
+
 def _pointwise_np(u: np.ndarray, kind: int, alpha: float) -> np.ndarray:
     if kind == KIND_BOUNDED_RATIONAL:
         den = u * u
@@ -81,9 +144,10 @@ def _nemytskii_np(x: np.ndarray, B, C, kind: int, alpha: float) -> np.ndarray:
 def _nodes(x0, Z, E, P, S, B, C, kind, alpha, drift=None):
     """Yield (k, x_k, F(x_k)) at each node k < n_steps, then (n_steps, x_n, None).
 
-    x_k and F(x_k) are (n, J). The state is stepped after each yield, on the
-    wide view (see the module docstring). ``drift(k, xw)`` is the extra term
-    G on the wide view; without it the update is ``P * F`` rather than
+    x_k and F(x_k) are (n, J). The state is stepped in place after each
+    yield, on the wide view (see the module docstring), so a caller that
+    keeps x_k past its loop body must copy it. ``drift(k, xw)`` is the extra
+    term G on the wide view; without it the update is ``P * F`` rather than
     ``P * (F + 0)``, which would turn a -0.0 entry of F into +0.0.
     """
     n, n_steps, n_modes = Z.shape
@@ -91,15 +155,21 @@ def _nodes(x0, Z, E, P, S, B, C, kind, alpha, drift=None):
     wide = (n // g, g * n_modes)
     Ew, Pw, Sw = np.tile(E, g), np.tile(P, g), np.tile(S, g)
     x = x0.copy()
+    xw = x.reshape(wide)
+    tw = np.empty(wide)
     for k in range(n_steps):
         f = _nemytskii_np(x, B, C, kind, alpha)
         yield k, x, f
-        xw, fw, zw = x.reshape(wide), f.reshape(wide), Z[:, k].reshape(wide)
+        fw = f.reshape(wide)
         if drift is None:
-            xw = Ew[k] * xw + Pw[k] * fw + Sw[k] * zw
+            np.multiply(Pw[k], fw, out=tw)
         else:
-            xw = Ew[k] * xw + Pw[k] * (fw + drift(k, xw)) + Sw[k] * zw
-        x = xw.reshape(n, n_modes)
+            np.add(fw, drift(k, xw), out=tw)
+            tw *= Pw[k]
+        xw *= Ew[k]
+        xw += tw
+        np.multiply(Sw[k], Z[:, k].reshape(wide), out=tw)
+        xw += tw
     yield n_steps, x, None
 
 
@@ -184,7 +254,7 @@ def guided(
     for k, x, f in _nodes(x0, Z, E, P, S, B, C, kind, alpha, guide):
         if f is not None:
             d = yw - Bgw[k] * x.reshape(wide)
-            w = np.sum((f.reshape(wide) * (Wgw[k] * d)).reshape(n, n_modes), axis=1)
+            w = row_sum((f.reshape(wide) * (Wgw[k] * d)).reshape(n, n_modes))
             if k > 0:
                 cum = cum + 0.5 * dt[k - 1] * (w_prev + w)
             w_prev = w

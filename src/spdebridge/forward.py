@@ -296,9 +296,12 @@ def stream_paths(model: SpectralModel, x0, grid: TimeGrid, rng_seed, n_paths: in
     This is the one chunk loop of every streamed ensemble; callers write
     rows lo..hi or reduce over chunks in the order they arrive. Every chunk
     is drawn into one normals buffer, so the yielded normals are
-    overwritten by the next chunk: use them inside the loop body only.
+    overwritten by the next chunk: use them inside the loop body only. The
+    buffer is step-major (see ``rng.path_increments``): the normals of step
+    k, ``z[:, k]``, are one contiguous (n, J) block, as the stepper reads them.
     """
-    buf = np.empty((min(CHUNK, n_paths), grid.n_steps, model.n_modes))
+    m = min(CHUNK, n_paths)
+    buf = np.empty((grid.n_steps, m, model.n_modes)).transpose(1, 0, 2)
     for lo in range(0, n_paths, CHUNK):
         hi = min(lo + CHUNK, n_paths)
         x0b = np.broadcast_to(x0, (hi - lo, model.n_modes)).copy()

@@ -178,7 +178,8 @@ def _bridge_run(x, table, z, out, slot):
     """Bridge recursion from states x (n, J) with normals z (n, steps, J).
 
     Writes the state at node k into out[:, slot[k], :] where slot[k] >= 0.
-    Steps on the wide view of x, as the kernels do (see ``_kernels``).
+    Steps a copy of x in place on its wide view, as the kernels do (see
+    ``_kernels``), in the order ((ca x) + cyy) + (sv z).
     """
     n, n_modes = x.shape
     g = _kernels.fold_factor(n, n_modes)
@@ -186,9 +187,13 @@ def _bridge_run(x, table, z, out, slot):
     ca, cyy, sv = (np.tile(c, g) for c in table)
     if slot[0] >= 0:
         out[:, slot[0]] = x
-    xw = x.reshape(wide)
+    xw = x.reshape(wide).copy()
+    tw = np.empty(wide)
     for k in range(ca.shape[0]):
-        xw = ca[k] * xw + cyy[k] + sv[k] * z[:, k].reshape(wide)
+        xw *= ca[k]
+        xw += cyy[k]
+        np.multiply(sv[k], z[:, k].reshape(wide), out=tw)
+        xw += tw
         if slot[k + 1] >= 0:
             out[:, slot[k + 1]] = xw.reshape(n, n_modes)
 

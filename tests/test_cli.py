@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path as FilePath
@@ -10,10 +11,14 @@ import pytest
 
 import spdebridge
 from spdebridge import replay_path, simulate_ensemble, sine_nemytskii, uniform_grid
+from spdebridge import tasks
 from spdebridge.cli import main
 from spdebridge.io import read_manifest, read_path_dump, write_path_dump
 from spdebridge.scenario import SchemaError, resolve_scenario
 from spdebridge.tasks import run_scenario
+
+README = FilePath(__file__).resolve().parent.parent / "README.md"
+GEOMETRIC_GRID = {"horizon": 1.0, "n_steps": 32, "kind": "geometric"}
 
 
 def base_scenario(task, **overrides):
@@ -91,13 +96,68 @@ class TestExitCodes:
         f.write_text(json.dumps(scn))
         assert run_cli(["run", str(f), "--out", str(tmp_path / "r")]) == 2
 
-    def test_assert_failure_exits_three(self, tmp_path):
-        # nonzero drift has no closed-form check, so assertion mode must fail
-        scn = base_scenario({"name": "forward"})
-        scn["dynamics"]["nonlinearity"] = {"kind": "sine", "alpha": 0.5}
+    @pytest.mark.parametrize(
+        "task, nonlinearity",
+        [
+            ({"name": "forward"}, "sine"),
+            ({"name": "guided", "target": [0.5, -0.2]}, "sine"),
+            (
+                {"name": "guided", "target": [0.5, -0.2], "conditioning": "noisy_obs",
+                 "obs_var": 0.1},
+                "zero",
+            ),
+            ({"name": "conditioned", "endpoint": {"kind": "dirac", "target": [0.5, -0.2]}},
+             "zero"),
+            (
+                {"name": "conditioned",
+                 "endpoint": {"kind": "tilted", "mean": [0.5, -0.2], "var": [0.1, 0.1]}},
+                "bounded_rational",
+            ),
+        ],
+        ids=["forward-sine", "guided-sine", "guided-noisy", "conditioned-dirac",
+             "conditioned-tilted-br"],
+    )
+    def test_assert_without_closed_form_check_exits_zero(self, tmp_path, capsys, task,
+                                                         nonlinearity):
+        # no closed-form law, so no moment check runs and assertion mode has
+        # nothing to fail
+        scn = base_scenario(task, grid=GEOMETRIC_GRID)
+        scn["dynamics"]["nonlinearity"] = {"kind": nonlinearity, "alpha": 0.5}
         f = tmp_path / "scn.json"
         f.write_text(json.dumps(scn))
-        assert run_cli(["run", str(f), "--out", str(tmp_path / "r"), "--assert"]) == 3
+        assert run_cli(["run", str(f), "--out", str(tmp_path / "r"), "--assert"]) == 0
+        assert "assertion" not in capsys.readouterr().err
+        diag = json.loads((tmp_path / "r" / "diagnostics.json").read_text())
+        assert diag["assertion_failures"] == []
+
+    def test_readme_guided_example_asserts(self, tmp_path):
+        # README's guided scenario (sine), shrunk to test size
+        text = README.read_text()
+        scn = json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
+        assert scn["task"]["name"] == "guided"
+        assert scn["dynamics"]["nonlinearity"]["kind"] == "sine"
+        scn["sampling"]["n_paths"] = 500
+        scn["grid"]["n_steps"] = 32
+        f = tmp_path / "scn.json"
+        f.write_text(json.dumps(scn))
+        assert run_cli(["run", str(f), "--out", str(tmp_path / "r"), "--assert"]) == 0
+
+    def test_zero_exact_guided_still_checks_its_gaussian_law(self, tmp_path, monkeypatch):
+        scn = base_scenario({"name": "guided", "target": [0.5, -0.2]}, grid=GEOMETRIC_GRID)
+        f = tmp_path / "scn.json"
+        f.write_text(json.dumps(scn))
+        assert run_cli(["run", str(f), "--out", str(tmp_path / "ok"), "--assert"]) == 0
+        # a wrong closed-form mean must now fail that check
+        closed = tasks.bridge_marginal_mean_var
+
+        def shifted(*args):
+            mean, var = closed(*args)
+            return mean + 1.0, var
+
+        monkeypatch.setattr(tasks, "bridge_marginal_mean_var", shifted)
+        assert run_cli(["run", str(f), "--out", str(tmp_path / "bad"), "--assert"]) == 3
+        diag = json.loads((tmp_path / "bad" / "diagnostics.json").read_text())
+        assert diag["assertion_failures"] == ["guided mean off closed bridge value"]
 
     def test_failed_check_is_fatal_only_under_assert(self, tmp_path, capsys):
         # a zero tolerance fails the CK check on every run

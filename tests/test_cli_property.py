@@ -1,0 +1,190 @@
+"""Property test of the CLI contract: every schema-valid scenario ends in an
+exit code of 0, 1, 2 or 3 and one-line messages, never a traceback.
+
+Scenarios are drawn at small sizes (a few modes, steps and paths) so the
+whole test stays within a few seconds.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from spdebridge.cli import main
+from spdebridge.scenario import validate_scenario
+
+finite = st.floats(-3.0, 3.0, allow_nan=False)
+any_number = st.one_of(
+    finite,
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-5, 5),
+)
+times = st.lists(st.floats(-0.5, 2.5, allow_nan=False), min_size=1, max_size=3)
+# mostly valid model values, so that runs get past the model's own checks
+eigenvalues = st.one_of(st.floats(-30.0, -0.5), st.floats(-30.0, -0.5), any_number)
+intensities = st.one_of(st.floats(0.1, 3.0), st.floats(0.1, 3.0), any_number)
+
+
+def vector(n, elements=any_number):
+    return st.lists(elements, min_size=n, max_size=n)
+
+
+@st.composite
+def task_blocks(draw, n):
+    name = draw(
+        st.sampled_from(
+            ["forward", "ou-bridge", "guided", "conditioned", "dynkin",
+             "martingale-diag", "gamma-diag", "ck-check"]
+        )
+    )
+    optional = {}
+    if name == "forward":
+        optional = {"times": times}
+    elif name == "ou-bridge":
+        optional = {"target*": vector(n, finite), "times": times}
+    elif name == "guided":
+        optional = {
+            "target*": vector(n, finite),
+            "conditioning": st.sampled_from(["exact", "noisy_obs"]),
+            "obs_var": st.one_of(any_number, vector(n)),
+            "weight_cutoffs": times,
+            "probe_time": any_number,
+        }
+    elif name == "conditioned":
+        optional = {
+            "endpoint*": st.one_of(
+                st.fixed_dictionaries({"kind": st.just("dirac"), "target": vector(n)}),
+                st.fixed_dictionaries(
+                    {"kind": st.just("tilted"), "mean": vector(n), "var": vector(n)}
+                ),
+            ),
+            "probe_time": any_number,
+            "weight_cutoff": any_number,
+        }
+    elif name == "dynkin":
+        test_function = st.fixed_dictionaries(
+            {"a": vector(n), "c": any_number},
+            optional={"phase": st.sampled_from(["sin", "cos"])},
+        )
+        optional = {
+            "test_functions*": st.lists(test_function, min_size=1, max_size=2),
+            "times": times,
+        }
+    elif name == "martingale-diag":
+        optional = {
+            "target*": vector(n, finite),
+            "h_horizon": any_number,
+            "times": times,
+            "probe_time": any_number,
+            "novikov_fractions": st.lists(finite, min_size=1, max_size=3),
+        }
+    elif name == "gamma-diag":
+        optional = {"upto": any_number, "n_points": st.integers(1, 20)}
+    else:
+        optional = {
+            "s": any_number,
+            "t": any_number,
+            "modes": st.lists(st.integers(-1, n), min_size=1, max_size=2),
+            "mid": times,
+            "x": st.lists(finite, min_size=1, max_size=2),
+            "y": st.lists(finite, min_size=1, max_size=2),
+            "tolerance": any_number,
+        }
+    block = {"name": name}
+    for key, strategy in optional.items():
+        if key.endswith("*") or draw(st.booleans()):
+            block[key.rstrip("*")] = draw(strategy)
+    return block
+
+
+@st.composite
+def scenarios(draw):
+    n = draw(st.integers(1, 3))
+    model = {"n_modes": n}
+    if draw(st.booleans()):
+        model["eigenvalues"] = draw(
+            st.one_of(
+                st.just({"rule": "dirichlet"}),
+                st.fixed_dictionaries(
+                    {"rule": st.just("explicit"), "values": vector(n, eigenvalues)}
+                ),
+            )
+        )
+    if draw(st.booleans()):
+        model["noise"] = draw(
+            st.one_of(
+                st.fixed_dictionaries(
+                    {"rule": st.just("power")}, optional={"rho": st.floats(0.0, 4.0)}
+                ),
+                st.fixed_dictionaries(
+                    {"rule": st.just("explicit"), "values": vector(n, intensities)}
+                ),
+            )
+        )
+    nonlinearity = draw(
+        st.fixed_dictionaries(
+            {"kind": st.sampled_from(["zero", "linear", "bounded_rational", "sine"])},
+            optional={"alpha": any_number},
+        )
+    )
+    x0 = draw(
+        st.one_of(
+            st.just({"kind": "zero"}),
+            st.just({"kind": "stationary"}),
+            st.fixed_dictionaries({"kind": st.just("explicit"), "values": vector(n)}),
+        )
+    )
+    task = draw(task_blocks(n))
+    grid = {
+        "horizon": draw(st.floats(0.05, 2.0)),
+        "n_steps": draw(st.integers(1, 12)),
+        "kind": draw(st.sampled_from(["uniform", "geometric"])),
+    }
+    if grid["kind"] == "geometric" and draw(st.booleans()):
+        grid["ratio"] = draw(st.floats(0.05, 0.95))
+    formats = draw(st.lists(st.sampled_from(["csv", "json"]), unique=True))
+    if task["name"] == "forward" and draw(st.booleans()):
+        formats.append("paths")
+    return {
+        "model": model,
+        "dynamics": {
+            "nonlinearity": nonlinearity,
+            "x0": x0,
+            "oversample": draw(st.integers(1, 3)),
+        },
+        "task": task,
+        "grid": grid,
+        "sampling": {
+            "n_paths": draw(st.one_of(st.integers(2, 24), st.just(1))),
+            "seed": draw(st.integers(0, 2**31)),
+        },
+        "output": {"formats": formats},
+    }
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(scenario=scenarios(), assert_mode=st.booleans())
+def test_every_schema_valid_scenario_keeps_the_exit_code_contract(scenario, assert_mode):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scn.json"
+        path.write_text(json.dumps(scenario))
+        args = ["run", str(path), "--out", str(Path(tmp) / "run")]
+        if assert_mode:
+            args.append("--assert")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args)
+    validate_scenario(scenario)
+    assert code in (0, 1, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().strip(), "a failed run must say why on stderr"

@@ -80,14 +80,43 @@ class TestRngStreams:
         assert np.array_equal(buf, rng.path_increments(31, [7, 0, 2048], 16, 3))
 
     @pytest.mark.parametrize(
+        "indices",
+        [
+            [],
+            [5],
+            list(range(rng.ROW_BLOCK)),
+            list(range(rng.ROW_BLOCK + 1)),
+            [2**40, *range(2 * rng.ROW_BLOCK, 0, -1)],
+            list(range(2049)),
+        ],
+        ids=["empty", "one", "one-block", "block-plus-one", "two-blocks-plus-one",
+             "2049"],
+    )
+    def test_step_major_out_matches_path_major(self, indices):
+        buf = np.full((16, len(indices), 3), np.nan).transpose(1, 0, 2)
+        got = rng.path_increments(31, indices, 16, 3, out=buf)
+        assert got is buf
+        assert np.array_equal(buf, rng.path_increments(31, indices, 16, 3))
+
+    def test_step_major_tail_slice_matches_path_major(self):
+        # the last chunk of a 2049-path stream: one row of a 2048-row buffer
+        buf = np.full((16, 2048, 3), np.nan).transpose(1, 0, 2)
+        got = rng.path_increments(31, [2048], 16, 3, out=buf[:1])
+        assert np.array_equal(got, rng.path_increments(31, [2048], 16, 3))
+        assert np.all(np.isnan(buf[1:]))
+
+    @pytest.mark.parametrize(
         "out",
         [
             np.empty((2, 16, 3)),
             np.empty((3, 16, 3), dtype=np.float32),
             np.empty((3, 16, 6))[:, :, ::2],
             np.empty((3, 3, 16)).transpose(0, 2, 1),
+            np.lib.stride_tricks.as_strided(
+                np.empty(64), shape=(3, 16, 3), strides=(24, 24, 8)
+            ),
         ],
-        ids=["shape", "float32", "strided", "transposed"],
+        ids=["shape", "float32", "strided", "transposed", "overlapping"],
     )
     def test_bad_out_rejected(self, out):
         with pytest.raises(ValueError):

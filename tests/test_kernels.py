@@ -6,6 +6,7 @@ import pytest
 from spdebridge import (
     _kernels,
     bounded_rational,
+    dirichlet_model,
     exponential_euler_step,
     linear_scale,
     ou,
@@ -15,6 +16,10 @@ from spdebridge import (
 )
 from spdebridge.forward import step_coefficients
 from spdebridge.spectral import covariance_qt_diag, sine_basis
+
+
+def _bits(a):
+    return a.dtype, a.shape, np.ascontiguousarray(a).tobytes()
 
 
 def _setup(dirichlet4, n=7, n_steps=12):
@@ -63,7 +68,12 @@ def test_forward_full_matches_one_step_map(dirichlet4, nonlin, n):
             x = exponential_euler_step(
                 dirichlet4, nonlin, k * dt[k], dt[k], x, z[i, k], oversample=4
             )
-            np.testing.assert_allclose(states[i, k + 1], x, rtol=1e-13, atol=1e-15)
+            if nonlin.code in (_kernels.KIND_ZERO, _kernels.KIND_LINEAR):
+                # F is exact elementwise here, so the in-place update must
+                # keep the bits of E x + P F + S z written with temporaries
+                assert _bits(states[i, k + 1]) == _bits(x)
+            else:
+                np.testing.assert_allclose(states[i, k + 1], x, rtol=1e-13, atol=1e-15)
 
 
 @by_kind_and_rows
@@ -190,3 +200,110 @@ def test_rows_do_not_depend_on_batch_size(dirichlet4, nonlin):
     for n in (7, 2):
         for got, ref in zip(run(n), wide):
             assert np.array_equal(got, ref[:n])
+
+
+@pytest.mark.parametrize("n_modes", [*range(1, 21), 127, 128, 129, 300])
+def test_row_sum_is_np_sum_bit_for_bit(n_modes):
+    gen = np.random.default_rng(n_modes)
+    magnitude = 10.0 ** gen.uniform(-13.0, 13.0, (64, n_modes))
+    p = magnitude * gen.choice([-1.0, 1.0], (64, n_modes))
+    assert _bits(_kernels.row_sum(p)) == _bits(np.sum(p, axis=1))
+    zeros = np.full((3, n_modes), -0.0)
+    got = _kernels.row_sum(zeros)
+    assert _bits(got) == _bits(np.sum(zeros, axis=1))
+    assert not np.any(np.signbit(got))
+
+
+def test_row_sum_data_tells_summation_orders_apart():
+    # at 8 terms numpy's 8 accumulators already round differently from one
+    # running sum on these rows, so the test above pins the order
+    gen = np.random.default_rng(8)
+    p = 10.0 ** gen.uniform(-13.0, 13.0, (64, 8)) * gen.choice([-1.0, 1.0], (64, 8))
+    running = p[:, 0].copy()
+    for j in range(1, 8):
+        running += p[:, j]
+    assert np.count_nonzero(running != np.sum(p, axis=1)) > 0
+
+
+@by_kind_and_rows
+def test_step_major_normals_give_the_same_bits(dirichlet4, nonlin, n):
+    # forward.stream_paths hands the kernels step-major normals, where
+    # z[:, k] is one contiguous block; the path-major array must agree
+    x0, z, dt, E, P, S, B, C = _setup(dirichlet4, n)
+    z_step = np.empty((z.shape[1], n, 4)).transpose(1, 0, 2)
+    z_step[...] = z
+    assert not z_step.flags.c_contiguous and z_step[:, 3].flags.c_contiguous
+    nodes = np.concatenate([[0.0], np.cumsum(dt)])
+    a = np.array([[0.9, 0.3, 0.1, 0.05], [0.5, -0.4, 0.2, 0.1]])
+    y = np.random.default_rng(1).standard_normal((n, 4)) * 0.2
+    r = np.cumsum(dt[::-1])[::-1].copy()
+    Bg = np.exp(dirichlet4.lam * r[:, None])
+    Wg = Bg / covariance_qt_diag(dirichlet4, r)
+    every = np.arange(13, dtype=np.int64)
+    table = ou._bridge_table(dirichlet4, 1.0, uniform_grid(1.0, 12), y[0])
+
+    def run(zz):
+        common = (x0, zz, E, P, S, B, C, nonlin.code, nonlin.alpha)
+        bridge = np.empty((n, 13, 4))
+        ou._bridge_run(x0, table, zz, bridge, every)
+        return [
+            _kernels.forward_full(*common),
+            _kernels.forward_snap(*common, every, 13),
+            _kernels.dynkin_snap(
+                *common, nodes, dt, a, np.array([0.2, -1.1]), [True, False],
+                dirichlet4.lam * a, np.sum(dirichlet4.q * a * a, axis=1), every, 13,
+            ),
+            *_kernels.guided(
+                *common, dirichlet4.q * Wg, Bg, Wg, y, dt, True, every, 13, every, 12
+            ),
+            bridge,
+        ]
+
+    x0_before = x0.copy()
+    for got, ref in zip(run(z_step), run(z)):
+        assert _bits(got) == _bits(ref)
+    assert _bits(x0) == _bits(x0_before)
+
+
+def test_guided_log_weights_sum_like_np_sum_at_nine_modes():
+    # nine modes take numpy's 8-accumulator path in the weight row sums
+    model = dirichlet_model(9)
+    n, n_steps = 64, 12
+    gen = np.random.default_rng(9)
+    z = gen.standard_normal((n, n_steps, 9))
+    x0 = gen.standard_normal((n, 9)) * 0.3
+    y = gen.standard_normal((n, 9)) * 0.2
+    dt = np.full(n_steps, 1.0 / n_steps)
+    E, P, S = step_coefficients(model, dt)
+    B, C = sine_basis(model, 36)
+    r = np.cumsum(dt[::-1])[::-1].copy()
+    Bg = np.exp(model.lam * r[:, None])
+    Wg = Bg / covariance_qt_diag(model, r)
+    every = np.arange(n_steps + 1, dtype=np.int64)
+    snaps, logw = _kernels.guided(
+        x0, z, E, P, S, B, C, 3, 0.5, model.q * Wg, Bg, Wg, y, dt, False,
+        every, n_steps + 1, every, n_steps,
+    )
+    cum = np.zeros(n)
+    for k in range(n_steps):
+        x = np.ascontiguousarray(snaps[:, k])
+        f = _kernels._nemytskii_np(x, B, C, 3, 0.5)
+        w = np.sum(f * (Wg[k] * (y - Bg[k] * x)), axis=1)
+        if k > 0:
+            cum = cum + 0.5 * dt[k - 1] * (w_prev + w)
+        w_prev = w
+        assert _bits(logw[:, k]) == _bits(cum)
+
+
+@pytest.mark.parametrize("n", list(ROWS))
+def test_bridge_run_keeps_the_expression_order(dirichlet4, n):
+    x0, z, *_ = _setup(dirichlet4, n)
+    y = np.array([0.5, -0.3, 0.1, 0.0])
+    table = ou._bridge_table(dirichlet4, 1.0, uniform_grid(1.0, 12), y)
+    got = np.empty((n, 13, 4))
+    ou._bridge_run(x0, table, z, got, range(13))
+    ca, cyy, sv = table
+    x = x0
+    for k in range(12):
+        x = ca[k] * x + cyy[k] + sv[k] * z[:, k]
+        assert _bits(got[:, k + 1]) == _bits(x)

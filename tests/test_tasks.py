@@ -293,16 +293,11 @@ def test_ck_check_task(tmp_path):
 
 
 def test_assertion_failure_raises(tmp_path):
-    # guided assertion mode demands a zero nonlinearity
+    # a zero tolerance fails the CK check on every run
     scn = resolve_scenario(
-        scenario(
-            {"name": "guided", "target": [1.0]},
-            grid={"horizon": 1.0, "n_steps": 64, "kind": "geometric"},
-            nonlinearity={"kind": "sine", "alpha": 0.5},
-            sampling={"n_paths": 100, "seed": 1},
-        )
+        scenario({"name": "ck-check", "mid": [0.5], "tolerance": 0.0})
     )
-    with pytest.raises(AssertionFailure):
+    with pytest.raises(AssertionFailure, match="CK residual"):
         run_scenario(scn, tmp_path / "r", assert_mode=True)
 
 

@@ -14,7 +14,6 @@ from .forward import (
     replay_path,
     sample_stationary,
     simulate_ensemble,
-    simulate_path,
     sine_nemytskii,
     zero,
 )
@@ -27,8 +26,6 @@ from .guided import (
     endpoint_sampler_bridge,
     endpoint_sampler_tilted,
     conditioned_snapshots,
-    sample_conditioned,
-    self_normalized_estimate,
     simulate_guided,
 )
 from .htransform import (
@@ -51,7 +48,6 @@ from .ou import (
     guided_drift,
     log_h_noisy_obs,
     log_ptilde,
-    ou_bridge_exact_sample,
     ou_transition,
     bridge_marginal_mean_var,
 )

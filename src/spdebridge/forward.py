@@ -179,12 +179,9 @@ def _resolve_increments(
     n_paths: int,
     rng_seed,
     increments,
-    zero_noise: bool,
     path_offset: int,
 ):
     shape = (n_paths, grid.n_steps, n_modes)
-    if zero_noise:
-        return np.zeros(shape)
     if increments is not None:
         z = np.asarray(increments, dtype=np.float64)
         if z.shape != shape:
@@ -207,7 +204,6 @@ def simulate_ensemble(
     *,
     oversample: int = DEFAULT_OVERSAMPLE,
     increments=None,
-    zero_noise: bool = False,
     path_offset: int = 0,
 ) -> PathEnsemble:
     """Simulate and store n_paths full trajectories (memory: n_paths*nodes*J)."""
@@ -215,7 +211,7 @@ def simulate_ensemble(
     if x0.ndim != 1:
         raise DomainError("x0 must be a single field")
     z = _resolve_increments(
-        grid, model.n_modes, n_paths, rng_seed, increments, zero_noise, path_offset
+        grid, model.n_modes, n_paths, rng_seed, increments, path_offset
     )
     exp_ldt, phi_dt, sqrt_qdt = step_coefficients(model, grid.steps)
     B, C = _transform_matrices(model, nonlin, oversample)
@@ -224,35 +220,6 @@ def simulate_ensemble(
         x0b, z, exp_ldt, phi_dt, sqrt_qdt, B, C, nonlin.code, nonlin.alpha
     )
     return PathEnsemble(grid, states, z, model_id(model))
-
-
-def simulate_path(
-    model: SpectralModel,
-    nonlin: Nonlinearity,
-    x0,
-    grid: TimeGrid,
-    rng_seed=None,
-    *,
-    path_index: int = 0,
-    oversample: int = DEFAULT_OVERSAMPLE,
-    increments=None,
-    zero_noise: bool = False,
-) -> Path:
-    """Simulate one path; ``path_index`` selects its private noise stream."""
-    inc = None if increments is None else np.asarray(increments)[None]
-    ens = simulate_ensemble(
-        model,
-        nonlin,
-        x0,
-        grid,
-        rng_seed,
-        n_paths=1,
-        oversample=oversample,
-        increments=inc,
-        zero_noise=zero_noise,
-        path_offset=path_index,
-    )
-    return ens.path(0)
 
 
 def replay_path(

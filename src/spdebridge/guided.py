@@ -19,7 +19,6 @@ from .errors import DomainError
 from .forward import (
     Nonlinearity,
     Path,
-    PathEnsemble,
     _resolve_increments,
     _transform_matrices,
     model_id,
@@ -157,54 +156,26 @@ def simulate_guided(
     path_index: int = 0,
     oversample: int = 4,
     increments=None,
-    zero_noise: bool = False,
 ) -> WeightedPath:
-    """One guided path with its log weight read at the configured cutoff."""
-    inc = None if increments is None else np.asarray(increments)[None]
-    z = _resolve_increments(
-        grid, model.n_modes, 1, rng_seed, inc, zero_noise, path_index
-    )
-    ens, cum = guided_ensemble_full(
-        model, nonlin, x0, spec, grid, None, 1, oversample=oversample, increments=z
-    )
-    k = weight_node(grid, spec.weight_cutoff)
-    return WeightedPath(ens.path(0), float(cum[0, k]), float(grid.nodes[k]))
+    """One guided path with its log weight read at the configured cutoff.
 
-
-def guided_ensemble_full(
-    model: SpectralModel,
-    nonlin: Nonlinearity,
-    x0,
-    spec: GuidedSpec,
-    grid: TimeGrid,
-    rng_seed,
-    n_paths: int,
-    *,
-    oversample: int = 4,
-    increments=None,
-    endpoints=None,
-) -> tuple[PathEnsemble, np.ndarray]:
-    """Guided ensemble with full storage; returns (ensemble, cumulative log weights).
-
-    The log weights (n_paths, n_nodes) are the trapezoid accumulation of
-    the weight integrand up to each node; the entry at the horizon node is
-    NaN (the integrand is singular there and weights are never read
-    there). ``endpoints`` optionally gives a per-path target array
-    (n_paths, J); memory scales as n_paths * n_nodes * J, so this is for
-    desk-scale runs.
+    ``path_index`` selects the path's noise stream, the one row
+    ``path_index`` of ``guided_snapshots`` draws; ``increments`` (n_steps, J)
+    supplies the standard normals instead. The path is stepped as a batch
+    of one, so it matches that row to rounding, not always bit for bit.
     """
     x0 = model.validate_field(x0)
     _check_guided_grid(spec, grid)
-    z = _resolve_increments(
-        grid, model.n_modes, n_paths, rng_seed, increments, False, 0
+    inc = None if increments is None else np.asarray(increments)[None]
+    z = _resolve_increments(grid, model.n_modes, 1, rng_seed, inc, path_index)
+    k = weight_node(grid, spec.weight_cutoff)
+    run = _guided_kernel(
+        model, nonlin, spec, grid, oversample, np.arange(grid.n_steps + 1), [k]
     )
-    y_batch = np.ascontiguousarray(_targets(model, spec, n_paths, endpoints))
-    nodes = np.arange(grid.n_steps + 1)
-    run = _guided_kernel(model, nonlin, spec, grid, oversample, nodes, nodes[:-1])
-    x0b = np.broadcast_to(x0, (n_paths, model.n_modes)).copy()
-    states, logw = run(x0b, z, y_batch)
-    cum = np.concatenate([logw, np.full((n_paths, 1), np.nan)], axis=1)
-    return PathEnsemble(grid, states, z, model_id(model)), cum
+    x0b = np.broadcast_to(x0, (1, model.n_modes)).copy()
+    states, logw = run(x0b, z, _targets(model, spec, 1, None))
+    path = Path(grid, states[0], z[0], model_id(model))
+    return WeightedPath(path, float(logw[0, 0]), float(grid.nodes[k]))
 
 
 def guided_snapshots(
@@ -289,40 +260,6 @@ def draw_endpoints(sampler: Callable, rng_seed, n: int) -> np.ndarray:
     return sampler(gen, n)
 
 
-def sample_conditioned(
-    model: SpectralModel,
-    nonlin: Nonlinearity,
-    x0,
-    endpoint_sampler: Callable,
-    horizon: float,
-    grid: TimeGrid,
-    rng_seed,
-    n_paths: int,
-    *,
-    weight_cutoff: float | None = None,
-    oversample: int = 4,
-) -> list[WeightedPath]:
-    """Two-stage conditioned sampling: endpoint draw, then a guided path to it.
-
-    Stores full trajectories; for large ensembles where only a few
-    observables are needed use conditioned_snapshots instead.
-    """
-    if n_paths < 1:
-        raise DomainError("need at least one path")
-    endpoints = draw_endpoints(endpoint_sampler, rng_seed, n_paths)
-    spec = GuidedSpec(y=endpoints[0], horizon=horizon, weight_cutoff=weight_cutoff)
-    ensemble, cum = guided_ensemble_full(
-        model, nonlin, x0, spec, grid, rng_seed, n_paths,
-        oversample=oversample, endpoints=endpoints,
-    )
-    k_w = weight_node(grid, spec.weight_cutoff)
-    t_w = float(grid.nodes[k_w])
-    return [
-        WeightedPath(ensemble.path(i), float(cum[i, k_w]), t_w)
-        for i in range(n_paths)
-    ]
-
-
 def conditioned_snapshots(
     model: SpectralModel,
     nonlin: Nonlinearity,
@@ -337,10 +274,12 @@ def conditioned_snapshots(
     snap_nodes=None,
     oversample: int = 4,
 ):
-    """Streaming variant of sample_conditioned.
+    """Two-stage conditioned sampling: endpoint draws, then guided paths to them.
 
-    Returns (endpoints, snaps, log_weights) with snapshot states at
-    snap_nodes (default: the weight-cutoff node and the final node).
+    Path i is guided to endpoint draw i, with the noise stream of path i.
+    Returns (endpoints (n, J), snaps (n, s, J), log weights (n,)) with the
+    states at snap_nodes (default: the weight-cutoff node and the final
+    node) and the log weights read at the weight cutoff.
     """
     if n_paths < 1:
         raise DomainError("need at least one path")
@@ -385,16 +324,6 @@ def self_normalized_from_values(
     ess = float(wsum**2 / np.sum(w * w))
     stderr = float(np.sqrt(np.sum((w * (values - est)) ** 2)) / wsum)
     return SelfNormalizedEstimate(est, stderr, ess)
-
-
-def self_normalized_estimate(wpaths, functional) -> SelfNormalizedEstimate:
-    """Weighted estimate of a path functional over WeightedPath samples."""
-    wpaths = list(wpaths)
-    if not wpaths:
-        raise DomainError("need at least one weighted path")
-    lw = np.array([wp.log_weight for wp in wpaths])
-    vals = np.array([float(functional(wp.path)) for wp in wpaths])
-    return self_normalized_from_values(lw, vals)
 
 
 def effective_sample_size(log_weights) -> float:

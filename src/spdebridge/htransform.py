@@ -19,7 +19,6 @@ from .errors import DomainError
 from .forward import (
     DEFAULT_OVERSAMPLE,
     Nonlinearity,
-    Path,
     PathEnsemble,
     _transform_matrices,
     apply_nonlinearity,
@@ -267,7 +266,7 @@ def _stats_from_values(values: np.ndarray, times: np.ndarray, center: np.ndarray
 
 
 def dynkin_residual(
-    paths,
+    ensemble: PathEnsemble,
     phi: ExpTestFunction,
     model: SpectralModel,
     nonlin: Nonlinearity,
@@ -275,22 +274,9 @@ def dynkin_residual(
 ) -> DynkinStats:
     """Residual mean[phi(t, X(t)) - trapz(L0 phi)] - phi(0, x0) at the given times.
 
-    ``paths`` is a PathEnsemble or a nonempty sequence of Path objects on a
-    common grid; out_times are mapped to the nearest grid nodes.
+    Reads the stored states of ``ensemble``; out_times are mapped to the
+    nearest grid nodes.
     """
-    if isinstance(paths, PathEnsemble):
-        ensemble = paths
-    else:
-        paths = list(paths)
-        if not paths:
-            raise DomainError("need at least one path")
-        grid = paths[0].grid
-        ensemble = PathEnsemble(
-            grid,
-            np.stack([p.states for p in paths]),
-            np.stack([p.increments for p in paths]),
-            paths[0].model_ref,
-        )
     grid = ensemble.grid
     node_idx = np.array([nearest_node(grid, t) for t in out_times], dtype=np.int64)
     values = _dynkin_values_stored(ensemble, phi, model, nonlin, node_idx)
@@ -310,7 +296,7 @@ def dynkin_residual_mc(
     *,
     oversample: int = 4,
 ) -> list[DynkinStats]:
-    """Streaming large-ensemble version of dynkin_residual (no path storage).
+    """Dynkin residuals of a streamed ensemble, without storing paths.
 
     All test functions in ``phis`` share one pass over the paths, so each
     path's noise is drawn and stepped once; the result holds one DynkinStats
@@ -359,13 +345,6 @@ def dynkin_residual_mc(
 # ---------------------------------------------------------------------------
 
 
-def _as_ensemble(path_or_ensemble) -> PathEnsemble:
-    if isinstance(path_or_ensemble, PathEnsemble):
-        return path_or_ensemble
-    p = path_or_ensemble
-    return PathEnsemble(p.grid, p.states[None], p.increments[None], p.model_ref)
-
-
 def _exp_martingale(ens: PathEnsemble, h: HFunction, node_idx) -> np.ndarray:
     """E at the nodes ``node_idx``, one column per node: (n_paths, len(node_idx)).
 
@@ -391,29 +370,25 @@ def _exp_martingale(ens: PathEnsemble, h: HFunction, node_idx) -> np.ndarray:
     return series
 
 
-def exp_martingale_from_definition(path_or_ensemble, h: HFunction) -> np.ndarray:
+def exp_martingale_from_definition(ens: PathEnsemble, h: HFunction) -> np.ndarray:
     """E(t_k) = exp(log h(t_k, X_k) - log h(0, X_0) - trapz(Lh/h)); E(0) = 1.
 
-    Returns the series over all grid nodes, shape (n_nodes,) for a Path and
-    (n_paths, n_nodes) for an ensemble. Every node must lie where h is
-    defined (strictly before h.horizon for density-based transforms).
+    Returns the series of every path of the ensemble over all grid nodes,
+    shape (n_paths, n_nodes). Every node must lie where h is defined
+    (strictly before h.horizon for density-based transforms).
     """
-    ens = _as_ensemble(path_or_ensemble)
-    series = _exp_martingale(ens, h, np.arange(ens.grid.nodes.size))
-    if isinstance(path_or_ensemble, Path):
-        return series[0]
-    return series
+    return _exp_martingale(ens, h, np.arange(ens.grid.nodes.size))
 
 
 def exp_martingale_from_girsanov(
-    path_or_ensemble, h: HFunction, model: SpectralModel
+    ens: PathEnsemble, h: HFunction, model: SpectralModel
 ) -> np.ndarray:
     """Stochastic-exponential form exp(M - [M]/2) accumulated from increments.
 
     M is the Ito sum of <sqrt(Q) grad log h(t_k, X_k), dW_k> with
-    dW = sqrt(dt) z reconstructed from the stored per-mode normals.
+    dW = sqrt(dt) z reconstructed from the stored per-mode normals. Returns
+    (n_paths, n_nodes), as exp_martingale_from_definition.
     """
-    ens = _as_ensemble(path_or_ensemble)
     if ens.increments.size == 0:
         raise DomainError("paths carry no stored increments")
     nodes = ens.grid.nodes
@@ -428,10 +403,7 @@ def exp_martingale_from_girsanov(
             g * ens.increments[:, k], axis=-1
         )
         qvar[:, k + 1] = qvar[:, k] + dt[k] * np.sum(g * g, axis=-1)
-    series = np.exp(mart - 0.5 * qvar)
-    if isinstance(path_or_ensemble, Path):
-        return series[0]
-    return series
+    return np.exp(mart - 0.5 * qvar)
 
 
 def _novikov_values(ens: PathEnsemble, h: HFunction, model: SpectralModel, upto: float):
@@ -451,15 +423,13 @@ def _novikov_values(ens: PathEnsemble, h: HFunction, model: SpectralModel, upto:
     return np.exp(0.5 * integral)
 
 
-def novikov_estimate(
-    path_or_ensemble, h: HFunction, model: SpectralModel, upto: float
-):
+def novikov_estimate(ens: PathEnsemble, h: HFunction, model: SpectralModel, upto: float):
     """Monte Carlo estimate of E[exp(0.5 int_0^S |sqrt(Q) grad log h|^2 dt)].
 
     Diagnostic evidence (not proof) for the Novikov sufficient condition.
     Returns (estimate, stderr).
     """
-    vals = _novikov_values(_as_ensemble(path_or_ensemble), h, model, upto)
+    vals = _novikov_values(ens, h, model, upto)
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(vals.size))
 
 

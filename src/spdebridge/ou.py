@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, rng
+from . import _kernels
 from .errors import DomainError
-from .forward import Path, PathEnsemble, _snap_slots, model_id, stream_paths
+from .forward import _snap_slots, stream_paths
 from .grids import TimeGrid
 from .spectral import (
     DiagonalOperator,
@@ -213,36 +213,6 @@ def ou_bridge_states(
         x, _bridge_table(model, horizon, grid, y), z, states, range(grid.nodes.size)
     )
     return states.reshape(lead + states.shape[1:])
-
-
-def ou_bridge_exact_sample(
-    model: SpectralModel,
-    x0,
-    horizon: float,
-    y,
-    grid: TimeGrid,
-    rng_seed,
-    *,
-    path_index: int = 0,
-) -> Path:
-    """Exact sample of the pinned zero-drift process; final state equals y."""
-    z = rng.path_increments(rng_seed, [path_index], grid.n_steps, model.n_modes)[0]
-    states = ou_bridge_states(model, x0, horizon, y, grid, z)
-    return Path(grid, states, z, model_id(model))
-
-
-def ou_bridge_ensemble(
-    model: SpectralModel,
-    x0,
-    horizon: float,
-    y,
-    grid: TimeGrid,
-    rng_seed,
-    n_paths: int,
-) -> PathEnsemble:
-    z = rng.path_increments(rng_seed, range(n_paths), grid.n_steps, model.n_modes)
-    states = ou_bridge_states(model, x0, horizon, y, grid, z)
-    return PathEnsemble(grid, states, z, model_id(model))
 
 
 def ou_bridge_snapshots(

@@ -205,6 +205,12 @@ def _check_semantics(scenario: dict) -> None:
             raise SchemaError("$.task.test_functions: expected an array")
         for i, tf in enumerate(task["test_functions"]):
             _check_keys(tf, _TEST_FUNCTION_KEYS, f"$.task.test_functions[{i}]")
+    if task["name"] == "ck-check" and "modes" in task:
+        if not isinstance(task["modes"], list):
+            raise SchemaError("$.task.modes: expected an array")
+        for i, mode in enumerate(task["modes"]):
+            if type(mode) is not int or not 0 <= mode < n:
+                raise SchemaError(f"$.task.modes[{i}]: expected a mode index in [0, {n})")
     if "paths" in scenario["output"]["formats"] and task["name"] != "forward":
         raise SchemaError('$.output.formats: "paths" is written only by the forward task')
 

@@ -244,10 +244,13 @@ class TestExitCodes:
              "$.task.test_functions[0].c"),
             ({"name": "ou-bridge", "target": [0.5, -0.2]}, ["csv", "json", "paths"],
              "$.output.formats"),
+            ({"name": "ck-check", "modes": [0, 2]}, None, "$.task.modes[1]"),
+            ({"name": "ck-check", "modes": [-1]}, None, "$.task.modes[0]"),
+            ({"name": "ck-check", "modes": [1.0]}, None, "$.task.modes[0]"),
         ],
         ids=[
             "unknown-key", "bridge-target", "dirac-target", "endpoint-kind", "dynkin-c",
-            "paths-format",
+            "paths-format", "ck-mode-too-large", "ck-mode-negative", "ck-mode-not-integer",
         ],
     )
     def test_task_block_checked_at_resolve_time(self, tmp_path, capsys, task, formats, field):

@@ -11,7 +11,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from spdebridge.cli import main
@@ -188,3 +188,30 @@ def test_every_schema_valid_scenario_keeps_the_exit_code_contract(scenario, asse
     assert "Traceback" not in err.getvalue()
     if code:
         assert err.getvalue().strip(), "a failed run must say why on stderr"
+    n_modes = scenario["model"]["n_modes"]
+    modes = scenario["task"].get("modes", []) if scenario["task"]["name"] == "ck-check" else []
+    bad = [i for i, mode in enumerate(modes) if not 0 <= mode < n_modes]
+    if bad:
+        assert code == 1 and f"$.task.modes[{bad[0]}]: " in err.getvalue(), err.getvalue()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n_modes=st.integers(1, 3), data=st.data())
+def test_ck_check_mode_outside_the_model_names_the_field(n_modes, data):
+    modes = data.draw(st.lists(st.integers(-3, n_modes + 2), min_size=1, max_size=4))
+    bad = [i for i, mode in enumerate(modes) if not 0 <= mode < n_modes]
+    assume(bad)
+    scenario = {
+        "model": {"n_modes": n_modes},
+        "task": {"name": "ck-check", "modes": modes},
+        "grid": {"horizon": 1.0, "n_steps": 4},
+        "sampling": {"seed": 1},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scn.json"
+        path.write_text(json.dumps(scenario))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", str(path), "--out", str(Path(tmp) / "run")])
+    assert code == 1
+    assert err.getvalue().startswith(f"error: $.task.modes[{bad[0]}]: "), err.getvalue()

@@ -14,7 +14,6 @@ from spdebridge import (
     sample_stationary,
     semigroup_apply,
     simulate_ensemble,
-    simulate_path,
     sine_nemytskii,
     uniform_grid,
     zero,
@@ -74,7 +73,8 @@ class TestSimulate:
     def test_zero_noise_is_deterministic_flow(self, dirichlet4):
         grid = uniform_grid(1.0, 32)
         x0 = np.array([1.0, -0.5, 0.25, 0.1])
-        path = simulate_path(dirichlet4, zero(), x0, grid, zero_noise=True)
+        silent = np.zeros((1, grid.n_steps, 4))
+        path = simulate_ensemble(dirichlet4, zero(), x0, grid, increments=silent).path(0)
         for k, t in enumerate(grid.nodes):
             np.testing.assert_allclose(
                 path.states[k], semigroup_apply(dirichlet4, t, x0), rtol=1e-12,
@@ -83,26 +83,29 @@ class TestSimulate:
 
     def test_identical_seeds_bit_identical(self, dirichlet4):
         grid = uniform_grid(1.0, 16)
-        a = simulate_path(dirichlet4, sine_nemytskii(0.5), np.zeros(4), grid, 123)
-        b = simulate_path(dirichlet4, sine_nemytskii(0.5), np.zeros(4), grid, 123)
+        a = simulate_ensemble(dirichlet4, sine_nemytskii(0.5), np.zeros(4), grid, 123)
+        b = simulate_ensemble(dirichlet4, sine_nemytskii(0.5), np.zeros(4), grid, 123)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.increments, b.increments)
 
     def test_replay_bit_exact(self, dirichlet4):
         grid = uniform_grid(1.0, 16)
-        path = simulate_path(dirichlet4, sine_nemytskii(0.5), np.zeros(4), grid, 7)
-        assert np.array_equal(replay_path(dirichlet4, sine_nemytskii(0.5), path), path.states)
+        nonlin = sine_nemytskii(0.5)
+        path = simulate_ensemble(dirichlet4, nonlin, np.zeros(4), grid, 7).path(0)
+        assert np.array_equal(replay_path(dirichlet4, nonlin, path), path.states)
 
     def test_path_index_matches_ensemble_slice(self, dirichlet4):
         grid = uniform_grid(0.5, 8)
         ens = simulate_ensemble(dirichlet4, zero(), np.zeros(4), grid, 5, n_paths=6)
-        solo = simulate_path(dirichlet4, zero(), np.zeros(4), grid, 5, path_index=3)
+        solo = simulate_ensemble(
+            dirichlet4, zero(), np.zeros(4), grid, 5, n_paths=1, path_offset=3
+        ).path(0)
         assert np.array_equal(solo.states, ens.states[3])
 
     def test_requires_seed_without_increments(self, dirichlet4):
         grid = uniform_grid(0.5, 8)
         with pytest.raises(DomainError):
-            simulate_path(dirichlet4, zero(), np.zeros(4), grid)
+            simulate_ensemble(dirichlet4, zero(), np.zeros(4), grid)
 
 
 class TestStationary:

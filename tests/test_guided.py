@@ -11,7 +11,6 @@ from spdebridge import (
     endpoint_sampler_bridge,
     endpoint_sampler_tilted,
     geometric_grid,
-    self_normalized_estimate,
     semigroup_apply,
     simulate_guided,
     sine_nemytskii,
@@ -23,13 +22,15 @@ from spdebridge.forward import nearest_node
 from spdebridge.guided import (
     conditioned_snapshots,
     draw_endpoints,
-    guided_ensemble_full,
     guided_snapshots,
-    sample_conditioned,
     self_normalized_from_values,
     weight_node,
 )
 from spdebridge.ou import _conditional_coeffs
+
+# the replay tolerance of the benchmark's guided check: a single-path
+# replay rounds its matmuls and row sums differently than a chunk does
+REPLAY_TOL = 1e-12
 
 
 class TestGuidedSpec:
@@ -60,7 +61,8 @@ class TestSimulateGuided:
         x0 = np.array([0.8])
         y = np.exp(single_mode.lam * 1.0) * x0
         spec = GuidedSpec(y=y, horizon=1.0)
-        wp = simulate_guided(single_mode, zero(), x0, spec, grid, zero_noise=True)
+        silent = np.zeros((grid.n_steps, 1))
+        wp = simulate_guided(single_mode, zero(), x0, spec, grid, increments=silent)
         for k, t in enumerate(grid.nodes):
             assert wp.path.states[k, 0] == pytest.approx(
                 semigroup_apply(single_mode, t, x0)[0], rel=1e-10
@@ -72,10 +74,8 @@ class TestSimulateGuided:
         msg = "rng_seed is required unless increments are supplied"
         with pytest.raises(DomainError, match=msg):
             simulate_guided(single_mode, zero(), np.zeros(1), spec, grid)
-        with pytest.raises(DomainError, match=msg):
-            guided_ensemble_full(single_mode, zero(), np.zeros(1), spec, grid, None, 2)
 
-    def test_noise_resolved_like_simulate_path(self, single_mode):
+    def test_noise_resolved_by_path_index(self, single_mode):
         grid = geometric_grid(1.0, 8)
         nonlin = sine_nemytskii(0.5)
         spec = GuidedSpec(y=np.array([0.7]), horizon=1.0)
@@ -88,10 +88,6 @@ class TestSimulateGuided:
         with pytest.raises(DomainError, match="increments must have shape"):
             simulate_guided(
                 single_mode, nonlin, np.zeros(1), spec, grid, increments=np.zeros((7, 1))
-            )
-        with pytest.raises(DomainError, match="increments must have shape"):
-            guided_ensemble_full(
-                single_mode, nonlin, np.zeros(1), spec, grid, None, 2, increments=z[None]
             )
 
     def test_rejects_uniform_grid_for_exact(self, dirichlet4):
@@ -125,16 +121,41 @@ class TestSimulateGuided:
         )
         assert logw[0, 0] == pytest.approx(wp.log_weight, rel=1e-12)
 
+    def test_replays_rows_of_a_two_chunk_ensemble(self, dirichlet4):
+        # rows on both sides of the 2048-path chunk border and the tail row;
+        # a replay is a batch of one, so it may differ by rounding only
+        grid = geometric_grid(1.0, 64)
+        nonlin = sine_nemytskii(0.5)
+        y = np.array([0.5, -0.3, 0.1, 0.0])
+        cutoffs = (0.8, 0.95)
+        snap_nodes = [nearest_node(grid, 0.5), grid.n_steps]
+        spec = GuidedSpec(y=y, horizon=1.0, weight_cutoff=max(cutoffs))
+        snaps, logw = guided_snapshots(
+            dirichlet4, nonlin, np.zeros(4), spec, grid, 31, 2050, snap_nodes,
+            [weight_node(grid, c) for c in cutoffs],
+        )
+        for i in (0, 2047, 2048, 2049):
+            for col, cutoff in enumerate(cutoffs):
+                wp = simulate_guided(
+                    dirichlet4, nonlin, np.zeros(4),
+                    GuidedSpec(y=y, horizon=1.0, weight_cutoff=cutoff), grid, 31,
+                    path_index=i,
+                )
+                assert abs(wp.log_weight - logw[i, col]) <= REPLAY_TOL
+                np.testing.assert_allclose(
+                    wp.path.states[snap_nodes], snaps[i], rtol=0.0, atol=REPLAY_TOL
+                )
+
     def test_cumulative_weight_series_monotone_nodes(self, single_mode):
         grid = geometric_grid(1.0, 32)
         nonlin = sine_nemytskii(0.5)
         spec = GuidedSpec(y=np.array([0.7]), horizon=1.0)
-        ens, cum = guided_ensemble_full(
-            single_mode, nonlin, np.zeros(1), spec, grid, 4, 3
+        inner = np.arange(1, grid.n_steps)
+        _, cum = guided_snapshots(
+            single_mode, nonlin, np.zeros(1), spec, grid, 4, 3, [grid.n_steps], inner
         )
-        assert cum.shape == ens.states.shape[:2]
-        assert np.all(np.isfinite(cum[:, :-1]))
-        assert np.all(np.isnan(cum[:, -1]))
+        assert cum.shape == (3, grid.n_steps - 1)
+        assert np.all(np.isfinite(cum))
 
     def test_snapshots_reject_bad_weight_nodes(self, single_mode):
         grid = geometric_grid(1.0, 32)
@@ -151,10 +172,6 @@ class TestSimulateGuided:
         spec = GuidedSpec(y=np.zeros(2), horizon=1.0)
         endpoints = np.zeros((2, 2))
         match = r"endpoints must have shape \(n_paths, n_modes\)"
-        with pytest.raises(DomainError, match=match):
-            guided_ensemble_full(
-                two_mode, zero(), np.zeros(2), spec, grid, 4, 3, endpoints=endpoints
-            )
         with pytest.raises(DomainError, match=match):
             guided_snapshots(
                 two_mode, zero(), np.zeros(2), spec, grid, 4, 3, [8], [4],
@@ -237,31 +254,36 @@ class TestSampleConditioned:
     def test_dirac_reduces_to_guided(self, single_mode):
         grid = geometric_grid(1.0, 64)
         y = np.array([0.6])
-        wpaths = sample_conditioned(
+        _, snaps, logw = conditioned_snapshots(
             single_mode, zero(), np.zeros(1), endpoint_sampler_bridge(y), 1.0,
-            grid, 13, 8,
+            grid, 13, 8, snap_nodes=np.arange(grid.n_steps + 1),
         )
         spec = GuidedSpec(y=y, horizon=1.0)
-        for i, wp in enumerate(wpaths):
+        for i in range(8):
             solo = simulate_guided(
                 single_mode, zero(), np.zeros(1), spec, grid, 13, path_index=i
             )
-            np.testing.assert_array_equal(wp.path.states, solo.path.states)
-            assert wp.log_weight == solo.log_weight
+            np.testing.assert_array_equal(snaps[i], solo.path.states)
+            assert logw[i] == solo.log_weight
 
     def test_snapshot_route_matches_full(self, single_mode):
+        # each conditioned path is the guided path to its endpoint draw
         grid = geometric_grid(1.0, 64)
         nonlin = sine_nemytskii(0.5)
         qinf = single_mode.q / (2 * np.abs(single_mode.lam))
         sampler = endpoint_sampler_tilted(
             single_mode, GaussianTilt(np.array([0.3]), 0.5 * qinf)
         )
-        wpaths = sample_conditioned(
-            single_mode, nonlin, np.zeros(1), sampler, 1.0, grid, 5, 16
-        )
         endpoints, snaps, logw = conditioned_snapshots(
             single_mode, nonlin, np.zeros(1), sampler, 1.0, grid, 5, 16
         )
+        wpaths = [
+            simulate_guided(
+                single_mode, nonlin, np.zeros(1), GuidedSpec(y=y, horizon=1.0), grid, 5,
+                path_index=i,
+            )
+            for i, y in enumerate(endpoints)
+        ]
         np.testing.assert_array_equal(
             np.array([wp.path.states[-1] for wp in wpaths]), snaps[:, 1, :]
         )
@@ -272,7 +294,7 @@ class TestSampleConditioned:
     def test_zero_paths_rejected(self, single_mode):
         grid = geometric_grid(1.0, 16)
         with pytest.raises(DomainError):
-            sample_conditioned(
+            conditioned_snapshots(
                 single_mode, zero(), np.zeros(1),
                 endpoint_sampler_bridge(np.array([0.0])), 1.0, grid, 1, 0,
             )
@@ -314,7 +336,9 @@ class TestSelfNormalized:
             simulate_guided(single_mode, zero(), np.zeros(1), spec, grid, 2, path_index=i)
             for i in range(10)
         ]
-        est = self_normalized_estimate(wpaths, lambda p: p.states[-1, 0])
+        est = self_normalized_from_values(
+            [wp.log_weight for wp in wpaths], [wp.path.states[-1, 0] for wp in wpaths]
+        )
         assert est.ess == pytest.approx(10.0, abs=1e-12)
         assert effective_sample_size([wp.log_weight for wp in wpaths]) == pytest.approx(10.0)
 
@@ -326,7 +350,7 @@ class TestSelfNormalized:
             simulate_guided(single_mode, nonlin, np.zeros(1), spec, grid, 2, path_index=i)
             for i in range(10)
         ]
-        est = self_normalized_estimate(wpaths, lambda p: 3.25)
+        est = self_normalized_from_values([wp.log_weight for wp in wpaths], np.full(10, 3.25))
         assert est.estimate == pytest.approx(3.25, rel=1e-15)
 
     def test_rejects_empty_and_nonfinite(self):

@@ -126,7 +126,7 @@ class TestDynkin:
         grid = uniform_grid(0.5, 16)
         ens = simulate_ensemble(dirichlet4, zero(), np.zeros(4), grid, 3, n_paths=50)
         phi = ExpTestFunction(np.zeros(4), 0.0, "cos")
-        stats = dynkin_residual([ens.path(i) for i in range(50)], phi, dirichlet4, zero(), [0.25, 0.5])
+        stats = dynkin_residual(ens, phi, dirichlet4, zero(), [0.25, 0.5])
         assert np.all(stats.estimates == 0.0)
         assert stats.max_stat == 0.0
 
@@ -159,11 +159,6 @@ class TestDynkin:
         )[0]
         np.testing.assert_allclose(stored.estimates, streamed.estimates, atol=1e-12)
         np.testing.assert_allclose(stored.stderrs, streamed.stderrs, rtol=1e-10)
-
-    def test_empty_paths_rejected(self, dirichlet4):
-        phi = ExpTestFunction(np.zeros(4), 0.0, "sin")
-        with pytest.raises(DomainError):
-            dynkin_residual([], phi, dirichlet4, zero(), [0.5])
 
     @pytest.mark.parametrize("nonlin", [sine_nemytskii(1.5), zero()], ids=["sine", "zero"])
     def test_shared_pass_matches_separate_calls(self, dirichlet4, nonlin):
@@ -207,16 +202,17 @@ class TestExpMartingale:
     def test_starts_at_one(self, dirichlet4):
         grid = uniform_grid(0.5, 8)
         h = bridge_h(dirichlet4, zero(), 1.0, np.array([0.5, -0.3, 0.1, 0.0]))
-        path = simulate_ensemble(dirichlet4, zero(), np.zeros(4), grid, 6, n_paths=1).path(0)
-        assert exp_martingale_from_definition(path, h)[0] == 1.0
-        assert exp_martingale_from_girsanov(path, h, dirichlet4)[0] == 1.0
+        ens = simulate_ensemble(dirichlet4, zero(), np.zeros(4), grid, 6, n_paths=1)
+        assert exp_martingale_from_definition(ens, h)[0, 0] == 1.0
+        assert exp_martingale_from_girsanov(ens, h, dirichlet4)[0, 0] == 1.0
 
     def test_harmonic_reduces_to_ratio(self, dirichlet4):
         grid = uniform_grid(0.8, 32)
         y = np.array([0.5, -0.3, 0.1, 0.0])
         h = bridge_h(dirichlet4, zero(), 1.0, y)
-        path = simulate_ensemble(dirichlet4, zero(), np.zeros(4), grid, 8, n_paths=1).path(0)
-        series = exp_martingale_from_definition(path, h)
+        ens = simulate_ensemble(dirichlet4, zero(), np.zeros(4), grid, 8, n_paths=1)
+        series = exp_martingale_from_definition(ens, h)[0]
+        path = ens.path(0)
         log_h0 = h.log_h(0.0, path.states[0])
         for k, t in enumerate(grid.nodes):
             expected = np.exp(h.log_h(t, path.states[k]) - log_h0)

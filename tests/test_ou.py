@@ -12,13 +12,12 @@ from spdebridge import (
     guided_drift,
     log_h_noisy_obs,
     log_ptilde,
-    ou_bridge_exact_sample,
     ou_transition,
     uniform_grid,
 )
+from spdebridge import rng
 from spdebridge.ou import (
     grad_log_h_noisy_obs,
-    ou_bridge_ensemble,
     ou_bridge_snapshots,
     ou_bridge_states,
 )
@@ -147,8 +146,8 @@ class TestBridge:
     def test_pinned_at_horizon(self, single_mode):
         grid = geometric_grid(1.0, 32)
         y = np.array([1.0])
-        path = ou_bridge_exact_sample(single_mode, np.zeros(1), 1.0, y, grid, 4)
-        assert path.states[-1, 0] == 1.0
+        snaps = ou_bridge_snapshots(single_mode, np.zeros(1), 1.0, y, grid, 4, 1, [32])
+        assert snaps[0, 0, 0] == 1.0
 
     def test_symmetric_zero_case(self, single_mode):
         mm, vv = bridge_marginal_mean_var(
@@ -175,12 +174,12 @@ class TestBridge:
         grid = uniform_grid(1.0, 64)
         y = np.array([1.0])
         n = 20_000
-        ens = ou_bridge_ensemble(single_mode, np.zeros(1), 1.0, y, grid, 13, n)
         k = 32
+        snaps = ou_bridge_snapshots(single_mode, np.zeros(1), 1.0, y, grid, 13, n, [k])
         mm, vv = bridge_marginal_mean_var(
             single_mode, np.zeros(1), 1.0, y, float(grid.nodes[k])
         )
-        vals = ens.states[:, k, 0]
+        vals = snaps[:, 0, 0]
         assert abs(vals.mean() - mm[0]) < 4 * np.sqrt(vv[0] / n)
         assert abs(vals.var(ddof=1) - vv[0]) < 4 * vv[0] * np.sqrt(2.0 / (n - 1))
 
@@ -203,24 +202,28 @@ class TestBridge:
     def test_replay_deterministic(self, single_mode):
         grid = geometric_grid(1.0, 16)
         y = np.array([0.3])
-        path = ou_bridge_exact_sample(single_mode, np.zeros(1), 1.0, y, grid, 9)
-        states = ou_bridge_states(single_mode, np.zeros(1), 1.0, y, grid, path.increments)
-        assert np.array_equal(states, path.states)
+        snaps = ou_bridge_snapshots(single_mode, np.zeros(1), 1.0, y, grid, 9, 1, range(17))
+        z = rng.path_increments(9, [0], grid.n_steps, 1)[0]
+        states = ou_bridge_states(single_mode, np.zeros(1), 1.0, y, grid, z)
+        assert np.array_equal(states, snaps[0])
 
     def test_horizon_mismatch_rejected(self, single_mode):
         grid = uniform_grid(0.9, 16)
         with pytest.raises(DomainError):
-            ou_bridge_exact_sample(single_mode, np.zeros(1), 1.0, np.array([0.0]), grid, 1)
+            ou_bridge_snapshots(
+                single_mode, np.zeros(1), 1.0, np.array([0.0]), grid, 1, 2, [16]
+            )
 
     def test_snapshots_match_ensemble_and_validate_nodes(self, single_mode):
         grid = uniform_grid(1.0, 8)
         y = np.array([0.3])
         # 2050 paths cross the 2048-path chunk border
-        ens = ou_bridge_ensemble(single_mode, np.zeros(1), 1.0, y, grid, 5, 2050)
+        z = rng.path_increments(5, range(2050), grid.n_steps, 1)
+        states = ou_bridge_states(single_mode, np.zeros(1), 1.0, y, grid, z)
         snaps = ou_bridge_snapshots(
             single_mode, np.zeros(1), 1.0, y, grid, 5, 2050, [0, 3, 8]
         )
-        assert np.array_equal(snaps, ens.states[:, [0, 3, 8]])
+        assert np.array_equal(snaps, states[:, [0, 3, 8]])
         for bad in ([2, 9], [5, 3], [4, 4], [-1, 2], []):
             with pytest.raises(DomainError):
                 ou_bridge_snapshots(single_mode, np.zeros(1), 1.0, y, grid, 5, 10, bad)

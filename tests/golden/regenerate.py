@@ -5,8 +5,8 @@ four nonlinearities, at 64 geometric steps, is run through
 ``tasks.run_scenario``. Each run is keyed "variant/J<J>/n<n_paths>/<kind>"
 and maps every artifact it wrote (summary.csv, manifest.json,
 diagnostics.json, and paths.spdb for forward runs that write paths) to its
-SHA-256, or to the one-line error the run raised. n_paths = 2049 leaves a
-one-row tail chunk behind the 2048-path chunk; 2050 a two-row tail.
+SHA-256. n_paths = 2049 leaves a one-row tail chunk behind the 2048-path
+chunk; 2050 a two-row tail.
 
 The digests depend on numpy, libm and the BLAS kernel, so the file also
 stores the fingerprint of the environment that produced them; the tier-1
@@ -30,7 +30,6 @@ from pathlib import Path
 
 import numpy as np
 
-from spdebridge.errors import DomainError
 from spdebridge.scenario import resolve_scenario
 from spdebridge.tasks import run_scenario
 
@@ -118,12 +117,8 @@ def compute(workdir: Path) -> dict:
     runs = {}
     for i, (key, raw) in enumerate(matrix()):
         rundir = Path(workdir) / str(i)
-        try:
-            run_scenario(resolve_scenario(raw), rundir)
-        except DomainError as exc:
-            runs[key] = {"error": f"DomainError: {exc}"}
-        else:
-            runs[key] = run_digests(rundir)
+        run_scenario(resolve_scenario(raw), rundir)
+        runs[key] = run_digests(rundir)
         shutil.rmtree(rundir)
     return runs
 

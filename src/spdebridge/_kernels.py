@@ -24,6 +24,14 @@ narrow form. g is ``fold_factor(n, J)``. The operations whose rounding does
 depend on shape (``x @ B.T``, ``@ C.T``, Dynkin's ``x @ a[i]`` and the row
 sums of the weight integrand) still see the (n, J) state.
 
+Batch of one: numpy runs a one-row ``x @ B.T`` or ``@ C.T`` through a
+matrix-vector kernel that rounds differently from the matrix-matrix kernel
+of larger batches, so ``_nemytskii_np`` evaluates one row as two equal rows.
+A path then gets the same bits stepped alone (a replay) or as a one-row
+tail chunk as inside a chunk, wherever the BLAS rounds a product row
+independently of its place in the batch (scipy-openblas on x86: J <= 8,
+not J = 9..12). Dynkin's ``x @ a[i]`` keeps the one-row rounding.
+
 The update runs in place on one state buffer and one scratch block per
 call, as ((E x) + (P F)) + (S z) with ``out=``: the same operations on the
 same operands in the same order as the expression with temporaries, so the
@@ -137,8 +145,10 @@ def _nemytskii_np(x: np.ndarray, B, C, kind: int, alpha: float) -> np.ndarray:
         return np.zeros_like(x)
     if kind == KIND_LINEAR:
         return alpha * x
-    u = x @ B.T
-    return _pointwise_np(u, kind, alpha) @ C.T
+    # one row runs as two equal rows: see "Batch of one" in the module docstring
+    rows = x if x.shape[0] > 1 else np.concatenate((x, x))
+    u = rows @ B.T
+    return (_pointwise_np(u, kind, alpha) @ C.T)[: x.shape[0]]
 
 
 def _nodes(x0, Z, E, P, S, B, C, kind, alpha, drift=None):

@@ -292,10 +292,14 @@ def forward_snapshots(
     snap_nodes,
     *,
     oversample: int = DEFAULT_OVERSAMPLE,
+    dump=None,
 ) -> np.ndarray:
     """States at selected nodes for a large ensemble, streamed in chunks.
 
     Returns (n_paths, n_snapshots, J) without storing full trajectories.
+    With ``dump``, a ``write(lo, states, increments)`` such as
+    ``io.path_dump`` yields, each chunk's full states and normals are
+    handed to it inside the loop, so at most one chunk of states is alive.
     """
     x0 = model.validate_field(x0)
     slots, n_snap = _snap_slots(grid, snap_nodes)
@@ -303,10 +307,14 @@ def forward_snapshots(
     B, C = _transform_matrices(model, nonlin, oversample)
     out = np.empty((n_paths, n_snap, model.n_modes))
     for lo, hi, x0b, z in stream_paths(model, x0, grid, rng_seed, n_paths):
-        out[lo:hi] = _kernels.forward_snap(
-            x0b, z, exp_ldt, phi_dt, sqrt_qdt, B, C, nonlin.code, nonlin.alpha,
-            slots, n_snap,
-        )
+        args = (x0b, z, exp_ldt, phi_dt, sqrt_qdt, B, C, nonlin.code, nonlin.alpha)
+        if dump is None:
+            out[lo:hi] = _kernels.forward_snap(*args, slots, n_snap)
+            continue
+        states = _kernels.forward_full(*args)
+        out[lo:hi] = states[:, slots >= 0]
+        dump(lo, states, z)
+        del states  # before the next chunk allocates its own
     return out
 
 

@@ -162,7 +162,8 @@ def simulate_guided(
     ``path_index`` selects the path's noise stream, the one row
     ``path_index`` of ``guided_snapshots`` draws; ``increments`` (n_steps, J)
     supplies the standard normals instead. The path is stepped as a batch
-    of one, so it matches that row to rounding, not always bit for bit.
+    of one, which the kernels round as a row of a chunk (see ``_kernels``),
+    so it matches that row bit for bit.
     """
     x0 = model.validate_field(x0)
     _check_guided_grid(spec, grid)

@@ -9,11 +9,17 @@ The binary dump layout ("SPDB") is:
 
 Storing the increments makes every dumped path replayable through the
 stepper, which the stochastic-exponential cross-checks require.
+
+``path_dump`` writes the header and grid once and then the rows of each
+chunk of paths at their offsets in the two regions, so a streamed ensemble
+is dumped chunk by chunk and never held whole; ``write_path_dump`` is the
+same writer given one stored ensemble as a single chunk.
 """
 
 import csv
 import json
 import struct
+from contextlib import contextmanager
 from pathlib import Path as FilePath
 
 import numpy as np
@@ -24,6 +30,10 @@ from .grids import TimeGrid, GEOMETRIC, UNIFORM
 
 MAGIC = b"SPDB"
 FORMAT_VERSION = 1
+
+# Paths of increments reordered to path-major order per copy when a dump is
+# written: 32 paths of 512 steps x 4 modes are 512 KB, not a whole chunk.
+ROW_BLOCK = 32
 
 SUMMARY_FIELDS = ["quantity", "mode", "time", "value", "stderr", "units", "provenance"]
 
@@ -84,16 +94,51 @@ def summary_row(
     }
 
 
-def write_path_dump(path: FilePath, ensemble: PathEnsemble) -> None:
-    states = np.ascontiguousarray(ensemble.states, dtype="<f8")
-    increments = np.ascontiguousarray(ensemble.increments, dtype="<f8")
-    n_paths, n_nodes, n_modes = states.shape
+@contextmanager
+def path_dump(path: FilePath, grid: TimeGrid, n_paths: int, n_modes: int):
+    """Open an SPDB dump of n_paths paths on grid; yield ``write(lo, states, increments)``.
+
+    ``write`` stores paths lo.. given their states (n, n_nodes, J) and
+    increments (n, n_steps, J) in any memory layout, each region at its
+    offset, so chunks may come one at a time. Increments go to the file
+    ``ROW_BLOCK`` paths at a time, so a step-major block is reordered in
+    small copies, never as a whole. The dump is complete once every path
+    has been written.
+    """
+    nodes = np.ascontiguousarray(grid.nodes, dtype="<f8")
+    n_nodes = nodes.size
+    states_at = 20 + 8 * n_nodes
+    increments_at = states_at + 8 * n_paths * n_nodes * n_modes
+
+    def write(lo, states, increments):
+        n = len(states)
+        if (
+            states.shape != (n, n_nodes, n_modes)
+            or increments.shape != (n, n_nodes - 1, n_modes)
+            or not 0 <= lo <= n_paths - n
+        ):
+            raise DomainError(
+                f"cannot write paths {lo}..{lo + n} with states {states.shape} and "
+                f"increments {increments.shape} into a dump of {n_paths} paths of "
+                f"shape ({n_nodes}, {n_modes})"
+            )
+        fh.seek(states_at + 8 * lo * n_nodes * n_modes)
+        np.ascontiguousarray(states, dtype="<f8").tofile(fh)
+        fh.seek(increments_at + 8 * lo * (n_nodes - 1) * n_modes)
+        for r in range(0, n, ROW_BLOCK):
+            np.ascontiguousarray(increments[r : r + ROW_BLOCK], dtype="<f8").tofile(fh)
+
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<IIII", FORMAT_VERSION, n_modes, n_nodes, n_paths))
-        np.ascontiguousarray(ensemble.grid.nodes, dtype="<f8").tofile(fh)
-        states.tofile(fh)
-        increments.tofile(fh)
+        nodes.tofile(fh)
+        yield write
+
+
+def write_path_dump(path: FilePath, ensemble: PathEnsemble) -> None:
+    n_paths, _, n_modes = ensemble.states.shape
+    with path_dump(path, ensemble.grid, n_paths, n_modes) as write:
+        write(0, ensemble.states, ensemble.increments)
 
 
 def read_path_dump(path: FilePath, grid_kind: str = UNIFORM) -> PathEnsemble:
@@ -115,16 +160,15 @@ def read_path_dump(path: FilePath, grid_kind: str = UNIFORM) -> PathEnsemble:
         expected = 20 + 8 * (n_nodes + n_states + n_increments)
         if size != expected:
             raise DomainError(f"path dump is {size} bytes; its header implies {expected}")
-        nodes = np.frombuffer(fh.read(8 * n_nodes), dtype="<f8")
-        states = np.frombuffer(
-            fh.read(8 * n_states), dtype="<f8"
-        ).reshape(n_paths, n_nodes, n_modes)
-        increments = np.frombuffer(
-            fh.read(8 * n_increments), dtype="<f8"
-        ).reshape(n_paths, n_nodes - 1, n_modes)
+        # each region is read once, straight into its array
+        nodes = np.fromfile(fh, "<f8", n_nodes)
+        states = np.fromfile(fh, "<f8", n_states).reshape(n_paths, n_nodes, n_modes)
+        increments = np.fromfile(fh, "<f8", n_increments).reshape(
+            n_paths, n_nodes - 1, n_modes
+        )
     if grid_kind == GEOMETRIC or np.ptp(np.diff(nodes)) > 1e-12 * nodes[-1]:
         kind = GEOMETRIC
     else:
         kind = UNIFORM
-    grid = TimeGrid(nodes.copy(), kind)
-    return PathEnsemble(grid, states.copy(), increments.copy(), model_ref="dump")
+    grid = TimeGrid(nodes, kind)
+    return PathEnsemble(grid, states, increments, model_ref="dump")

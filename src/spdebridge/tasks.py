@@ -11,6 +11,7 @@ with no closed-form reference (a nonzero nonlinearity in ``forward``,
 endpoint) evaluates no moment check, so it has nothing to fail.
 """
 
+from contextlib import nullcontext
 from pathlib import Path as FilePath
 
 import numpy as np
@@ -166,14 +167,13 @@ def task_forward(scenario, outdir):
     failures = []
     rows = []
     if "paths" in scenario["output"]["formats"]:
-        ensemble = simulate_ensemble(
-            model, nonlin, x0, grid, seed, n_paths, oversample=oversample
-        )
-        io.write_path_dump(FilePath(outdir) / "paths.spdb", ensemble)
-        snaps = ensemble.states[:, node_idx, :]
+        dump_to = io.path_dump(FilePath(outdir) / "paths.spdb", grid, n_paths, model.n_modes)
     else:
+        dump_to = nullcontext()
+    with dump_to as dump:
         snaps = forward_snapshots(
-            model, nonlin, x0, grid, seed, n_paths, node_idx, oversample=oversample
+            model, nonlin, x0, grid, seed, n_paths, node_idx, oversample=oversample,
+            dump=dump,
         )
     _moment_rows(rows, "sample", snaps, node_times, "forward.simulate_ensemble")
     if nonlin.kind == "zero":

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path as FilePath
 
 import numpy as np
@@ -13,6 +14,7 @@ import spdebridge
 from spdebridge import replay_path, simulate_ensemble, sine_nemytskii, uniform_grid
 from spdebridge import tasks
 from spdebridge.cli import main
+from spdebridge.forward import CHUNK
 from spdebridge.io import read_manifest, read_path_dump, write_path_dump
 from spdebridge.scenario import SchemaError, resolve_scenario
 from spdebridge.tasks import run_scenario
@@ -403,6 +405,64 @@ class TestPathDump:
             f.write_bytes(bad)
             with pytest.raises(DomainError):
                 read_path_dump(f)
+
+    @pytest.mark.parametrize("n_paths", [2, CHUNK + 1, 2 * CHUNK + 3])
+    def test_streamed_dump_equals_dump_of_stored_ensemble(self, tmp_path, n_paths):
+        # the forward task writes its dump chunk by chunk at the rows' offsets
+        scn = base_scenario(
+            {"name": "forward", "times": [0.5, 1.0]},
+            model={"n_modes": 4},
+            dynamics={"nonlinearity": {"kind": "sine", "alpha": 0.5}, "x0": {"kind": "zero"}},
+            grid=dict(GEOMETRIC_GRID, n_steps=8),
+            sampling={"n_paths": n_paths, "seed": 77},
+            output={"formats": ["csv", "json", "paths"]},
+        )
+        scn = resolve_scenario(scn)
+        run_scenario(scn, tmp_path / "r")
+        model = tasks.build_model(scn)
+        ens = simulate_ensemble(
+            model, tasks.build_nonlinearity(scn), tasks.build_x0(scn, model),
+            tasks.build_grid(scn), 77, n_paths, oversample=scn["dynamics"]["oversample"],
+        )
+        write_path_dump(tmp_path / "stored.spdb", ens)
+        assert (tmp_path / "r" / "paths.spdb").read_bytes() == (
+            tmp_path / "stored.spdb"
+        ).read_bytes()
+
+    def test_read_holds_one_copy_of_the_data(self, tmp_path, two_mode):
+        ens = simulate_ensemble(
+            two_mode, sine_nemytskii(0.5), np.zeros(2), uniform_grid(0.5, 64), 5, n_paths=500
+        )
+        data = ens.grid.nodes.nbytes + ens.states.nbytes + ens.increments.nbytes
+        write_path_dump(tmp_path / "paths.spdb", ens)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loaded = read_path_dump(tmp_path / "paths.spdb")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(loaded.states, ens.states)
+        assert peak < 1.25 * data, f"peak {peak / data:.2f} x the dump's data"
+
+    def test_rows_outside_the_dump_rejected(self, tmp_path):
+        from spdebridge import DomainError
+        from spdebridge.io import path_dump
+
+        grid = uniform_grid(0.5, 4)
+        ens = simulate_ensemble(
+            spdebridge.dirichlet_model(2), sine_nemytskii(0.5), np.zeros(2), grid, 5,
+            n_paths=2,
+        )
+        with path_dump(tmp_path / "paths.spdb", grid, 3, 2) as write:
+            write(0, ens.states, ens.increments)
+            for lo, states, increments in (
+                (2, ens.states, ens.increments),  # rows 2..3 of 3
+                (0, ens.states[:, :-1], ens.increments[:, :-1]),  # wrong grid
+                (0, ens.states, ens.increments[:1]),  # row counts differ
+            ):
+                with pytest.raises(DomainError):
+                    write(lo, states, increments)
 
     def test_forward_task_writes_dump(self, tmp_path):
         scn = base_scenario({"name": "forward", "times": [1.0]})

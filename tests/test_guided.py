@@ -28,10 +28,6 @@ from spdebridge.guided import (
 )
 from spdebridge.ou import _conditional_coeffs
 
-# the replay tolerance of the benchmark's guided check: a single-path
-# replay rounds its matmuls and row sums differently than a chunk does
-REPLAY_TOL = 1e-12
-
 
 class TestGuidedSpec:
     def test_default_cutoff(self):
@@ -123,7 +119,7 @@ class TestSimulateGuided:
 
     def test_replays_rows_of_a_two_chunk_ensemble(self, dirichlet4):
         # rows on both sides of the 2048-path chunk border and the tail row;
-        # a replay is a batch of one, so it may differ by rounding only
+        # a replay is a batch of one and must give the same bits
         grid = geometric_grid(1.0, 64)
         nonlin = sine_nemytskii(0.5)
         y = np.array([0.5, -0.3, 0.1, 0.0])
@@ -141,10 +137,8 @@ class TestSimulateGuided:
                     GuidedSpec(y=y, horizon=1.0, weight_cutoff=cutoff), grid, 31,
                     path_index=i,
                 )
-                assert abs(wp.log_weight - logw[i, col]) <= REPLAY_TOL
-                np.testing.assert_allclose(
-                    wp.path.states[snap_nodes], snaps[i], rtol=0.0, atol=REPLAY_TOL
-                )
+                assert wp.log_weight == logw[i, col]
+                np.testing.assert_array_equal(wp.path.states[snap_nodes], snaps[i])
 
     def test_cumulative_weight_series_monotone_nodes(self, single_mode):
         grid = geometric_grid(1.0, 32)

@@ -78,6 +78,22 @@ def constant_h() -> HFunction:
     )
 
 
+def _lh_over_h(model: SpectralModel, nonlin: Nonlinearity, grad, oversample: int):
+    """Lh/h of an h harmonic for the linear process: <F(t, x), grad log h(t, x)>.
+
+    The generator of the semilinear process adds only the nonlinearity's
+    drift, so the ratio vanishes identically for the zero nonlinearity.
+    """
+    if nonlin.kind == "zero":
+        return HARMONIC
+
+    def lh(t, x):
+        f = apply_nonlinearity(model, nonlin, t, x, oversample)
+        return np.sum(f * grad(t, x), axis=-1)
+
+    return lh
+
+
 def bridge_h(
     model: SpectralModel,
     nonlin: Nonlinearity,
@@ -100,14 +116,7 @@ def bridge_h(
     def _grad(t, x):
         return grad_log_ptilde(model, t, x, horizon, y, r_min=r_min)
 
-    if nonlin.kind == "zero":
-        lh = HARMONIC
-    else:
-
-        def lh(t, x):
-            f = apply_nonlinearity(model, nonlin, t, x, oversample)
-            return np.sum(f * _grad(t, x), axis=-1)
-
+    lh = _lh_over_h(model, nonlin, _grad, oversample)
     return HFunction(_log_h, _grad, lh, horizon)
 
 
@@ -131,14 +140,7 @@ def noisy_obs_h(
     def _grad(t, x):
         return grad_log_h_noisy_obs(model, t, x, horizon, v, obs_var, r_min=0.0)
 
-    if nonlin.kind == "zero":
-        lh = HARMONIC
-    else:
-
-        def lh(t, x):
-            f = apply_nonlinearity(model, nonlin, t, x, oversample)
-            return np.sum(f * _grad(t, x), axis=-1)
-
+    lh = _lh_over_h(model, nonlin, _grad, oversample)
     return HFunction(_log_h, _grad, lh, horizon)
 
 

@@ -14,22 +14,91 @@ from .forward import Nonlinearity, sample_stationary
 from .grids import GEOMETRIC, UNIFORM, geometric_grid, uniform_grid
 from .spectral import SpectralModel
 
-# Keys of each task block besides "name"; "*" marks a required key.
-_TASK_KEYS = {
-    "forward": "times",
-    "ou-bridge": "target* times",
-    "guided": "target* conditioning obs_var weight_cutoffs probe_time",
-    "conditioned": "endpoint* probe_time weight_cutoff",
-    "dynkin": "test_functions* times",
-    "martingale-diag": "target* h_horizon times probe_time novikov_fractions",
-    "gamma-diag": "upto n_points",
-    "ck-check": "s t modes mid x y tolerance",
-}
-_ENDPOINT_KEYS = {"dirac": "kind* target*", "tilted": "kind* mean* var*"}
-_TEST_FUNCTION_KEYS = "a* c* phase"
-TASK_NAMES = list(_TASK_KEYS)
+_NUMBER = {"type": "number"}
+_NUMBERS = {"type": "array", "items": _NUMBER}
+_NONEMPTY_NUMBERS = {**_NUMBERS, "minItems": 1}
+_INTEGER = {"type": "integer"}
 
-_NUMBER_ARRAY = {"type": "array", "items": {"type": "number"}, "minItems": 1}
+
+def _if_equals(key: str, value: str, then: dict) -> dict:
+    """Apply ``then`` to an object whose ``key`` holds ``value``."""
+    return {"if": {"required": [key], "properties": {key: {"const": value}}}, "then": then}
+
+
+def _tagged(tag: str, variants: dict) -> dict:
+    """Object schema whose ``tag`` value selects one of ``variants``.
+
+    Each variant is a ``(required, properties)`` pair: the keys it allows
+    besides ``tag`` with their types, and those of them it requires. No
+    other key is accepted.
+    """
+    return {
+        "type": "object",
+        "required": [tag],
+        "properties": {tag: {"enum": list(variants)}},
+        "allOf": [
+            _if_equals(tag, value, {
+                "required": required,
+                "additionalProperties": False,
+                "properties": {tag: True, **properties},
+            })
+            for value, (required, properties) in variants.items()
+        ],
+    }
+
+
+# The task block: the keys of each task besides "name", typed as the
+# runners in tasks.py consume them. No defaults: resolution adds nothing to
+# the task block, so a manifest echoes it as written.
+_TASK_VARIANTS = {
+    "forward": ([], {"times": _NUMBERS}),
+    "ou-bridge": (["target"], {"target": _NUMBERS, "times": _NUMBERS}),
+    "guided": (["target"], {
+        "target": _NUMBERS,
+        "conditioning": {"enum": ["exact", "noisy_obs"]},
+        "obs_var": {"type": ["number", "array"], "items": _NUMBER},
+        "weight_cutoffs": _NUMBERS,
+        "probe_time": _NUMBER,
+    }),
+    "conditioned": (["endpoint"], {
+        "endpoint": _tagged("kind", {
+            "dirac": (["target"], {"target": _NUMBERS}),
+            "tilted": (["mean", "var"], {"mean": _NUMBERS, "var": _NUMBERS}),
+        }),
+        "probe_time": _NUMBER,
+        "weight_cutoff": _NUMBER,
+    }),
+    "dynkin": (["test_functions"], {
+        "test_functions": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["a", "c"],
+                "additionalProperties": False,
+                "properties": {"a": _NUMBERS, "c": _NUMBER, "phase": {"enum": ["sin", "cos"]}},
+            },
+        },
+        "times": _NUMBERS,
+    }),
+    "martingale-diag": (["target"], {
+        "target": _NUMBERS,
+        "h_horizon": _NUMBER,
+        "times": _NUMBERS,
+        "probe_time": _NUMBER,
+        "novikov_fractions": _NUMBERS,
+    }),
+    "gamma-diag": ([], {"upto": _NUMBER, "n_points": _INTEGER}),
+    "ck-check": ([], {
+        "s": _NUMBER,
+        "t": _NUMBER,
+        "modes": {"type": "array", "items": _INTEGER},
+        "mid": _NUMBERS,
+        "x": _NUMBERS,
+        "y": _NUMBERS,
+        "tolerance": _NUMBER,
+    }),
+}
+TASK_NAMES = list(_TASK_VARIANTS)
 
 SCENARIO_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -49,8 +118,9 @@ SCENARIO_SCHEMA = {
                     "additionalProperties": False,
                     "properties": {
                         "rule": {"enum": ["dirichlet", "explicit"]},
-                        "values": _NUMBER_ARRAY,
+                        "values": _NONEMPTY_NUMBERS,
                     },
+                    **_if_equals("rule", "explicit", {"required": ["values"]}),
                 },
                 "noise": {
                     "type": "object",
@@ -59,8 +129,9 @@ SCENARIO_SCHEMA = {
                     "properties": {
                         "rule": {"enum": ["power", "explicit"]},
                         "rho": {"type": "number", "minimum": 0},
-                        "values": _NUMBER_ARRAY,
+                        "values": _NONEMPTY_NUMBERS,
                     },
+                    **_if_equals("rule", "explicit", {"required": ["values"]}),
                 },
                 "domain_length": {"type": "number", "exclusiveMinimum": 0},
             },
@@ -84,17 +155,14 @@ SCENARIO_SCHEMA = {
                     "additionalProperties": False,
                     "properties": {
                         "kind": {"enum": ["zero", "explicit", "stationary"]},
-                        "values": _NUMBER_ARRAY,
+                        "values": _NONEMPTY_NUMBERS,
                     },
+                    **_if_equals("kind", "explicit", {"required": ["values"]}),
                 },
                 "oversample": {"type": "integer", "minimum": 1},
             },
         },
-        "task": {
-            "type": "object",
-            "required": ["name"],
-            "properties": {"name": {"enum": TASK_NAMES}},
-        },
+        "task": _tagged("name", _TASK_VARIANTS),
         "grid": {
             "type": "object",
             "required": ["horizon", "n_steps"],
@@ -134,11 +202,21 @@ class SchemaError(ValueError):
     """Scenario failed schema validation; message names the offending field."""
 
 
+# built once: jsonschema.validate checks the schema itself on every call
+_VALIDATOR = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
+
+
 def validate_scenario(raw: dict) -> None:
-    try:
-        jsonschema.validate(raw, SCENARIO_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise SchemaError(f"{exc.json_path}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+    if error is None:
+        return
+    # a missing or unknown key is reported at its own path, not its object's
+    if error.validator == "required":
+        error.path.append(next(k for k in error.validator_value if k not in error.instance))
+    elif error.validator == "additionalProperties":
+        allowed = error.schema["properties"]
+        error.path.append(next(k for k in error.instance if k not in allowed))
+    raise SchemaError(f"{error.json_path}: {error.message}") from error
 
 
 def resolve_scenario(raw: dict) -> dict:
@@ -178,55 +256,24 @@ def resolve_scenario(raw: dict) -> dict:
 
 
 def _check_semantics(scenario: dict) -> None:
+    """Rules that compare one field with another; the schema checks the rest."""
     model = scenario["model"]
     n = model["n_modes"]
-    for block, key in (("eigenvalues", "eigenvalues"), ("noise", "noise")):
+    for key in ("eigenvalues", "noise"):
         spec = model[key]
-        if spec["rule"] == "explicit":
-            if "values" not in spec:
-                raise SchemaError(f"$.model.{key}.values: required for explicit rule")
-            if len(spec["values"]) != n:
-                raise SchemaError(f"$.model.{key}.values: expected {n} entries")
+        if spec["rule"] == "explicit" and len(spec["values"]) != n:
+            raise SchemaError(f"$.model.{key}.values: expected {n} entries")
     x0 = scenario["dynamics"]["x0"]
-    if x0["kind"] == "explicit":
-        if "values" not in x0:
-            raise SchemaError("$.dynamics.x0.values: required for explicit rule")
-        if len(x0["values"]) != n:
-            raise SchemaError(f"$.dynamics.x0.values: expected {n} entries")
+    if x0["kind"] == "explicit" and len(x0["values"]) != n:
+        raise SchemaError(f"$.dynamics.x0.values: expected {n} entries")
     task = scenario["task"]
-    _check_keys(task, "name* " + _TASK_KEYS[task["name"]], "$.task")
-    if task["name"] == "conditioned":
-        endpoint = task["endpoint"]
-        if not isinstance(endpoint, dict) or endpoint.get("kind") not in _ENDPOINT_KEYS:
-            raise SchemaError('$.task.endpoint.kind: expected "dirac" or "tilted"')
-        _check_keys(endpoint, _ENDPOINT_KEYS[endpoint["kind"]], "$.task.endpoint")
-    if task["name"] == "dynkin":
-        if not isinstance(task["test_functions"], list):
-            raise SchemaError("$.task.test_functions: expected an array")
-        for i, tf in enumerate(task["test_functions"]):
-            _check_keys(tf, _TEST_FUNCTION_KEYS, f"$.task.test_functions[{i}]")
-    if task["name"] == "ck-check" and "modes" in task:
-        if not isinstance(task["modes"], list):
-            raise SchemaError("$.task.modes: expected an array")
-        for i, mode in enumerate(task["modes"]):
+    if task["name"] == "ck-check":
+        # JSON Schema counts 1.0 as an integer; a mode index must be an int literal
+        for i, mode in enumerate(task.get("modes", [])):
             if type(mode) is not int or not 0 <= mode < n:
                 raise SchemaError(f"$.task.modes[{i}]: expected a mode index in [0, {n})")
     if "paths" in scenario["output"]["formats"] and task["name"] != "forward":
         raise SchemaError('$.output.formats: "paths" is written only by the forward task')
-
-
-def _check_keys(block, spec: str, where: str) -> None:
-    """Reject keys of ``block`` missing from ``spec`` and required keys it lacks."""
-    if not isinstance(block, dict):
-        raise SchemaError(f"{where}: expected an object")
-    keys = spec.split()
-    allowed = {key.rstrip("*") for key in keys}
-    for key in block:
-        if key not in allowed:
-            raise SchemaError(f"{where}.{key}: unknown key")
-    for key in keys:
-        if key.endswith("*") and key[:-1] not in block:
-            raise SchemaError(f"{where}.{key[:-1]}: required")
 
 
 def build_model(scenario: dict) -> SpectralModel:

@@ -285,14 +285,12 @@ def task_conditioned(scenario, outdir):
     endpoint = task["endpoint"]
     if endpoint["kind"] == "dirac":
         sampler = endpoint_sampler_bridge(np.asarray(endpoint["target"], dtype=np.float64))
-    elif endpoint["kind"] == "tilted":
+    else:  # "tilted", the schema's only other kind
         tilt = GaussianTilt(
             np.asarray(endpoint["mean"], dtype=np.float64),
             np.asarray(endpoint["var"], dtype=np.float64),
         )
         sampler = endpoint_sampler_tilted(model, tilt)
-    else:
-        raise DomainError(f"unknown endpoint kind {endpoint['kind']!r}")
     probe_time = task.get("probe_time", horizon / 2.0)
     cutoff = task.get("weight_cutoff", 0.95 * horizon)
     seed = scenario["sampling"]["seed"]

@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from pathlib import Path as FilePath
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -16,7 +17,7 @@ from spdebridge import tasks
 from spdebridge.cli import main
 from spdebridge.forward import CHUNK
 from spdebridge.io import read_manifest, read_path_dump, write_path_dump
-from spdebridge.scenario import SchemaError, resolve_scenario
+from spdebridge.scenario import SCENARIO_SCHEMA, TASK_NAMES, SchemaError, resolve_scenario
 from spdebridge.tasks import run_scenario
 
 README = FilePath(__file__).resolve().parent.parent / "README.md"
@@ -57,6 +58,11 @@ class TestScenarioValidation:
         scn["model"]["eigenvalues"]["values"] = [-1.0]
         with pytest.raises(SchemaError, match="eigenvalues"):
             resolve_scenario(scn)
+
+    def test_schema_is_valid_and_covers_every_task(self):
+        # a task added to tasks.TASKS without a sub-schema fails here
+        jsonschema.Draft202012Validator.check_schema(SCENARIO_SCHEMA)
+        assert TASK_NAMES == list(tasks.TASKS)
 
     def test_resolution_fills_defaults(self):
         resolved = resolve_scenario(base_scenario({"name": "forward"}))
@@ -202,19 +208,16 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert "n_paths" in proc.stderr and len(proc.stderr.strip().splitlines()) == 1
 
-    def test_unforeseen_error_is_one_line_exit_one(self, tmp_path):
-        # task values are not type-checked yet; a string time fails inside numpy
+    def test_unforeseen_error_is_one_line_exit_one(self, tmp_path, capsys, monkeypatch):
+        # a runner failing in a way no handler foresees still gives one stderr line
+        def broken(scenario, outdir):
+            raise TypeError("unforeseen\nfailure")
+
+        monkeypatch.setitem(tasks.TASKS, "forward", broken)
         f = tmp_path / "scn.json"
-        f.write_text(json.dumps(base_scenario({"name": "forward", "times": ["soon"]})))
-        env = dict(os.environ, PYTHONPATH=str(FilePath(spdebridge.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "spdebridge.cli", "run", str(f), "--out", str(tmp_path / "r")],
-            env=env, capture_output=True, text=True,
-        )
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        err = proc.stderr.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        f.write_text(json.dumps(base_scenario({"name": "forward"})))
+        assert run_cli(["run", str(f), "--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: TypeError: unforeseen failure"]
 
     def test_non_finite_result_is_a_domain_error(self, tmp_path):
         # alpha = 1e308 overflows the states; the run must not report "ok"
@@ -249,10 +252,16 @@ class TestExitCodes:
             ({"name": "ck-check", "modes": [0, 2]}, None, "$.task.modes[1]"),
             ({"name": "ck-check", "modes": [-1]}, None, "$.task.modes[0]"),
             ({"name": "ck-check", "modes": [1.0]}, None, "$.task.modes[0]"),
+            ({"name": "forward", "times": ["soon"]}, None, "$.task.times[0]"),
+            ({"name": "forward", "times": "0.5"}, None, "$.task.times"),
+            ({"name": "gamma-diag", "n_points": 2.5}, None, "$.task.n_points"),
+            ({"name": "conditioned", "endpoint": {"kind": "dirac", "target": [True, 1]}},
+             None, "$.task.endpoint.target[0]"),
         ],
         ids=[
             "unknown-key", "bridge-target", "dirac-target", "endpoint-kind", "dynkin-c",
             "paths-format", "ck-mode-too-large", "ck-mode-negative", "ck-mode-not-integer",
+            "string-time", "times-not-array", "n-points-not-integer", "boolean-target",
         ],
     )
     def test_task_block_checked_at_resolve_time(self, tmp_path, capsys, task, formats, field):

@@ -1,5 +1,6 @@
 """Property test of the CLI contract: every schema-valid scenario ends in an
-exit code of 0, 1, 2 or 3 and one-line messages, never a traceback.
+exit code of 0, 1, 2 or 3 and one-line messages, never a traceback, and a
+task value of the wrong type exits 1 with a message naming the field.
 
 Scenarios are drawn at small sizes (a few modes, steps and paths) so the
 whole test stays within a few seconds.
@@ -193,6 +194,49 @@ def test_every_schema_valid_scenario_keeps_the_exit_code_contract(scenario, asse
     bad = [i for i, mode in enumerate(modes) if not 0 <= mode < n_modes]
     if bad:
         assert code == 1 and f"$.task.modes[{bad[0]}]: " in err.getvalue(), err.getvalue()
+
+
+@st.composite
+def mistyped(draw, task):
+    """One task value replaced by a value of the wrong JSON type.
+
+    Returns the new task block and the field the error must name.
+    """
+    key = draw(st.sampled_from(sorted(set(task) - {"name"})))
+    value = task[key]
+    task = dict(task)
+    if isinstance(value, list) and draw(st.booleans()):
+        # no array in a task block holds strings, booleans, nulls or arrays
+        entry = draw(st.one_of(st.just("soon"), st.booleans(), st.none(), st.just([0.5])))
+        task[key] = [entry] + value[1:]
+        return task, f"$.task.{key}[0]"
+    wrong = [st.just("soon"), st.booleans(), st.none()]
+    if not isinstance(value, dict):
+        wrong.append(st.just({"at": 0.5}))
+    if isinstance(value, list) and key != "obs_var":
+        wrong.append(st.just(0.5))
+    task[key] = draw(st.one_of(wrong))
+    return task, f"$.task.{key}"
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(scenario=scenarios(), data=st.data())
+def test_wrong_typed_task_value_names_the_field(scenario, data):
+    assume(len(scenario["task"]) > 1)
+    scenario["task"], field = data.draw(mistyped(scenario["task"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scn.json"
+        path.write_text(json.dumps(scenario))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", str(path), "--out", str(Path(tmp) / "run")])
+    assert code == 1, err.getvalue()
+    assert err.getvalue().startswith(f"error: {field}"), err.getvalue()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

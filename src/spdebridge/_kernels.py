@@ -10,8 +10,9 @@ same coefficients. G, the guide drift of the h-transformed process, exists
 only in ``guided``. Each public kernel is a readout of that loop (stored
 states, a Dynkin functional, guided states with log weights) and never calls
 another: the benchmark's tracer wraps the four by name and counts one pass
-per call. ``BACKEND`` names the execution engine and is echoed into run
-manifests.
+per call. ``htransform.exp_martingale_mc`` also reads ``_nodes`` but is not
+a traced kernel, so its passes are not counted. ``BACKEND`` names the
+execution engine and is echoed into run manifests.
 
 Wide rows: every per-mode coefficient product runs on a wide view of the
 C-contiguous (n, J) state, reshaped without a copy to (n/g, g*J), against

@@ -282,6 +282,11 @@ def nearest_node(grid: TimeGrid, t: float) -> int:
     return int(np.argmin(np.abs(grid.nodes - t)))
 
 
+def node_at_or_before(grid: TimeGrid, t: float) -> int:
+    """Index of the last grid node at or before t, up to a relative 1e-12; -1 if none."""
+    return int(np.searchsorted(grid.nodes, t + 1e-12 * max(1.0, t), side="right")) - 1
+
+
 def forward_snapshots(
     model: SpectralModel,
     nonlin: Nonlinearity,

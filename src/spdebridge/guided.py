@@ -22,6 +22,7 @@ from .forward import (
     _resolve_increments,
     _transform_matrices,
     model_id,
+    node_at_or_before,
     step_coefficients,
     stream_paths,
     _snap_slots,
@@ -137,9 +138,7 @@ def _targets(model: SpectralModel, spec: GuidedSpec, n_paths: int, endpoints):
 
 def weight_node(grid: TimeGrid, cutoff: float) -> int:
     """Largest node index whose time does not exceed the cutoff."""
-    k = int(np.searchsorted(grid.nodes, cutoff + 1e-12 * max(1.0, cutoff), side="right")) - 1
-    if k >= grid.n_steps:
-        k = grid.n_steps - 1
+    k = min(node_at_or_before(grid, cutoff), grid.n_steps - 1)
     if k < 1:
         raise DomainError("weight cutoff precedes the first grid step")
     return k

@@ -1,16 +1,18 @@
 """Exponential change of measure built from positive space-time functions.
 
-An ``HFunction`` packages the three objects the measure change consumes:
-log h, its state gradient, and the generator ratio Lh/h (or the flag
-"harmonic" when it vanishes identically). The module provides the
-Kolmogorov action on exponential test functions, Dynkin-martingale
-residual statistics, the exponential martingale in both its defining and
+An ``HFunction`` packages log h and its state gradient. Every h built
+here is harmonic for the linear process, so the generator ratio of the
+semilinear process is Lh/h = <F(x), grad log h(x)>: its only nonlinear
+input is the drift F, which the callers take from the stepper or from
+``apply_nonlinearity``, never from h. The module provides the Kolmogorov
+action on exponential test functions, Dynkin-martingale residual
+statistics, the exponential martingale in both its defining and
 stochastic-exponential forms, and the diagnostics backing the sufficient
 martingale conditions (Novikov estimate, Lipschitz probe).
 """
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .forward import (
     apply_nonlinearity,
     _snap_slots,
     nearest_node,
+    node_at_or_before,
     step_coefficients,
     stream_paths,
 )
@@ -36,36 +39,19 @@ from .ou import (
 )
 from .spectral import SpectralModel, covariance_qt_diag
 
-HARMONIC = "harmonic"
-UNAVAILABLE = "unavailable"
-
 
 @dataclass(frozen=True)
 class HFunction:
     """Positive space-time function driving a change of measure.
 
-    ``log_h`` and ``grad_x_log_h`` accept batched states (..., J);
-    ``lh_over_h`` is a callable or one of the flags "harmonic"/"unavailable".
+    ``log_h`` and ``grad_x_log_h`` accept batched states (..., J).
     ``horizon`` is the time up to which the function is defined (None means
     unbounded).
     """
 
     log_h: Callable
     grad_x_log_h: Callable
-    lh_over_h: Union[Callable, str]
     horizon: float | None = None
-
-    @property
-    def is_harmonic(self) -> bool:
-        return self.lh_over_h == HARMONIC
-
-    def lh_values(self, t: float, x) -> np.ndarray:
-        if self.is_harmonic:
-            x = np.asarray(x)
-            return np.zeros(x.shape[:-1])
-        if self.lh_over_h == UNAVAILABLE:
-            raise DomainError("generator ratio Lh/h is unavailable for this h")
-        return np.asarray(self.lh_over_h(t, x))
 
 
 def constant_h() -> HFunction:
@@ -73,75 +59,27 @@ def constant_h() -> HFunction:
     return HFunction(
         log_h=lambda t, x: np.zeros(np.asarray(x).shape[:-1]),
         grad_x_log_h=lambda t, x: np.zeros_like(np.asarray(x, dtype=np.float64)),
-        lh_over_h=HARMONIC,
-        horizon=None,
     )
 
 
-def _lh_over_h(model: SpectralModel, nonlin: Nonlinearity, grad, oversample: int):
-    """Lh/h of an h harmonic for the linear process: <F(t, x), grad log h(t, x)>.
-
-    The generator of the semilinear process adds only the nonlinearity's
-    drift, so the ratio vanishes identically for the zero nonlinearity.
-    """
-    if nonlin.kind == "zero":
-        return HARMONIC
-
-    def lh(t, x):
-        f = apply_nonlinearity(model, nonlin, t, x, oversample)
-        return np.sum(f * grad(t, x), axis=-1)
-
-    return lh
-
-
-def bridge_h(
-    model: SpectralModel,
-    nonlin: Nonlinearity,
-    horizon: float,
-    y,
-    r_min: float | None = None,
-    oversample: int = DEFAULT_OVERSAMPLE,
-) -> HFunction:
-    """Transform built from the linear-process transition density to (horizon, y).
-
-    Harmonic when the nonlinearity vanishes; otherwise Lh/h is the inner
-    product of the nonlinearity with grad log h. ``oversample`` sets the
-    grid of the nonlinearity; it should match the one the paths use.
-    """
+def bridge_h(model: SpectralModel, horizon: float, y, r_min: float | None = None) -> HFunction:
+    """Transform built from the linear-process transition density to (horizon, y)."""
     y = model.validate_field(np.asarray(y, dtype=np.float64))
-
-    def _log_h(t, x):
-        return log_ptilde(model, t, x, horizon, y, r_min=r_min)
-
-    def _grad(t, x):
-        return grad_log_ptilde(model, t, x, horizon, y, r_min=r_min)
-
-    lh = _lh_over_h(model, nonlin, _grad, oversample)
-    return HFunction(_log_h, _grad, lh, horizon)
+    return HFunction(
+        lambda t, x: log_ptilde(model, t, x, horizon, y, r_min=r_min),
+        lambda t, x: grad_log_ptilde(model, t, x, horizon, y, r_min=r_min),
+        horizon,
+    )
 
 
-def noisy_obs_h(
-    model: SpectralModel,
-    nonlin: Nonlinearity,
-    horizon: float,
-    v,
-    obs_var,
-    oversample: int = DEFAULT_OVERSAMPLE,
-) -> HFunction:
-    """Transform conditioning on a noisy endpoint observation v.
-
-    ``oversample`` sets the grid of the nonlinearity in Lh/h, as in bridge_h.
-    """
+def noisy_obs_h(model: SpectralModel, horizon: float, v, obs_var) -> HFunction:
+    """Transform conditioning on a noisy endpoint observation v."""
     v = model.validate_field(np.asarray(v, dtype=np.float64))
-
-    def _log_h(t, x):
-        return log_h_noisy_obs(model, t, x, horizon, v, obs_var, r_min=0.0)
-
-    def _grad(t, x):
-        return grad_log_h_noisy_obs(model, t, x, horizon, v, obs_var, r_min=0.0)
-
-    lh = _lh_over_h(model, nonlin, _grad, oversample)
-    return HFunction(_log_h, _grad, lh, horizon)
+    return HFunction(
+        lambda t, x: log_h_noisy_obs(model, t, x, horizon, v, obs_var, r_min=0.0),
+        lambda t, x: grad_log_h_noisy_obs(model, t, x, horizon, v, obs_var, r_min=0.0),
+        horizon,
+    )
 
 
 def check_gradient(
@@ -347,39 +285,42 @@ def dynkin_residual_mc(
 # ---------------------------------------------------------------------------
 
 
-def _exp_martingale(ens: PathEnsemble, h: HFunction, node_idx) -> np.ndarray:
-    """E at the nodes ``node_idx``, one column per node: (n_paths, len(node_idx)).
+def _exp_series(log_h, log_h0, lh, dt, node_idx: np.ndarray) -> np.ndarray:
+    """exp(log h - log h(0) - trapz(Lh/h)) at the nodes ``node_idx``; 1 at node 0.
 
-    A harmonic h skips the zero Lh/h integral: (a - b) - 0.0 == a - b, bit for bit.
+    ``lh`` holds Lh/h at every node, or is None for the zero nonlinearity,
+    whose integral is skipped: (a - b) - 0.0 == a - b, bit for bit.
     """
-    nodes = ens.grid.nodes
-    node_idx = np.asarray(node_idx, dtype=np.int64)
-    log_h0 = h.log_h(nodes[0], ens.states[:, 0])
-    if h.is_harmonic:
-        integral = 0.0
-    else:
-        lh = np.empty((ens.n_paths, nodes.size))
-        for k in range(nodes.size):
-            lh[:, k] = h.lh_values(nodes[k], ens.states[:, k])
-        cum = np.zeros((ens.n_paths, nodes.size))
-        cum[:, 1:] = np.cumsum(0.5 * ens.grid.steps * (lh[:, :-1] + lh[:, 1:]), axis=1)
+    integral = 0.0
+    if lh is not None:
+        cum = np.zeros(lh.shape)
+        cum[:, 1:] = np.cumsum(0.5 * dt * (lh[:, :-1] + lh[:, 1:]), axis=1)
         integral = cum[:, node_idx]
-    log_h = np.empty((ens.n_paths, node_idx.size))
-    for col, k in enumerate(node_idx):
-        log_h[:, col] = h.log_h(nodes[k], ens.states[:, k])
     series = np.exp(log_h - log_h0[:, None] - integral)
     series[:, node_idx == 0] = 1.0
     return series
 
 
-def exp_martingale_from_definition(ens: PathEnsemble, h: HFunction) -> np.ndarray:
+def exp_martingale_from_definition(
+    ens: PathEnsemble, h: HFunction, model: SpectralModel, nonlin: Nonlinearity,
+    oversample: int = DEFAULT_OVERSAMPLE,
+) -> np.ndarray:
     """E(t_k) = exp(log h(t_k, X_k) - log h(0, X_0) - trapz(Lh/h)); E(0) = 1.
 
-    Returns the series of every path of the ensemble over all grid nodes,
-    shape (n_paths, n_nodes). Every node must lie where h is defined
+    Lh/h = <F(X), grad log h(X)>, with F on the grid of ``oversample``, as
+    the paths were stepped. Returns the series of every path over all grid
+    nodes, shape (n_paths, n_nodes). Every node must lie where h is defined
     (strictly before h.horizon for density-based transforms).
     """
-    return _exp_martingale(ens, h, np.arange(ens.grid.nodes.size))
+    nodes, states = ens.grid.nodes, ens.states
+    lh = None
+    if nonlin.kind != "zero":
+        lh = np.empty((ens.n_paths, nodes.size))
+        for k, t in enumerate(nodes):
+            f = apply_nonlinearity(model, nonlin, t, states[:, k], oversample)
+            lh[:, k] = np.sum(f * h.grad_x_log_h(t, states[:, k]), axis=-1)
+    log_h = np.stack([h.log_h(t, states[:, k]) for k, t in enumerate(nodes)], axis=1)
+    return _exp_series(log_h, log_h[:, 0], lh, ens.grid.steps, np.arange(nodes.size))
 
 
 def exp_martingale_from_girsanov(
@@ -408,20 +349,18 @@ def exp_martingale_from_girsanov(
     return np.exp(mart - 0.5 * qvar)
 
 
-def _novikov_values(ens: PathEnsemble, h: HFunction, model: SpectralModel, upto: float):
-    """Per-path exp(0.5 int_0^S |sqrt(Q) grad log h|^2 dt), shape (n_paths,)."""
+def _novikov_node(grid: TimeGrid, h: HFunction, upto: float) -> int:
     if h.horizon is not None and upto >= h.horizon:
         raise DomainError("Novikov time must lie strictly before the h horizon")
-    nodes = ens.grid.nodes
-    k_max = int(np.searchsorted(nodes, upto + 1e-12 * max(1.0, abs(upto)), side="right")) - 1
-    if k_max < 1:
+    k = node_at_or_before(grid, upto)
+    if k < 1:
         raise DomainError("Novikov time precedes the first grid step")
-    norms = np.empty((ens.n_paths, k_max + 1))
-    for k in range(k_max + 1):
-        g = np.sqrt(model.q) * h.grad_x_log_h(nodes[k], ens.states[:, k])
-        norms[:, k] = np.sum(g * g, axis=-1)
-    dt = np.diff(nodes[: k_max + 1])
-    integral = np.sum(0.5 * dt * (norms[:, :-1] + norms[:, 1:]), axis=1)
+    return k
+
+
+def _novikov_values(norms: np.ndarray, dt: np.ndarray, k: int) -> np.ndarray:
+    """Per row, exp(0.5 trapz) of the squared norms in columns 0..k, summed pairwise."""
+    integral = np.sum(0.5 * dt[:k] * (norms[:, :k] + norms[:, 1 : k + 1]), axis=1)
     return np.exp(0.5 * integral)
 
 
@@ -431,8 +370,66 @@ def novikov_estimate(ens: PathEnsemble, h: HFunction, model: SpectralModel, upto
     Diagnostic evidence (not proof) for the Novikov sufficient condition.
     Returns (estimate, stderr).
     """
-    vals = _novikov_values(ens, h, model, upto)
+    k_max = _novikov_node(ens.grid, h, upto)
+    norms = np.empty((ens.n_paths, k_max + 1))
+    for k in range(k_max + 1):
+        g = np.sqrt(model.q) * h.grad_x_log_h(ens.grid.nodes[k], ens.states[:, k])
+        norms[:, k] = np.sum(g * g, axis=-1)
+    vals = _novikov_values(norms, ens.grid.steps, k_max)
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(vals.size))
+
+
+def exp_martingale_mc(
+    model: SpectralModel, nonlin: Nonlinearity, h: HFunction, x0, grid: TimeGrid, rng_seed,
+    n_paths: int, node_idx, probe_node: int, novikov_upto, n_novikov: int, *,
+    oversample: int = DEFAULT_OVERSAMPLE,
+):
+    """Exponential martingale of a streamed ensemble, without storing paths.
+
+    Returns E^h at the increasing nodes ``node_idx`` (n_paths, len(node_idx)),
+    the states at ``probe_node`` (n_paths, J), and the per-path Novikov
+    values up to each time of ``novikov_upto`` of the first ``n_novikov``
+    paths (all paths if fewer). Lh/h takes F from the stepper; every row equals its row of
+    ``exp_martingale_from_definition`` and ``novikov_estimate`` bit for bit.
+    """
+    slots, n_read = _snap_slots(grid, node_idx)
+    k_nov = [_novikov_node(grid, h, upto) for upto in novikov_upto]
+    k_norm = max(k_nov, default=-1)
+    n_novikov = min(n_novikov, n_paths)
+    exp_ldt, phi_dt, sqrt_qdt = step_coefficients(model, grid.steps)
+    B, C = _transform_matrices(model, nonlin, oversample)
+    series = np.empty((n_paths, n_read))
+    probes = np.empty((n_paths, model.n_modes))
+    novikov = np.empty((len(k_nov), n_novikov))
+    for lo, hi, x0b, z in stream_paths(model, model.validate_field(x0), grid, rng_seed, n_paths):
+        m = max(0, min(hi, n_novikov) - lo)  # Novikov rows of this chunk
+        lh = None if nonlin.kind == "zero" else np.empty((hi - lo, grid.n_steps + 1))
+        # grad log h only where it is used: h may be undefined at the horizon
+        k_grad = grid.n_steps if lh is not None else (k_norm if m else -1)
+        log_h0 = h.log_h(grid.nodes[0], x0b)
+        log_h = np.empty((hi - lo, n_read))
+        norms = np.empty((m, k_norm + 1))
+        for k, x, f in _kernels._nodes(
+            x0b, z, exp_ldt, phi_dt, sqrt_qdt, B, C, nonlin.code, nonlin.alpha
+        ):
+            if slots[k] >= 0:
+                log_h[:, slots[k]] = h.log_h(grid.nodes[k], x)
+            if k == probe_node:
+                probes[lo:hi] = x
+            if k > k_grad:
+                continue
+            grad = h.grad_x_log_h(grid.nodes[k], x)
+            if lh is not None:
+                if f is None:
+                    f = _kernels._nemytskii_np(x, B, C, nonlin.code, nonlin.alpha)
+                lh[:, k] = np.sum(f * grad, axis=-1)
+            if k <= k_norm:
+                g = np.sqrt(model.q) * grad[:m]
+                norms[:, k] = np.sum(g * g, axis=-1)
+        series[lo:hi] = _exp_series(log_h, log_h0, lh, grid.steps, np.flatnonzero(slots >= 0))
+        for i, k in enumerate(k_nov):
+            novikov[i, lo : lo + m] = _novikov_values(norms, grid.steps, k)
+    return series, probes, novikov
 
 
 def lipschitz_probe(

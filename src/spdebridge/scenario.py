@@ -202,8 +202,14 @@ class SchemaError(ValueError):
     """Scenario failed schema validation; message names the offending field."""
 
 
-# built once: jsonschema.validate checks the schema itself on every call
-_VALIDATOR = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
+# built once: jsonschema.validate checks the schema itself on every call. JSON
+# Schema counts 1.0 as an integer; a count, an index or a seed must be an int
+_VALIDATOR = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)
+    ),
+)(SCENARIO_SCHEMA)
 
 
 def validate_scenario(raw: dict) -> None:
@@ -268,9 +274,8 @@ def _check_semantics(scenario: dict) -> None:
         raise SchemaError(f"$.dynamics.x0.values: expected {n} entries")
     task = scenario["task"]
     if task["name"] == "ck-check":
-        # JSON Schema counts 1.0 as an integer; a mode index must be an int literal
         for i, mode in enumerate(task.get("modes", [])):
-            if type(mode) is not int or not 0 <= mode < n:
+            if not 0 <= mode < n:
                 raise SchemaError(f"$.task.modes[{i}]: expected a mode index in [0, {n})")
     if "paths" in scenario["output"]["formats"] and task["name"] != "forward":
         raise SchemaError('$.output.formats: "paths" is written only by the forward task')

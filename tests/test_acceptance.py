@@ -124,7 +124,7 @@ class TestAcceptance:
         """For the harmonic transform under zero drift the exponential
         martingale has Monte Carlo mean one."""
         n_paths = 100_000
-        h = bridge_h(MODEL4, sb.zero(), 1.0, TARGET4)
+        h = bridge_h(MODEL4, 1.0, TARGET4)
         grid = uniform_grid(0.8, 512)
         nodes = [nearest_node(grid, t) for t in (0.2, 0.5, 0.8)]
         snaps = forward_snapshots(
@@ -146,13 +146,13 @@ class TestAcceptance:
         strong-order-1/2 discretization gap: the median squared relative gap
         halves when dt halves."""
         nonlin = sb.sine_nemytskii(0.5)
-        h = bridge_h(SINGLE, nonlin, 1.0, np.array([0.7]))
+        h = bridge_h(SINGLE, 1.0, np.array([0.7]))
         x0 = np.array([0.3])
 
         def median_sq_gap(n_steps, seed):
             grid = uniform_grid(0.8, n_steps)
             ens = simulate_ensemble(SINGLE, nonlin, x0, grid, seed, n_paths=1000)
-            a = exp_martingale_from_definition(ens, h)
+            a = exp_martingale_from_definition(ens, h, SINGLE, nonlin)
             b = exp_martingale_from_girsanov(ens, h, SINGLE)
             gap = np.abs(a[:, -1] - b[:, -1]) / a[:, -1]
             return float(np.median(gap**2)), float(np.median(gap))
@@ -276,7 +276,7 @@ class TestAcceptance:
     def test_criterion_8_lipschitz_diagnostic(self):
         """The empirical Lipschitz probe of the guiding gradient map matches
         its closed-form constant within 5 percent."""
-        h = bridge_h(MODEL4, sb.zero(), 1.0, TARGET4)
+        h = bridge_h(MODEL4, 1.0, TARGET4)
         t_grid = np.linspace(0.0, 0.9, 19)
         probe = lipschitz_probe(h, MODEL4, t_grid, 200, 1.0, rng_seed=88)
         exact = lipschitz_constant_bridge(MODEL4, 1.0, t_grid)

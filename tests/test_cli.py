@@ -237,7 +237,7 @@ class TestExitCodes:
         assert not (tmp_path / "r" / "summary.csv").exists()
 
     @pytest.mark.parametrize(
-        "task, formats, field",
+        "task, blocks, field",
         [
             ({"name": "forward", "timez": [0.5]}, None, "$.task.timez"),
             ({"name": "ou-bridge"}, None, "$.task.target"),
@@ -247,8 +247,8 @@ class TestExitCodes:
              "$.task.endpoint.kind"),
             ({"name": "dynkin", "test_functions": [{"a": [0.5, 0.1]}]}, None,
              "$.task.test_functions[0].c"),
-            ({"name": "ou-bridge", "target": [0.5, -0.2]}, ["csv", "json", "paths"],
-             "$.output.formats"),
+            ({"name": "ou-bridge", "target": [0.5, -0.2]},
+             {"output": {"formats": ["csv", "json", "paths"]}}, "$.output.formats"),
             ({"name": "ck-check", "modes": [0, 2]}, None, "$.task.modes[1]"),
             ({"name": "ck-check", "modes": [-1]}, None, "$.task.modes[0]"),
             ({"name": "ck-check", "modes": [1.0]}, None, "$.task.modes[0]"),
@@ -257,17 +257,22 @@ class TestExitCodes:
             ({"name": "gamma-diag", "n_points": 2.5}, None, "$.task.n_points"),
             ({"name": "conditioned", "endpoint": {"kind": "dirac", "target": [True, 1]}},
              None, "$.task.endpoint.target[0]"),
+            ({"name": "forward"}, {"grid": {"n_steps": 4.0}}, "$.grid.n_steps"),
+            ({"name": "forward"}, {"sampling": {"n_paths": 4.0}}, "$.sampling.n_paths"),
+            ({"name": "forward"}, {"sampling": {"seed": 1.0}}, "$.sampling.seed"),
+            ({"name": "forward"}, {"sampling": {"seed": True}}, "$.sampling.seed"),
         ],
         ids=[
             "unknown-key", "bridge-target", "dirac-target", "endpoint-kind", "dynkin-c",
             "paths-format", "ck-mode-too-large", "ck-mode-negative", "ck-mode-not-integer",
             "string-time", "times-not-array", "n-points-not-integer", "boolean-target",
+            "float-n-steps", "float-n-paths", "float-seed", "boolean-seed",
         ],
     )
-    def test_task_block_checked_at_resolve_time(self, tmp_path, capsys, task, formats, field):
+    def test_task_block_checked_at_resolve_time(self, tmp_path, capsys, task, blocks, field):
         scn = base_scenario(task)
-        if formats:
-            scn["output"]["formats"] = formats
+        for block, values in (blocks or {}).items():
+            scn[block].update(values)
         f = tmp_path / "scn.json"
         f.write_text(json.dumps(scn))
         assert run_cli(["run", str(f), "--out", str(tmp_path / "r")]) == 1

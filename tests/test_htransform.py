@@ -21,7 +21,6 @@ from spdebridge import (
 )
 from spdebridge.forward import apply_nonlinearity, step_coefficients
 from spdebridge.htransform import (
-    HFunction,
     check_gradient,
     dynkin_residual_mc,
     increment_orthogonality,
@@ -42,19 +41,12 @@ def ou_mean_of_test_function(model, x0, t, phi):
 class TestHFunction:
     def test_constant_h_is_harmonic(self):
         h = constant_h()
-        assert h.is_harmonic
+        assert not h.grad_x_log_h(0.3, np.ones((5, 2))).any()
         assert h.log_h(0.3, np.zeros((5, 2))).shape == (5,)
-
-    def test_bridge_h_flags(self, dirichlet4):
-        y = np.array([0.5, -0.3, 0.1, 0.0])
-        assert bridge_h(dirichlet4, zero(), 1.0, y).is_harmonic
-        h = bridge_h(dirichlet4, sine_nemytskii(0.5), 1.0, y)
-        assert not h.is_harmonic
-        assert callable(h.lh_over_h)
 
     def test_gradient_self_check_bridge(self, dirichlet4):
         y = np.array([0.5, -0.3, 0.1, 0.0])
-        h = bridge_h(dirichlet4, zero(), 1.0, y)
+        h = bridge_h(dirichlet4, 1.0, y)
         gen = np.random.default_rng(4)
         for t in (0.1, 0.5, 0.9):
             err = check_gradient(h, dirichlet4, t, gen.standard_normal(4) * 0.5)
@@ -62,20 +54,9 @@ class TestHFunction:
 
     def test_gradient_self_check_noisy(self, dirichlet4):
         v = np.array([0.2, 0.1, 0.0, -0.1])
-        h = noisy_obs_h(dirichlet4, zero(), 1.0, v, 0.1)
+        h = noisy_obs_h(dirichlet4, 1.0, v, 0.1)
         err = check_gradient(h, dirichlet4, 0.4, np.full(4, 0.3))
         assert err < 1e-5
-
-    def test_unavailable_generator_ratio_rejected(self, dirichlet4):
-        h = HFunction(
-            log_h=lambda t, x: np.zeros(np.asarray(x).shape[:-1]),
-            grad_x_log_h=lambda t, x: np.zeros_like(x),
-            lh_over_h="unavailable",
-        )
-        grid = uniform_grid(0.5, 4)
-        ens = simulate_ensemble(dirichlet4, zero(), np.zeros(4), grid, 1, n_paths=2)
-        with pytest.raises(DomainError):
-            exp_martingale_from_definition(ens, h)
 
 
 class TestKolmogorovOperator:
@@ -193,7 +174,8 @@ class TestExpMartingale:
         grid = uniform_grid(0.5, 8)
         ens = simulate_ensemble(dirichlet4, zero(), np.zeros(4), grid, 2, n_paths=3)
         np.testing.assert_array_equal(
-            exp_martingale_from_definition(ens, constant_h()), np.ones((3, 9))
+            exp_martingale_from_definition(ens, constant_h(), dirichlet4, zero()),
+            np.ones((3, 9)),
         )
         np.testing.assert_array_equal(
             exp_martingale_from_girsanov(ens, constant_h(), dirichlet4), np.ones((3, 9))
@@ -201,17 +183,17 @@ class TestExpMartingale:
 
     def test_starts_at_one(self, dirichlet4):
         grid = uniform_grid(0.5, 8)
-        h = bridge_h(dirichlet4, zero(), 1.0, np.array([0.5, -0.3, 0.1, 0.0]))
+        h = bridge_h(dirichlet4, 1.0, np.array([0.5, -0.3, 0.1, 0.0]))
         ens = simulate_ensemble(dirichlet4, zero(), np.zeros(4), grid, 6, n_paths=1)
-        assert exp_martingale_from_definition(ens, h)[0, 0] == 1.0
+        assert exp_martingale_from_definition(ens, h, dirichlet4, zero())[0, 0] == 1.0
         assert exp_martingale_from_girsanov(ens, h, dirichlet4)[0, 0] == 1.0
 
     def test_harmonic_reduces_to_ratio(self, dirichlet4):
         grid = uniform_grid(0.8, 32)
         y = np.array([0.5, -0.3, 0.1, 0.0])
-        h = bridge_h(dirichlet4, zero(), 1.0, y)
+        h = bridge_h(dirichlet4, 1.0, y)
         ens = simulate_ensemble(dirichlet4, zero(), np.zeros(4), grid, 8, n_paths=1)
-        series = exp_martingale_from_definition(ens, h)[0]
+        series = exp_martingale_from_definition(ens, h, dirichlet4, zero())[0]
         path = ens.path(0)
         log_h0 = h.log_h(0.0, path.states[0])
         for k, t in enumerate(grid.nodes):
@@ -221,17 +203,17 @@ class TestExpMartingale:
     def test_mean_one_harmonic(self, single_mode):
         grid = uniform_grid(0.8, 64)
         y = np.array([1.0])
-        h = bridge_h(single_mode, zero(), 1.0, y)
+        h = bridge_h(single_mode, 1.0, y)
         n = 20_000
         ens = simulate_ensemble(single_mode, zero(), np.zeros(1), grid, 12, n_paths=n)
-        series = exp_martingale_from_definition(ens, h)
+        series = exp_martingale_from_definition(ens, h, single_mode, zero())
         for k in (16, 32, 64):
             vals = series[:, k]
             assert abs(vals.mean() - 1.0) < 4 * vals.std(ddof=1) / np.sqrt(n)
 
     def test_mean_one_girsanov(self, single_mode):
         grid = uniform_grid(0.8, 64)
-        h = bridge_h(single_mode, zero(), 1.0, np.array([1.0]))
+        h = bridge_h(single_mode, 1.0, np.array([1.0]))
         n = 20_000
         ens = simulate_ensemble(single_mode, zero(), np.zeros(1), grid, 31, n_paths=n)
         series = exp_martingale_from_girsanov(ens, h, single_mode)
@@ -241,9 +223,9 @@ class TestExpMartingale:
     def test_routes_close_on_fine_grids(self, single_mode):
         grid = uniform_grid(0.8, 256)
         nonlin = sine_nemytskii(0.5)
-        h = bridge_h(single_mode, nonlin, 1.0, np.array([0.7]))
+        h = bridge_h(single_mode, 1.0, np.array([0.7]))
         ens = simulate_ensemble(single_mode, nonlin, np.array([0.2]), grid, 5, n_paths=50)
-        a = exp_martingale_from_definition(ens, h)
+        a = exp_martingale_from_definition(ens, h, single_mode, nonlin)
         b = exp_martingale_from_girsanov(ens, h, single_mode)
         gap = np.abs(a - b) / a
         assert np.median(gap[:, -1]) < 0.05
@@ -258,7 +240,7 @@ class TestNovikov:
 
     def test_bridge_h_stable_under_doubling(self, single_mode):
         grid = uniform_grid(0.5, 64)
-        h = bridge_h(single_mode, zero(), 1.0, np.array([1.0]))
+        h = bridge_h(single_mode, 1.0, np.array([1.0]))
         e1, s1 = novikov_estimate(
             simulate_ensemble(single_mode, zero(), np.zeros(1), grid, 3, n_paths=4000),
             h, single_mode, 0.5,
@@ -272,7 +254,7 @@ class TestNovikov:
 
     def test_rejects_time_at_horizon(self, single_mode):
         grid = uniform_grid(1.0, 8)
-        h = bridge_h(single_mode, zero(), 1.0, np.array([1.0]))
+        h = bridge_h(single_mode, 1.0, np.array([1.0]))
         ens = simulate_ensemble(single_mode, zero(), np.zeros(1), grid, 2, n_paths=2)
         with pytest.raises(DomainError):
             novikov_estimate(ens, h, single_mode, 1.0)
@@ -281,7 +263,7 @@ class TestNovikov:
         # the integrand is nonnegative, so on common paths the estimate is
         # monotone in the cutoff; the growth curve is reported, not bounded
         grid = uniform_grid(0.95, 64)
-        h = bridge_h(single_mode, zero(), 1.0, np.array([1.0]))
+        h = bridge_h(single_mode, 1.0, np.array([1.0]))
         ens = simulate_ensemble(single_mode, zero(), np.zeros(1), grid, 6, n_paths=2000)
         ests = [novikov_estimate(ens, h, single_mode, s)[0] for s in (0.5, 0.7, 0.9)]
         assert ests[0] < ests[1] < ests[2]
@@ -292,7 +274,7 @@ class TestLipschitzProbe:
         assert lipschitz_probe(constant_h(), dirichlet4, [0.1, 0.5], 50, 1.0) == 0.0
 
     def test_single_mode_matches_closed_form(self, single_mode):
-        h = bridge_h(single_mode, zero(), 1.0, np.array([1.0]))
+        h = bridge_h(single_mode, 1.0, np.array([1.0]))
         t_grid = np.linspace(0.0, 0.9, 10)
         probe = lipschitz_probe(h, single_mode, t_grid, 200, 1.0, rng_seed=1)
         exact = lipschitz_constant_bridge(single_mode, 1.0, t_grid)
@@ -300,7 +282,7 @@ class TestLipschitzProbe:
 
     def test_eight_modes_below_bound(self):
         model = dirichlet_model(8)
-        h = bridge_h(model, zero(), 1.0, 0.1 * np.ones(8))
+        h = bridge_h(model, 1.0, 0.1 * np.ones(8))
         t_grid = np.linspace(0.0, 0.9, 8)
         probe = lipschitz_probe(h, model, t_grid, 100, 1.0, rng_seed=2)
         exact = lipschitz_constant_bridge(model, 1.0, t_grid)
@@ -310,10 +292,10 @@ class TestLipschitzProbe:
 class TestIncrementOrthogonality:
     def test_martingale_passes(self, single_mode):
         grid = uniform_grid(0.8, 32)
-        h = bridge_h(single_mode, zero(), 1.0, np.array([1.0]))
+        h = bridge_h(single_mode, 1.0, np.array([1.0]))
         n = 20_000
         ens = simulate_ensemble(single_mode, zero(), np.zeros(1), grid, 22, n_paths=n)
-        series = exp_martingale_from_definition(ens, h)[:, [8, 16, 24, 32]]
+        series = exp_martingale_from_definition(ens, h, single_mode, zero())[:, [8, 16, 24, 32]]
         probes = ens.states[:, 8, :]
         stats = increment_orthogonality(series[:, 1:], probes)
         assert np.max(np.abs(stats)) <= 4.0

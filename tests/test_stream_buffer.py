@@ -22,7 +22,7 @@ from spdebridge import (
     geometric_grid,
     sine_nemytskii,
 )
-from spdebridge import forward, guided, htransform, ou, rng, tasks
+from spdebridge import forward, guided, htransform, ou, rng
 from spdebridge.forward import CHUNK, forward_snapshots, nearest_node
 from spdebridge.guided import guided_snapshots, weight_node
 from spdebridge.htransform import dynkin_residual_mc
@@ -48,7 +48,7 @@ def _fresh_stream_paths(model, x0, grid, rng_seed, n_paths):
 
 
 def _use_fresh_normals(monkeypatch):
-    for mod in (forward, guided, htransform, ou, tasks):
+    for mod in (forward, guided, htransform, ou):
         monkeypatch.setattr(mod, "stream_paths", _fresh_stream_paths)
 
 

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from spdebridge import rng
+from spdebridge import _kernels, rng
 from spdebridge.cli import compare_runs, main
-from spdebridge.forward import nearest_node, simulate_ensemble
+from spdebridge.forward import PathEnsemble, nearest_node, simulate_ensemble
 from spdebridge.htransform import (
     bridge_h,
     exp_martingale_from_definition,
@@ -208,6 +208,31 @@ def test_martingale_diag_draws_each_path_once(tmp_path, monkeypatch, nonlinearit
     assert len(drawn) == len(set(drawn)) == 300
 
 
+def test_martingale_diag_evaluates_each_node_once(tmp_path, monkeypatch):
+    # F comes from the stepper at every node but the last, which the readout
+    # evaluates itself: one pointwise map per path and node
+    rows = []
+    original = _kernels._pointwise_np
+
+    def counting(u, kind, alpha):
+        rows.append(u.shape[0])
+        return original(u, kind, alpha)
+
+    monkeypatch.setattr(_kernels, "_pointwise_np", counting)
+    n_paths, n_steps = 3000, 64
+    scn = resolve_scenario(
+        scenario(
+            {"name": "martingale-diag", "target": [0.5, -0.3, 0.1, 0.0]},
+            n_modes=4, lam=(-1.0, -4.0, -9.0, -16.0), q=(1.0, 1.0, 1.0, 1.0),
+            grid={"horizon": 1.0, "n_steps": n_steps, "kind": "uniform"},
+            sampling={"n_paths": n_paths, "seed": 41},
+            nonlinearity={"kind": "sine", "alpha": 0.5},
+        )
+    )
+    run_scenario(scn, tmp_path / "r")
+    assert sum(rows) == n_paths * (n_steps + 1) == 195000
+
+
 def _martingale_rows_equal_one_full_ensemble(tmp_path, n_paths, oversample):
     times, target = [0.2, 0.5, 0.8], [1.0, -0.5]
     scn = resolve_scenario(
@@ -229,16 +254,18 @@ def _martingale_rows_equal_one_full_ensemble(tmp_path, n_paths, oversample):
     ens = simulate_ensemble(
         model, nonlin, np.zeros(2), grid, 41, n_paths=n_paths, oversample=oversample
     )
-    h = bridge_h(model, nonlin, 1.0, target, oversample=oversample)
+    h = bridge_h(model, 1.0, target)
     nodes = [nearest_node(grid, t) for t in times]
-    series = exp_martingale_from_definition(ens, h)[:, nodes]
+    series = exp_martingale_from_definition(ens, h, model, nonlin, oversample)[:, nodes]
     expected = [
         (series[:, col].mean(), series[:, col].std(ddof=1) / np.sqrt(n_paths))
         for col in range(len(nodes))
     ]
     stats = increment_orthogonality(series, ens.states[:, nodes[0]])
     expected.append((np.max(np.abs(stats)), None))
-    expected += [novikov_estimate(ens, h, model, frac * 0.8) for frac in (0.5, 0.9)]
+    # the Novikov rows read the first 4000 paths only
+    first = PathEnsemble(grid, ens.states[:4000], ens.increments[:4000], ens.model_ref)
+    expected += [novikov_estimate(first, h, model, frac * 0.8) for frac in (0.5, 0.9)]
     assert [r["quantity"] for r in rows] == (
         ["exp_martingale_mean"] * 3 + ["increment_orthogonality_max_stat"]
         + ["novikov_estimate"] * 2
@@ -256,6 +283,39 @@ def test_martingale_diag_streamed_rows_equal_one_full_ensemble(tmp_path):
 def test_martingale_diag_h_uses_the_scenario_oversample(tmp_path):
     # Lh/h must apply the same pseudo-spectral F as the simulated paths
     _martingale_rows_equal_one_full_ensemble(tmp_path, 300, 1)
+
+
+def test_martingale_diag_novikov_rows_stop_inside_a_chunk(tmp_path):
+    # the 4000-path Novikov limit cuts the chunk of rows 2048..4095
+    _martingale_rows_equal_one_full_ensemble(tmp_path, 4100, 4)
+
+
+def test_martingale_diag_reads_h_only_where_it_is_defined(tmp_path):
+    # h is undefined at its horizon, here the grid horizon; with zero drift
+    # no node past the last Novikov time needs grad log h, so the run succeeds
+    target, n_paths = [1.0], 300
+    scn = resolve_scenario(
+        scenario(
+            {"name": "martingale-diag", "target": target, "h_horizon": 1.0, "times": [0.5]},
+            grid={"horizon": 1.0, "n_steps": 16, "kind": "uniform"},
+            sampling={"n_paths": n_paths, "seed": 41},
+        )
+    )
+    f = tmp_path / "scn.json"
+    f.write_text(json.dumps(scn))
+    assert main(["run", str(f), "--out", str(tmp_path / "r")]) == 0
+    rows = read_summary(tmp_path / "r")
+    model, grid = build_model(scn), build_grid(scn)
+    ens = simulate_ensemble(model, build_nonlinearity(scn), np.zeros(1), grid, 41, n_paths=n_paths)
+    h = bridge_h(model, 1.0, target)
+    k = nearest_node(grid, 0.5)
+    vals = np.exp(h.log_h(grid.nodes[k], ens.states[:, k]) - h.log_h(0.0, ens.states[:, 0]))
+    expected = [(vals.mean(), vals.std(ddof=1) / np.sqrt(n_paths))]
+    expected += [novikov_estimate(ens, h, model, frac) for frac in (0.5, 0.75, 0.95)]
+    assert [r["quantity"] for r in rows] == ["exp_martingale_mean"] + ["novikov_estimate"] * 3
+    for row, (value, stderr) in zip(rows, expected):
+        assert float(row["value"]) == value
+        assert row["stderr"] == repr(float(stderr))
 
 
 def test_gamma_diag_task(tmp_path):

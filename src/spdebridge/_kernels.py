@@ -4,15 +4,18 @@ One loop, ``_nodes``, runs the exponential-Euler recursion
 
     x' = E x + P (F(x) + G(x)) + S z      (per mode, per step)
 
-on per-step coefficient rows E = exp(lam dt), P = phi(dt), S = sqrt(per-step
-noise variance) supplied by the callers, so every run and any replay use the
-same coefficients. G, the guide drift of the h-transformed process, exists
-only in ``guided``. Each public kernel is a readout of that loop (stored
-states, a Dynkin functional, guided states with log weights) and never calls
-another: the benchmark's tracer wraps the four by name and counts one pass
-per call. ``htransform.exp_martingale_mc`` also reads ``_nodes`` but is not
-a traced kernel, so its passes are not counted. ``BACKEND`` names the
-execution engine and is echoed into run manifests.
+from a ``Stepper`` (rows E = exp(lam dt), P = phi(dt), S = sqrt(per-step
+noise variance) per step, the transform matrices B, C, the nonlinearity's
+code and alpha) that ``forward.stepper`` builds once per pass, so every run
+and any replay use the same coefficients. ``Stepper.F`` calls the module
+global ``_nemytskii_np``, which the benchmark's tracer wraps. G, the guide
+drift of the h-transformed process, exists only in ``guided``. Each public
+kernel is a readout of that loop (stored states, a Dynkin functional, guided
+states with log weights) that reads its output nodes from slot tables and
+never calls another: the benchmark's tracer wraps the four by name and
+counts one pass per call. ``htransform.exp_martingale_mc`` also reads
+``_nodes`` but is not a traced kernel, so its passes are not counted.
+``BACKEND`` names the execution engine and is echoed into run manifests.
 
 Wide rows: every per-mode coefficient product runs on a wide view of the
 C-contiguous (n, J) state, reshaped without a copy to (n/g, g*J), against
@@ -21,7 +24,8 @@ broadcast over (n, J) as n inner loops of J elements; the wide view runs
 the same products in n/g loops of g*J. Each element still meets the same
 scalar operations in the same order, and elementwise IEEE arithmetic does
 not depend on the array's shape, so the results are bit-identical to the
-narrow form. g is ``fold_factor(n, J)``. The operations whose rounding does
+narrow form. ``wide`` is the one rule for the view's shape and tables,
+with g = ``fold_factor(n, J)``. The operations whose rounding does
 depend on shape (``x @ B.T``, ``@ C.T``, Dynkin's ``x @ a[i]`` and the row
 sums of the weight integrand) still see the (n, J) state.
 
@@ -59,6 +63,8 @@ Nonlinearity codes: 0 zero, 1 linear scale, 2 bounded rational u/(1+u^2),
 the sine-basis grid (synthesis matrix ``B``, analysis matrix ``C``).
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 BACKEND = "numpy"
@@ -84,6 +90,12 @@ def fold_factor(n: int, n_modes: int) -> int:
     while n % (2 * g) == 0 and 2 * g * n_modes <= WIDE_ROW:
         g *= 2
     return g
+
+
+def wide(n: int, n_modes: int, *tables):
+    """Wide-view shape (n/g, g*J) of an (n, J) block, then each table tiled g times."""
+    g = fold_factor(n, n_modes)
+    return ((n // g, g * n_modes), *(np.tile(t, g) for t in tables))
 
 
 # numpy's pairwise summation: rows shorter than this are summed by one
@@ -152,7 +164,23 @@ def _nemytskii_np(x: np.ndarray, B, C, kind: int, alpha: float) -> np.ndarray:
     return (_pointwise_np(u, kind, alpha) @ C.T)[: x.shape[0]]
 
 
-def _nodes(x0, Z, E, P, S, B, C, kind, alpha, drift=None):
+class Stepper(NamedTuple):
+    """What a pass steps with (see the module docstring); E, P, S are (n_steps, J)."""
+
+    E: np.ndarray
+    P: np.ndarray
+    S: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    kind: int
+    alpha: float
+
+    def F(self, x):
+        """Nonlinearity coefficients of the states x (n, J)."""
+        return _nemytskii_np(x, self.B, self.C, self.kind, self.alpha)
+
+
+def _nodes(x0, Z, st, drift=None):
     """Yield (k, x_k, F(x_k)) at each node k < n_steps, then (n_steps, x_n, None).
 
     x_k and F(x_k) are (n, J). The state is stepped in place after each
@@ -162,16 +190,14 @@ def _nodes(x0, Z, E, P, S, B, C, kind, alpha, drift=None):
     ``P * (F + 0)``, which would turn a -0.0 entry of F into +0.0.
     """
     n, n_steps, n_modes = Z.shape
-    g = fold_factor(n, n_modes)
-    wide = (n // g, g * n_modes)
-    Ew, Pw, Sw = np.tile(E, g), np.tile(P, g), np.tile(S, g)
+    shape, Ew, Pw, Sw = wide(n, n_modes, st.E, st.P, st.S)
     x = x0.copy()
-    xw = x.reshape(wide)
-    tw = np.empty(wide)
+    xw = x.reshape(shape)
+    tw = np.empty(shape)
     for k in range(n_steps):
-        f = _nemytskii_np(x, B, C, kind, alpha)
+        f = st.F(x)
         yield k, x, f
-        fw = f.reshape(wide)
+        fw = f.reshape(shape)
         if drift is None:
             np.multiply(Pw[k], fw, out=tw)
         else:
@@ -179,32 +205,29 @@ def _nodes(x0, Z, E, P, S, B, C, kind, alpha, drift=None):
             tw *= Pw[k]
         xw *= Ew[k]
         xw += tw
-        np.multiply(Sw[k], Z[:, k].reshape(wide), out=tw)
+        np.multiply(Sw[k], Z[:, k].reshape(shape), out=tw)
         xw += tw
     yield n_steps, x, None
 
 
-def forward_full(x0, Z, E, P, S, B, C, kind, alpha):
+def forward_full(x0, Z, st):
     n, n_steps, n_modes = Z.shape
     states = np.empty((n, n_steps + 1, n_modes))
-    for k, x, _ in _nodes(x0, Z, E, P, S, B, C, kind, alpha):
+    for k, x, _ in _nodes(x0, Z, st):
         states[:, k] = x
     return states
 
 
-def forward_snap(x0, Z, E, P, S, B, C, kind, alpha, snap_slot, n_snap):
+def forward_snap(x0, Z, st, slots):
     n, _, n_modes = Z.shape
-    snaps = np.empty((n, n_snap, n_modes))
-    for k, x, _ in _nodes(x0, Z, E, P, S, B, C, kind, alpha):
-        if snap_slot[k] >= 0:
-            snaps[:, snap_slot[k]] = x
+    snaps = np.empty((n, slots.max() + 1, n_modes))
+    for k, x, _ in _nodes(x0, Z, st):
+        if slots[k] >= 0:
+            snaps[:, slots[k]] = x
     return snaps
 
 
-def dynkin_snap(
-    x0, Z, E, P, S, B, C, kind, alpha, t_nodes, dt, a, c, phase_sin, lam_a, qaa,
-    snap_slot, n_snap,
-):
+def dynkin_snap(x0, Z, st, t_nodes, dt, a, c, phase_sin, lam_a, qaa, slots):
     """Dynkin functional phi(t, X_t) - trapz(L0 phi) for m test functions.
 
     Row i of ``a`` and ``lam_a`` (m, J) and entry i of ``c``, ``phase_sin``
@@ -213,13 +236,13 @@ def dynkin_snap(
     """
     n = Z.shape[0]
     funcs = range(len(c))
-    out = np.empty((n, len(c), n_snap))
+    out = np.empty((n, len(c), slots.max() + 1))
     integral = [np.zeros(n) for _ in funcs]
     g_prev = [None] * len(c)
-    for k, x, f in _nodes(x0, Z, E, P, S, B, C, kind, alpha):
+    for k, x, f in _nodes(x0, Z, st):
         if f is None:
-            f = _nemytskii_np(x, B, C, kind, alpha)
-        t, s = t_nodes[k], snap_slot[k]
+            f = st.F(x)
+        t, s = t_nodes[k], slots[k]
         for i in funcs:
             u = x @ a[i] + c[i] * t
             drift = x @ lam_a[i] + f @ a[i]
@@ -236,43 +259,40 @@ def dynkin_snap(
     return out
 
 
-def guided(
-    x0, Z, E, P, S, B, C, kind, alpha, Ag, Bg, Wg, y, dt, pin,
-    snap_slot, n_snap, wckpt_slot, n_wckpt,
-):
+def guided(x0, Z, st, guide, y, dt, slots, wslots):
     """Guided paths toward per-path targets y (n, J), with Girsanov log weights.
 
-    Returns (snaps (n, n_snap, J), logw (n, n_wckpt)): the states at the
-    nodes whose ``snap_slot`` entry is set, and at each node k < n_steps
-    whose ``wckpt_slot`` entry is set, the trapezoid integral of the weight
-    integrand <F(x), Wg (y - Bg x)> from node 0 to node k. The integrand is
-    singular at the horizon, so no weight is read at the last node. With
-    ``pin`` the final state is set to y.
+    ``guide`` is (Ag, Bg, Wg, pin): per-step guide rows and whether the
+    final state is set to y. Returns (snaps (n, n_snap, J), logw (n,
+    n_wckpt)): the states at the nodes whose ``slots`` entry is set, and at
+    each node k < n_steps whose ``wslots`` entry is set, the trapezoid
+    integral of the weight integrand <F(x), Wg (y - Bg x)> from node 0 to
+    node k. The integrand is singular at the horizon, so no weight is read
+    at the last node.
     """
     n, _, n_modes = Z.shape
-    g = fold_factor(n, n_modes)
-    wide = (n // g, g * n_modes)
-    Agw, Bgw, Wgw = np.tile(Ag, g), np.tile(Bg, g), np.tile(Wg, g)
-    yw = y.reshape(wide)
-    snaps = np.empty((n, n_snap, n_modes))
-    logw = np.empty((n, n_wckpt))
+    Ag, Bg, Wg, pin = guide
+    shape, Agw, Bgw, Wgw = wide(n, n_modes, Ag, Bg, Wg)
+    yw = y.reshape(shape)
+    snaps = np.empty((n, slots.max() + 1, n_modes))
+    logw = np.empty((n, wslots.max() + 1))
     cum = np.zeros(n)
 
-    def guide(k, xw):
+    def drift(k, xw):
         # d = y - Bg x at node k, computed by the loop below before the step
         return Agw[k] * d
 
-    for k, x, f in _nodes(x0, Z, E, P, S, B, C, kind, alpha, guide):
+    for k, x, f in _nodes(x0, Z, st, drift):
         if f is not None:
-            d = yw - Bgw[k] * x.reshape(wide)
-            w = row_sum((f.reshape(wide) * (Wgw[k] * d)).reshape(n, n_modes))
+            d = yw - Bgw[k] * x.reshape(shape)
+            w = row_sum((f.reshape(shape) * (Wgw[k] * d)).reshape(n, n_modes))
             if k > 0:
                 cum = cum + 0.5 * dt[k - 1] * (w_prev + w)
             w_prev = w
-            if wckpt_slot[k] >= 0:
-                logw[:, wckpt_slot[k]] = cum
+            if wslots[k] >= 0:
+                logw[:, wslots[k]] = cum
         elif pin:
             x = y
-        if snap_slot[k] >= 0:
-            snaps[:, snap_slot[k]] = x
+        if slots[k] >= 0:
+            snaps[:, slots[k]] = x
     return snaps, logw

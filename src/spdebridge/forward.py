@@ -133,6 +133,15 @@ def _transform_matrices(model: SpectralModel, nonlin: Nonlinearity, oversample: 
     return sine_basis(model, grid_size(model, oversample))
 
 
+def stepper(
+    model: SpectralModel, nonlin: Nonlinearity, grid: TimeGrid, oversample: int
+) -> _kernels.Stepper:
+    """Everything a pass over ``grid`` steps with; each pass builds it once."""
+    E, P, S = step_coefficients(model, grid.steps)
+    B, C = _transform_matrices(model, nonlin, oversample)
+    return _kernels.Stepper(E, P, S, B, C, nonlin.code, nonlin.alpha)
+
+
 def apply_nonlinearity(
     model: SpectralModel,
     nonlin: Nonlinearity,
@@ -213,12 +222,9 @@ def simulate_ensemble(
     z = _resolve_increments(
         grid, model.n_modes, n_paths, rng_seed, increments, path_offset
     )
-    exp_ldt, phi_dt, sqrt_qdt = step_coefficients(model, grid.steps)
-    B, C = _transform_matrices(model, nonlin, oversample)
+    st = stepper(model, nonlin, grid, oversample)
     x0b = np.broadcast_to(x0, (n_paths, model.n_modes)).copy()
-    states = _kernels.forward_full(
-        x0b, z, exp_ldt, phi_dt, sqrt_qdt, B, C, nonlin.code, nonlin.alpha
-    )
+    states = _kernels.forward_full(x0b, z, st)
     return PathEnsemble(grid, states, z, model_id(model))
 
 
@@ -308,15 +314,13 @@ def forward_snapshots(
     """
     x0 = model.validate_field(x0)
     slots, n_snap = _snap_slots(grid, snap_nodes)
-    exp_ldt, phi_dt, sqrt_qdt = step_coefficients(model, grid.steps)
-    B, C = _transform_matrices(model, nonlin, oversample)
+    st = stepper(model, nonlin, grid, oversample)
     out = np.empty((n_paths, n_snap, model.n_modes))
     for lo, hi, x0b, z in stream_paths(model, x0, grid, rng_seed, n_paths):
-        args = (x0b, z, exp_ldt, phi_dt, sqrt_qdt, B, C, nonlin.code, nonlin.alpha)
         if dump is None:
-            out[lo:hi] = _kernels.forward_snap(*args, slots, n_snap)
+            out[lo:hi] = _kernels.forward_snap(x0b, z, st, slots)
             continue
-        states = _kernels.forward_full(*args)
+        states = _kernels.forward_full(x0b, z, st)
         out[lo:hi] = states[:, slots >= 0]
         dump(lo, states, z)
         del states  # before the next chunk allocates its own

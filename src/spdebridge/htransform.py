@@ -22,12 +22,13 @@ from .forward import (
     DEFAULT_OVERSAMPLE,
     Nonlinearity,
     PathEnsemble,
-    _transform_matrices,
+    _transform_matrices,  # unused here; the benchmark's tracer patches this name
     apply_nonlinearity,
     _snap_slots,
     nearest_node,
     node_at_or_before,
-    step_coefficients,
+    step_coefficients,  # unused here; the benchmark's tracer patches this name
+    stepper,
     stream_paths,
 )
 from .grids import TimeGrid
@@ -62,12 +63,12 @@ def constant_h() -> HFunction:
     )
 
 
-def bridge_h(model: SpectralModel, horizon: float, y, r_min: float | None = None) -> HFunction:
+def bridge_h(model: SpectralModel, horizon: float, y) -> HFunction:
     """Transform built from the linear-process transition density to (horizon, y)."""
     y = model.validate_field(np.asarray(y, dtype=np.float64))
     return HFunction(
-        lambda t, x: log_ptilde(model, t, x, horizon, y, r_min=r_min),
-        lambda t, x: grad_log_ptilde(model, t, x, horizon, y, r_min=r_min),
+        lambda t, x: log_ptilde(model, t, x, horizon, y),
+        lambda t, x: grad_log_ptilde(model, t, x, horizon, y),
         horizon,
     )
 
@@ -76,8 +77,8 @@ def noisy_obs_h(model: SpectralModel, horizon: float, v, obs_var) -> HFunction:
     """Transform conditioning on a noisy endpoint observation v."""
     v = model.validate_field(np.asarray(v, dtype=np.float64))
     return HFunction(
-        lambda t, x: log_h_noisy_obs(model, t, x, horizon, v, obs_var, r_min=0.0),
-        lambda t, x: grad_log_h_noisy_obs(model, t, x, horizon, v, obs_var, r_min=0.0),
+        lambda t, x: log_h_noisy_obs(model, t, x, horizon, v, obs_var),
+        lambda t, x: grad_log_h_noisy_obs(model, t, x, horizon, v, obs_var),
         horizon,
     )
 
@@ -253,8 +254,7 @@ def dynkin_residual_mc(
     if np.any(np.diff(sorted_idx) == 0):
         raise DomainError("output times map to duplicate grid nodes")
     slots, n_snap = _snap_slots(grid, sorted_idx)
-    exp_ldt, phi_dt, sqrt_qdt = step_coefficients(model, grid.steps)
-    B, C = _transform_matrices(model, nonlin, oversample)
+    st = stepper(model, nonlin, grid, oversample)
     a = np.stack([p.a for p in phis])
     c = np.array([p.c for p in phis], dtype=np.float64)
     phase_sin = [p.phase == "sin" for p in phis]
@@ -264,8 +264,7 @@ def dynkin_residual_mc(
     total_sq = np.zeros((len(phis), n_snap))
     for _, _, x0b, z in stream_paths(model, x0, grid, rng_seed, n_paths):
         vals = _kernels.dynkin_snap(
-            x0b, z, exp_ldt, phi_dt, sqrt_qdt, B, C, nonlin.code, nonlin.alpha,
-            grid.nodes, grid.steps, a, c, phase_sin, lam_a, qaa, slots, n_snap,
+            x0b, z, st, grid.nodes, grid.steps, a, c, phase_sin, lam_a, qaa, slots
         )
         total += vals.sum(axis=0)
         total_sq += (vals * vals).sum(axis=0)
@@ -288,13 +287,15 @@ def dynkin_residual_mc(
 def _exp_series(log_h, log_h0, lh, dt, node_idx: np.ndarray) -> np.ndarray:
     """exp(log h - log h(0) - trapz(Lh/h)) at the nodes ``node_idx``; 1 at node 0.
 
-    ``lh`` holds Lh/h at every node, or is None for the zero nonlinearity,
-    whose integral is skipped: (a - b) - 0.0 == a - b, bit for bit.
+    ``lh`` holds Lh/h at nodes 0..max(node_idx) (a running sum over fewer
+    nodes keeps its bits), or is None for the zero nonlinearity, whose
+    integral is skipped: (a - b) - 0.0 == a - b, bit for bit.
     """
     integral = 0.0
     if lh is not None:
         cum = np.zeros(lh.shape)
-        cum[:, 1:] = np.cumsum(0.5 * dt * (lh[:, :-1] + lh[:, 1:]), axis=1)
+        steps = dt[: lh.shape[1] - 1]
+        cum[:, 1:] = np.cumsum(0.5 * steps * (lh[:, :-1] + lh[:, 1:]), axis=1)
         integral = cum[:, node_idx]
     series = np.exp(log_h - log_h0[:, None] - integral)
     series[:, node_idx == 0] = 1.0
@@ -352,6 +353,8 @@ def exp_martingale_from_girsanov(
 def _novikov_node(grid: TimeGrid, h: HFunction, upto: float) -> int:
     if h.horizon is not None and upto >= h.horizon:
         raise DomainError("Novikov time must lie strictly before the h horizon")
+    if upto > grid.horizon + 1e-12 * max(1.0, grid.horizon):
+        raise DomainError("Novikov time lies past the grid horizon")
     k = node_at_or_before(grid, upto)
     if k < 1:
         raise DomainError("Novikov time precedes the first grid step")
@@ -393,25 +396,24 @@ def exp_martingale_mc(
     ``exp_martingale_from_definition`` and ``novikov_estimate`` bit for bit.
     """
     slots, n_read = _snap_slots(grid, node_idx)
+    read = np.flatnonzero(slots >= 0)
     k_nov = [_novikov_node(grid, h, upto) for upto in novikov_upto]
     k_norm = max(k_nov, default=-1)
     n_novikov = min(n_novikov, n_paths)
-    exp_ldt, phi_dt, sqrt_qdt = step_coefficients(model, grid.steps)
-    B, C = _transform_matrices(model, nonlin, oversample)
+    # Lh/h up to the last read node only: h may be undefined at the horizon
+    k_lh = -1 if nonlin.kind == "zero" else read[-1]
+    st = stepper(model, nonlin, grid, oversample)
     series = np.empty((n_paths, n_read))
     probes = np.empty((n_paths, model.n_modes))
     novikov = np.empty((len(k_nov), n_novikov))
     for lo, hi, x0b, z in stream_paths(model, model.validate_field(x0), grid, rng_seed, n_paths):
         m = max(0, min(hi, n_novikov) - lo)  # Novikov rows of this chunk
-        lh = None if nonlin.kind == "zero" else np.empty((hi - lo, grid.n_steps + 1))
-        # grad log h only where it is used: h may be undefined at the horizon
-        k_grad = grid.n_steps if lh is not None else (k_norm if m else -1)
+        lh = None if k_lh < 0 else np.empty((hi - lo, k_lh + 1))
+        k_grad = max(k_lh, k_norm if m else -1)  # grad log h only where it is used
         log_h0 = h.log_h(grid.nodes[0], x0b)
         log_h = np.empty((hi - lo, n_read))
         norms = np.empty((m, k_norm + 1))
-        for k, x, f in _kernels._nodes(
-            x0b, z, exp_ldt, phi_dt, sqrt_qdt, B, C, nonlin.code, nonlin.alpha
-        ):
+        for k, x, f in _kernels._nodes(x0b, z, st):
             if slots[k] >= 0:
                 log_h[:, slots[k]] = h.log_h(grid.nodes[k], x)
             if k == probe_node:
@@ -419,14 +421,14 @@ def exp_martingale_mc(
             if k > k_grad:
                 continue
             grad = h.grad_x_log_h(grid.nodes[k], x)
-            if lh is not None:
+            if k <= k_lh:
                 if f is None:
-                    f = _kernels._nemytskii_np(x, B, C, nonlin.code, nonlin.alpha)
+                    f = st.F(x)
                 lh[:, k] = np.sum(f * grad, axis=-1)
             if k <= k_norm:
                 g = np.sqrt(model.q) * grad[:m]
                 norms[:, k] = np.sum(g * g, axis=-1)
-        series[lo:hi] = _exp_series(log_h, log_h0, lh, grid.steps, np.flatnonzero(slots >= 0))
+        series[lo:hi] = _exp_series(log_h, log_h0, lh, grid.steps, read)
         for i, k in enumerate(k_nov):
             novikov[i, lo : lo + m] = _novikov_values(norms, grid.steps, k)
     return series, probes, novikov

@@ -43,12 +43,11 @@ def ou_transition(model: SpectralModel, s: float, x, t: float) -> GaussianLaw:
     return GaussianLaw(semigroup_apply(model, t - s, x), covariance_qt(model, t - s))
 
 
-def _lag(t: float, horizon: float, r_min: float | None) -> float:
+def _lag(t: float, horizon: float, r_min: float) -> float:
+    """Time to the horizon, r = horizon - t; at least r_min and positive."""
     r = horizon - t
     if r <= 0.0:
         raise DomainError("time must lie strictly before the horizon")
-    if r_min is None:
-        r_min = _REL_HORIZON_FLOOR * horizon
     if r < r_min:
         raise DomainError("density evaluation too close to horizon")
     return r
@@ -61,7 +60,6 @@ def log_ptilde(
     horizon: float,
     y,
     route: str = "density_ratio",
-    r_min: float | None = None,
 ):
     """Log transition density relative to the invariant measure.
 
@@ -73,7 +71,7 @@ def log_ptilde(
     """
     x = model.validate_field(x)
     y = model.validate_field(y)
-    r = _lag(t, horizon, r_min)
+    r = _lag(t, horizon, _REL_HORIZON_FLOOR * horizon)
     qr = covariance_qt_diag(model, r)
     if np.any(qr <= 0.0) or not np.all(np.isfinite(1.0 / qr)):
         raise DomainError("density evaluation too close to horizon")
@@ -102,12 +100,11 @@ def grad_log_ptilde(
     x,
     horizon: float,
     y,
-    r_min: float | None = None,
 ) -> np.ndarray:
     """Gradient in x of log_ptilde: exp(lam r)(y - exp(lam r) x) / q_r per mode."""
     x = model.validate_field(x)
     y = model.validate_field(y)
-    r = _lag(t, horizon, r_min)
+    r = _lag(t, horizon, _REL_HORIZON_FLOOR * horizon)
     qr = covariance_qt_diag(model, r)
     elr = np.exp(model.lam * r)
     return elr * (y - elr * x) / qr
@@ -182,9 +179,7 @@ def _bridge_run(x, table, z, out, slot):
     ``_kernels``), in the order ((ca x) + cyy) + (sv z).
     """
     n, n_modes = x.shape
-    g = _kernels.fold_factor(n, n_modes)
-    wide = (n // g, g * n_modes)
-    ca, cyy, sv = (np.tile(c, g) for c in table)
+    wide, ca, cyy, sv = _kernels.wide(n, n_modes, *table)
     if slot[0] >= 0:
         out[:, slot[0]] = x
     xw = x.reshape(wide).copy()
@@ -260,14 +255,13 @@ def log_h_noisy_obs(
     horizon: float,
     v,
     obs_var,
-    r_min: float | None = None,
 ):
     """Log of the endpoint-observation transform: the transition density
     convolved per mode with the Gaussian observation noise."""
     x = model.validate_field(x)
     v = model.validate_field(v)
     sig2 = _obs_var_array(model, obs_var)
-    r = _lag(t, horizon, r_min)
+    r = _lag(t, horizon, 0.0)
     qr = covariance_qt_diag(model, r)
     qinf = model.q / (2.0 * np.abs(model.lam))
     den = qr + sig2
@@ -285,12 +279,11 @@ def grad_log_h_noisy_obs(
     horizon: float,
     v,
     obs_var,
-    r_min: float | None = None,
 ) -> np.ndarray:
     x = model.validate_field(x)
     v = model.validate_field(v)
     sig2 = _obs_var_array(model, obs_var)
-    r = _lag(t, horizon, r_min)
+    r = _lag(t, horizon, 0.0)
     den = covariance_qt_diag(model, r) + sig2
     elr = np.exp(model.lam * r)
     return elr * (v - elr * x) / den

@@ -57,7 +57,7 @@ _TASK_VARIANTS = {
         "target": _NUMBERS,
         "conditioning": {"enum": ["exact", "noisy_obs"]},
         "obs_var": {"type": ["number", "array"], "items": _NUMBER},
-        "weight_cutoffs": _NUMBERS,
+        "weight_cutoffs": _NONEMPTY_NUMBERS,
         "probe_time": _NUMBER,
     }),
     "conditioned": (["endpoint"], {
@@ -87,7 +87,7 @@ _TASK_VARIANTS = {
         "probe_time": _NUMBER,
         "novikov_fractions": _NUMBERS,
     }),
-    "gamma-diag": ([], {"upto": _NUMBER, "n_points": _INTEGER}),
+    "gamma-diag": ([], {"upto": _NUMBER, "n_points": {**_INTEGER, "minimum": 1}}),
     "ck-check": ([], {
         "s": _NUMBER,
         "t": _NUMBER,

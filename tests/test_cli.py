@@ -255,6 +255,9 @@ class TestExitCodes:
             ({"name": "forward", "times": ["soon"]}, None, "$.task.times[0]"),
             ({"name": "forward", "times": "0.5"}, None, "$.task.times"),
             ({"name": "gamma-diag", "n_points": 2.5}, None, "$.task.n_points"),
+            ({"name": "gamma-diag", "n_points": 0}, None, "$.task.n_points"),
+            ({"name": "guided", "target": [0.5, -0.2], "weight_cutoffs": []}, None,
+             "$.task.weight_cutoffs"),
             ({"name": "conditioned", "endpoint": {"kind": "dirac", "target": [True, 1]}},
              None, "$.task.endpoint.target[0]"),
             ({"name": "forward"}, {"grid": {"n_steps": 4.0}}, "$.grid.n_steps"),
@@ -265,7 +268,8 @@ class TestExitCodes:
         ids=[
             "unknown-key", "bridge-target", "dirac-target", "endpoint-kind", "dynkin-c",
             "paths-format", "ck-mode-too-large", "ck-mode-negative", "ck-mode-not-integer",
-            "string-time", "times-not-array", "n-points-not-integer", "boolean-target",
+            "string-time", "times-not-array", "n-points-not-integer", "n-points-zero",
+            "no-weight-cutoffs", "boolean-target",
             "float-n-steps", "float-n-paths", "float-seed", "boolean-seed",
         ],
     )

@@ -22,14 +22,16 @@ def _bits(a):
     return a.dtype, a.shape, np.ascontiguousarray(a).tobytes()
 
 
-def _setup(dirichlet4, n=7, n_steps=12):
+def _setup(dirichlet4, nonlin, n=7, n_steps=12):
+    """States x0 (n, 4), normals z, steps dt and the stepper of ``nonlin``."""
     gen = np.random.default_rng(0)
     z = gen.standard_normal((n, n_steps, 4))
     x0 = gen.standard_normal((n, 4)) * 0.3
     dt = np.full(n_steps, 1.0 / n_steps)
-    E, P, S = step_coefficients(dirichlet4, dt)
-    B, C = sine_basis(dirichlet4, 16)
-    return x0, z, dt, E, P, S, B, C
+    st = _kernels.Stepper(
+        *step_coefficients(dirichlet4, dt), *sine_basis(dirichlet4, 16), nonlin.code, nonlin.alpha
+    )
+    return x0, z, dt, st
 
 
 # one nonlinearity per kernel code 0..3
@@ -59,8 +61,8 @@ def test_fold_factor():
 
 @by_kind_and_rows
 def test_forward_full_matches_one_step_map(dirichlet4, nonlin, n):
-    x0, z, dt, E, P, S, B, C = _setup(dirichlet4, n)
-    states = _kernels.forward_full(x0, z, E, P, S, B, C, nonlin.code, nonlin.alpha)
+    x0, z, dt, st = _setup(dirichlet4, nonlin, n)
+    states = _kernels.forward_full(x0, z, st)
     assert np.array_equal(states[:, 0], x0)
     for i in range(x0.shape[0]):
         x = x0[i]
@@ -78,11 +80,11 @@ def test_forward_full_matches_one_step_map(dirichlet4, nonlin, n):
 
 @by_kind_and_rows
 def test_forward_snap_matches_forward_full(dirichlet4, nonlin, n):
-    x0, z, dt, E, P, S, B, C = _setup(dirichlet4, n)
-    common = (x0, z, E, P, S, B, C, nonlin.code, nonlin.alpha)
+    x0, z, dt, st = _setup(dirichlet4, nonlin, n)
+    common = (x0, z, st)
     slots = np.full(13, -1, dtype=np.int64)
     slots[[0, 6, 12]] = [0, 1, 2]
-    snaps = _kernels.forward_snap(*common, slots, 3)
+    snaps = _kernels.forward_snap(*common, slots)
     full = _kernels.forward_full(*common)
     assert np.array_equal(snaps, full[:, [0, 6, 12]])
 
@@ -91,20 +93,18 @@ def test_forward_snap_matches_forward_full(dirichlet4, nonlin, n):
 def test_guided_without_guide_is_forward_snap(dirichlet4, nonlin, n):
     # Ag = Bg = Wg = 0: the guided update differs from the forward one only
     # by the guide term, so states match bit for bit and weights stay zero
-    x0, z, dt, E, P, S, B, C = _setup(dirichlet4, n)
-    common = (x0, z, E, P, S, B, C, nonlin.code, nonlin.alpha)
+    x0, z, dt, st = _setup(dirichlet4, nonlin, n)
+    common = (x0, z, st)
     y = np.random.default_rng(1).standard_normal((n, 4))
     nil = np.zeros((12, 4))
     every = np.arange(13, dtype=np.int64)
-    snaps, logw = _kernels.guided(
-        *common, nil, nil, nil, y, dt, False, every, 13, every, 12
-    )
-    assert np.array_equal(snaps, _kernels.forward_snap(*common, every, 13))
+    snaps, logw = _kernels.guided(*common, (nil, nil, nil, False), y, dt, every, every[:12])
+    assert np.array_equal(snaps, _kernels.forward_snap(*common, every))
     assert np.all(logw == 0.0)
 
 
 def test_dynkin_snap_stacked_matches_single(dirichlet4):
-    x0, z, dt, E, P, S, B, C = _setup(dirichlet4)
+    x0, z, dt, st = _setup(dirichlet4, sine_nemytskii(0.5))
     nodes = np.concatenate([[0.0], np.cumsum(dt)])
     a = np.array([[0.9, 0.3, 0.1, 0.05], [0.5, -0.4, 0.2, 0.1], [0.0, 0.7, -0.3, 0.2]])
     c = np.array([0.2, 0.0, -1.1])
@@ -113,13 +113,13 @@ def test_dynkin_snap_stacked_matches_single(dirichlet4):
     qaa = np.array([np.sum(dirichlet4.q * row * row) for row in a])
     slots = np.full(13, -1, dtype=np.int64)
     slots[[0, 6, 12]] = [0, 1, 2]
-    common = (x0, z, E, P, S, B, C, 3, 0.5, nodes, dt)
-    stacked = _kernels.dynkin_snap(*common, a, c, phase_sin, lam_a, qaa, slots, 3)
+    common = (x0, z, st, nodes, dt)
+    stacked = _kernels.dynkin_snap(*common, a, c, phase_sin, lam_a, qaa, slots)
     assert stacked.shape == (7, 3, 3)
     for i in range(3):
         one = _kernels.dynkin_snap(
             *common, a[i : i + 1], c[i : i + 1], phase_sin[i : i + 1],
-            lam_a[i : i + 1], qaa[i : i + 1], slots, 3,
+            lam_a[i : i + 1], qaa[i : i + 1], slots,
         )
         assert np.array_equal(stacked[:, i], one[:, 0])
     # at t = 0 the functional is phi(0, x0)
@@ -128,7 +128,7 @@ def test_dynkin_snap_stacked_matches_single(dirichlet4):
 
 
 def test_guided_log_weights_are_trapezoid_of_own_states(dirichlet4):
-    x0, z, dt, E, P, S, B, C = _setup(dirichlet4)
+    x0, z, dt, st = _setup(dirichlet4, bounded_rational(0.8))
     gen = np.random.default_rng(1)
     y = gen.standard_normal((7, 4)) * 0.2
     r = np.cumsum(dt[::-1])[::-1].copy()
@@ -137,15 +137,15 @@ def test_guided_log_weights_are_trapezoid_of_own_states(dirichlet4):
     Wg = Bg / den
     Ag = dirichlet4.q * Wg
     every = np.arange(13, dtype=np.int64)
-    common = (x0, z, E, P, S, B, C, 2, 0.8, Ag, Bg, Wg, y, dt, True)
-    snaps, logw = _kernels.guided(*common, every, 13, every, 12)
+    common = (x0, z, st, (Ag, Bg, Wg, True), y, dt)
+    snaps, logw = _kernels.guided(*common, every, every[:12])
     assert np.array_equal(snaps[:, 0], x0)
     assert np.array_equal(snaps[:, 12], y)
     cum = np.zeros(7)
     w_prev = None
     for k in range(12):
         x = np.ascontiguousarray(snaps[:, k])
-        f = _kernels._nemytskii_np(x, B, C, 2, 0.8)
+        f = st.F(x)
         w = np.sum(f * (Wg[k] * (y - Bg[k] * x)), axis=1)
         if k > 0:
             cum = cum + 0.5 * dt[k - 1] * (w_prev + w)
@@ -156,7 +156,7 @@ def test_guided_log_weights_are_trapezoid_of_own_states(dirichlet4):
     slots[[6, 12]] = [0, 1]
     wslots = np.full(13, -1, dtype=np.int64)
     wslots[[10]] = [0]
-    sparse_snaps, sparse_logw = _kernels.guided(*common, slots, 2, wslots, 1)
+    sparse_snaps, sparse_logw = _kernels.guided(*common, slots, wslots)
     assert np.array_equal(sparse_snaps, snaps[:, [6, 12]])
     assert np.array_equal(sparse_logw, logw[:, [10]])
 
@@ -166,7 +166,7 @@ def test_rows_do_not_depend_on_batch_size(dirichlet4, nonlin):
     # 64, 7 and 2 paths step on wide views with g = 32, 1 and 2; a path's
     # row must come out the same bits in each (one-row batches round their
     # matmul differently and are not covered here)
-    x0, z, dt, E, P, S, B, C = _setup(dirichlet4, 64)
+    x0, z, dt, st = _setup(dirichlet4, nonlin, 64)
     nodes = np.concatenate([[0.0], np.cumsum(dt)])
     gen = np.random.default_rng(2)
     y = gen.standard_normal((64, 4)) * 0.2
@@ -180,18 +180,18 @@ def test_rows_do_not_depend_on_batch_size(dirichlet4, nonlin):
     table = ou._bridge_table(dirichlet4, 1.0, uniform_grid(1.0, 12), y[0])
 
     def run(n):
-        common = (x0[:n], z[:n], E, P, S, B, C, nonlin.code, nonlin.alpha)
+        common = (x0[:n], z[:n], st)
         bridge = np.empty((n, 13, 4))
         ou._bridge_run(x0[:n].copy(), table, z[:n], bridge, range(13))
         return [
             _kernels.forward_full(*common),
-            _kernels.forward_snap(*common, slots, 3),
+            _kernels.forward_snap(*common, slots),
             _kernels.dynkin_snap(
                 *common, nodes, dt, a, np.array([0.2, -1.1]), [True, False],
-                dirichlet4.lam * a, np.sum(dirichlet4.q * a * a, axis=1), slots, 3,
+                dirichlet4.lam * a, np.sum(dirichlet4.q * a * a, axis=1), slots,
             ),
             *_kernels.guided(
-                *common, dirichlet4.q * Wg, Bg, Wg, y[:n], dt, True, every, 13, every, 12
+                *common, (dirichlet4.q * Wg, Bg, Wg, True), y[:n], dt, every, every[:12]
             ),
             bridge,
         ]
@@ -229,7 +229,7 @@ def test_row_sum_data_tells_summation_orders_apart():
 def test_step_major_normals_give_the_same_bits(dirichlet4, nonlin, n):
     # forward.stream_paths hands the kernels step-major normals, where
     # z[:, k] is one contiguous block; the path-major array must agree
-    x0, z, dt, E, P, S, B, C = _setup(dirichlet4, n)
+    x0, z, dt, st = _setup(dirichlet4, nonlin, n)
     z_step = np.empty((z.shape[1], n, 4)).transpose(1, 0, 2)
     z_step[...] = z
     assert not z_step.flags.c_contiguous and z_step[:, 3].flags.c_contiguous
@@ -243,18 +243,18 @@ def test_step_major_normals_give_the_same_bits(dirichlet4, nonlin, n):
     table = ou._bridge_table(dirichlet4, 1.0, uniform_grid(1.0, 12), y[0])
 
     def run(zz):
-        common = (x0, zz, E, P, S, B, C, nonlin.code, nonlin.alpha)
+        common = (x0, zz, st)
         bridge = np.empty((n, 13, 4))
         ou._bridge_run(x0, table, zz, bridge, every)
         return [
             _kernels.forward_full(*common),
-            _kernels.forward_snap(*common, every, 13),
+            _kernels.forward_snap(*common, every),
             _kernels.dynkin_snap(
                 *common, nodes, dt, a, np.array([0.2, -1.1]), [True, False],
-                dirichlet4.lam * a, np.sum(dirichlet4.q * a * a, axis=1), every, 13,
+                dirichlet4.lam * a, np.sum(dirichlet4.q * a * a, axis=1), every,
             ),
             *_kernels.guided(
-                *common, dirichlet4.q * Wg, Bg, Wg, y, dt, True, every, 13, every, 12
+                *common, (dirichlet4.q * Wg, Bg, Wg, True), y, dt, every, every[:12]
             ),
             bridge,
         ]
@@ -274,20 +274,18 @@ def test_guided_log_weights_sum_like_np_sum_at_nine_modes():
     x0 = gen.standard_normal((n, 9)) * 0.3
     y = gen.standard_normal((n, 9)) * 0.2
     dt = np.full(n_steps, 1.0 / n_steps)
-    E, P, S = step_coefficients(model, dt)
-    B, C = sine_basis(model, 36)
+    st = _kernels.Stepper(*step_coefficients(model, dt), *sine_basis(model, 36), 3, 0.5)
     r = np.cumsum(dt[::-1])[::-1].copy()
     Bg = np.exp(model.lam * r[:, None])
     Wg = Bg / covariance_qt_diag(model, r)
     every = np.arange(n_steps + 1, dtype=np.int64)
     snaps, logw = _kernels.guided(
-        x0, z, E, P, S, B, C, 3, 0.5, model.q * Wg, Bg, Wg, y, dt, False,
-        every, n_steps + 1, every, n_steps,
+        x0, z, st, (model.q * Wg, Bg, Wg, False), y, dt, every, every[:n_steps]
     )
     cum = np.zeros(n)
     for k in range(n_steps):
         x = np.ascontiguousarray(snaps[:, k])
-        f = _kernels._nemytskii_np(x, B, C, 3, 0.5)
+        f = st.F(x)
         w = np.sum(f * (Wg[k] * (y - Bg[k] * x)), axis=1)
         if k > 0:
             cum = cum + 0.5 * dt[k - 1] * (w_prev + w)
@@ -297,7 +295,7 @@ def test_guided_log_weights_sum_like_np_sum_at_nine_modes():
 
 @pytest.mark.parametrize("n", list(ROWS))
 def test_bridge_run_keeps_the_expression_order(dirichlet4, n):
-    x0, z, *_ = _setup(dirichlet4, n)
+    x0, z, *_ = _setup(dirichlet4, zero(), n)
     y = np.array([0.5, -0.3, 0.1, 0.0])
     table = ou._bridge_table(dirichlet4, 1.0, uniform_grid(1.0, 12), y)
     got = np.empty((n, 13, 4))

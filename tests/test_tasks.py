@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from spdebridge import _kernels, rng
+from spdebridge import _kernels, forward, rng
 from spdebridge.cli import compare_runs, main
 from spdebridge.forward import PathEnsemble, nearest_node, simulate_ensemble
+from spdebridge.grids import TimeGrid
 from spdebridge.htransform import (
     bridge_h,
     exp_martingale_from_definition,
@@ -316,6 +317,91 @@ def test_martingale_diag_reads_h_only_where_it_is_defined(tmp_path):
     for row, (value, stderr) in zip(rows, expected):
         assert float(row["value"]) == value
         assert row["stderr"] == repr(float(stderr))
+
+
+def test_martingale_diag_with_drift_reads_h_only_where_it_is_defined(tmp_path):
+    # with a nonzero F, Lh/h is integrated up to the last read node only, so
+    # an h whose horizon is the grid horizon is never evaluated there
+    target, n_paths = [1.0], 300
+    scn = resolve_scenario(
+        scenario(
+            {"name": "martingale-diag", "target": target, "h_horizon": 1.0, "times": [0.5]},
+            grid={"horizon": 1.0, "n_steps": 16, "kind": "uniform"},
+            sampling={"n_paths": n_paths, "seed": 41},
+            nonlinearity={"kind": "sine", "alpha": 0.5},
+        )
+    )
+    f = tmp_path / "scn.json"
+    f.write_text(json.dumps(scn))
+    assert main(["run", str(f), "--out", str(tmp_path / "r")]) == 0
+    rows = read_summary(tmp_path / "r")
+    model, nonlin, grid = build_model(scn), build_nonlinearity(scn), build_grid(scn)
+    ens = simulate_ensemble(model, nonlin, np.zeros(1), grid, 41, n_paths=n_paths)
+    h = bridge_h(model, 1.0, target)
+    # the stored oracle on the grid up to the read node, where h is defined
+    k = nearest_node(grid, 0.5)
+    head = PathEnsemble(
+        TimeGrid(grid.nodes[: k + 1], grid.kind), ens.states[:, : k + 1],
+        ens.increments[:, :k], ens.model_ref,
+    )
+    vals = exp_martingale_from_definition(head, h, model, nonlin)[:, k]
+    expected = [(vals.mean(), vals.std(ddof=1) / np.sqrt(n_paths))]
+    expected += [novikov_estimate(ens, h, model, frac) for frac in (0.5, 0.75, 0.95)]
+    assert [r["quantity"] for r in rows] == ["exp_martingale_mean"] + ["novikov_estimate"] * 3
+    for row, (value, stderr) in zip(rows, expected):
+        assert float(row["value"]) == value
+        assert row["stderr"] == repr(float(stderr))
+
+
+def test_martingale_diag_rejects_novikov_times_past_the_grid(tmp_path, capsys):
+    # node_at_or_before would clamp t = 1.5 to the last node and repeat its row
+    scn = resolve_scenario(
+        scenario(
+            {"name": "martingale-diag", "target": [1.0], "novikov_fractions": [1.0, 1.5]},
+            grid={"horizon": 1.0, "n_steps": 16, "kind": "uniform"},
+            sampling={"n_paths": 50, "seed": 41},
+        )
+    )
+    f = tmp_path / "scn.json"
+    f.write_text(json.dumps(scn))
+    assert main(["run", str(f), "--out", str(tmp_path / "r")]) == 2
+    assert "Novikov time lies past the grid horizon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "task, grid_kind, formats",
+    [
+        ({"name": "forward"}, "uniform", ["csv", "json"]),
+        ({"name": "forward"}, "uniform", ["csv", "json", "paths"]),
+        ({"name": "guided", "target": [0.5]}, "geometric", ["csv", "json"]),
+        ({"name": "conditioned", "endpoint": {"kind": "dirac", "target": [0.5]}}, "geometric",
+         ["csv", "json"]),
+        ({"name": "dynkin", "test_functions": [{"a": [0.5], "c": 0.0}]}, "uniform",
+         ["csv", "json"]),
+        ({"name": "martingale-diag", "target": [1.0]}, "uniform", ["csv", "json"]),
+    ],
+    ids=["forward", "forward-paths", "guided", "conditioned", "dynkin", "martingale-diag"],
+)
+def test_every_pass_builds_its_stepper_once(tmp_path, monkeypatch, task, grid_kind, formats):
+    # 2100 paths are two chunks: the coefficients are built once per pass,
+    # in forward.stepper, not once per chunk or per module
+    calls = []
+    original = forward.step_coefficients
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(forward, "step_coefficients", counting)
+    raw = scenario(
+        task,
+        grid={"horizon": 1.0, "n_steps": 8, "kind": grid_kind},
+        sampling={"n_paths": 2100, "seed": 5},
+        nonlinearity={"kind": "sine", "alpha": 0.5},
+    )
+    raw["output"]["formats"] = formats
+    run_scenario(resolve_scenario(raw), tmp_path / "r")
+    assert len(calls) == 1
 
 
 def test_gamma_diag_task(tmp_path):

@@ -42,26 +42,18 @@ from .htransform import (
     novikov_estimate,
 )
 from .ou import (
-    GaussianLaw,
     chapman_kolmogorov_residual,
     grad_log_ptilde,
-    guided_drift,
     log_h_noisy_obs,
     log_ptilde,
-    ou_transition,
     bridge_marginal_mean_var,
 )
 from .spectral import (
-    DiagonalOperator,
     SpectralModel,
     covariance_qinf,
-    covariance_qt,
     dirichlet_model,
-    gamma_apply,
     gamma_hs_norm_sq,
     semigroup_apply,
-    synthesize_on_grid,
-    analyze_from_grid,
 )
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ import numpy as np
 from . import _kernels, rng
 from .errors import DomainError
 from .grids import TimeGrid
-from .spectral import SpectralModel, covariance_qt_diag, sine_basis
+from .spectral import SpectralModel, covariance_qinf, covariance_qt_diag, sine_basis
 
 _KIND_CODES = {
     "zero": _kernels.KIND_ZERO,
@@ -330,7 +330,7 @@ def forward_snapshots(
 def sample_stationary(model: SpectralModel, rng_seed, n_samples: int | None = None):
     """Independent draws from the invariant law N(0, q_j / (2|lam_j|)) per mode."""
     gen = rng.stream(rng_seed, rng.INITIAL_STATE)
-    scale = np.sqrt(model.q / (2.0 * np.abs(model.lam)))
+    scale = np.sqrt(covariance_qinf(model))
     if n_samples is None:
         return scale * gen.standard_normal(model.n_modes)
     return scale * gen.standard_normal((n_samples, model.n_modes))

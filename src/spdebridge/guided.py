@@ -30,7 +30,7 @@ from .forward import (
 )
 from .grids import GEOMETRIC, TimeGrid
 from .ou import _obs_var_array
-from .spectral import SpectralModel, covariance_qt_diag
+from .spectral import SpectralModel, covariance_qinf, covariance_qt_diag
 
 EXACT = "exact"
 NOISY_OBS = "noisy_obs"
@@ -223,7 +223,7 @@ def endpoint_sampler_tilted(model: SpectralModel, tilt: GaussianTilt) -> Callabl
         raise DomainError("tilt variance must have one entry per mode")
     if np.any(var <= 0.0):
         raise DomainError("tilt variances must be strictly positive")
-    qinf = model.q / (2.0 * np.abs(model.lam))
+    qinf = covariance_qinf(model)
     if np.any(var > qinf * (1.0 + 1e-12)):
         raise DomainError("tilt variances must not exceed the stationary variances")
     scale = np.sqrt(var)

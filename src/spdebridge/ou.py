@@ -1,13 +1,11 @@
 """Closed-form Gaussian analytics for the linear (zero-drift) process.
 
-Transition laws, transition densities relative to the invariant measure,
-their gradients (the guiding drift), exact bridge sampling by sequential
-Gaussian conditioning, and noisy-observation variants. Densities are kept
-as per-mode ratios against the invariant measure so they stay well scaled
-as the mode count grows.
+Transition densities relative to the invariant measure, their gradients
+(the guiding drift is q times the gradient), exact bridge sampling by
+sequential Gaussian conditioning, and noisy-observation variants. Densities
+are kept as per-mode ratios against the invariant measure so they stay well
+scaled as the mode count grows.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,31 +14,13 @@ from .errors import DomainError
 from .forward import _snap_slots, stream_paths
 from .grids import TimeGrid
 from .spectral import (
-    DiagonalOperator,
     SpectralModel,
-    covariance_qt,
+    covariance_qinf,
     covariance_qt_diag,
-    gamma_diag,
     one_minus_exp,
-    semigroup_apply,
 )
 
 _REL_HORIZON_FLOOR = 1e-10
-
-
-@dataclass(frozen=True)
-class GaussianLaw:
-    """Product Gaussian law on the truncated state space."""
-
-    mean: np.ndarray
-    var: DiagonalOperator
-
-
-def ou_transition(model: SpectralModel, s: float, x, t: float) -> GaussianLaw:
-    """Law of the zero-drift process at time t started from x at time s < t."""
-    if t <= s:
-        raise DomainError("transition requires t > s")
-    return GaussianLaw(semigroup_apply(model, t - s, x), covariance_qt(model, t - s))
 
 
 def _lag(t: float, horizon: float, r_min: float) -> float:
@@ -53,21 +33,11 @@ def _lag(t: float, horizon: float, r_min: float) -> float:
     return r
 
 
-def log_ptilde(
-    model: SpectralModel,
-    t: float,
-    x,
-    horizon: float,
-    y,
-    route: str = "density_ratio",
-):
+def log_ptilde(model: SpectralModel, t: float, x, horizon: float, y):
     """Log transition density relative to the invariant measure.
 
-    Two independent evaluation routes are exposed for cross-checking:
-    "density_ratio" sums per-mode Gaussian log-density differences;
-    "cameron_martin" uses the whitened-semigroup inner-product form plus the
-    x-independent ratio at the origin. Both accept a batch of states x with
-    shape (..., J) and return the matching leading shape.
+    Sums per-mode Gaussian log-density differences. Accepts a batch of
+    states x with shape (..., J) and returns the matching leading shape.
     """
     x = model.validate_field(x)
     y = model.validate_field(y)
@@ -75,22 +45,13 @@ def log_ptilde(
     qr = covariance_qt_diag(model, r)
     if np.any(qr <= 0.0) or not np.all(np.isfinite(1.0 / qr)):
         raise DomainError("density evaluation too close to horizon")
-    qinf = model.q / (2.0 * np.abs(model.lam))
-    log_var_ratio = np.log(one_minus_exp(2.0 * model.lam * r))
-    if route == "density_ratio":
-        mean = np.exp(model.lam * r) * x
-        per_mode = (
-            -0.5 * log_var_ratio
-            - (y - mean) ** 2 / (2.0 * qr)
-            + y**2 / (2.0 * qinf)
-        )
-    elif route == "cameron_martin":
-        g = gamma_diag(model, r)
-        cm = (g * y / np.sqrt(qr)) * x - 0.5 * (g * x) ** 2
-        ratio_at_origin = -0.5 * log_var_ratio - 0.5 * (y * g) ** 2
-        per_mode = cm + ratio_at_origin
-    else:
-        raise DomainError(f"unknown route {route!r}")
+    qinf = covariance_qinf(model)
+    mean = np.exp(model.lam * r) * x
+    per_mode = (
+        -0.5 * np.log(one_minus_exp(2.0 * model.lam * r))
+        - (y - mean) ** 2 / (2.0 * qr)
+        + y**2 / (2.0 * qinf)
+    )
     return np.sum(per_mode, axis=-1)
 
 
@@ -108,11 +69,6 @@ def grad_log_ptilde(
     qr = covariance_qt_diag(model, r)
     elr = np.exp(model.lam * r)
     return elr * (y - elr * x) / qr
-
-
-def guided_drift(model: SpectralModel, t: float, horizon: float, y, x) -> np.ndarray:
-    """Drift increment added by the transition-density transform: Q grad log."""
-    return model.q * grad_log_ptilde(model, t, x, horizon, y)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +219,7 @@ def log_h_noisy_obs(
     sig2 = _obs_var_array(model, obs_var)
     r = _lag(t, horizon, 0.0)
     qr = covariance_qt_diag(model, r)
-    qinf = model.q / (2.0 * np.abs(model.lam))
+    qinf = covariance_qinf(model)
     den = qr + sig2
     mean = np.exp(model.lam * r) * x
     per_mode = (

@@ -51,8 +51,8 @@ def _tagged(tag: str, variants: dict) -> dict:
 # runners in tasks.py consume them. No defaults: resolution adds nothing to
 # the task block, so a manifest echoes it as written.
 _TASK_VARIANTS = {
-    "forward": ([], {"times": _NUMBERS}),
-    "ou-bridge": (["target"], {"target": _NUMBERS, "times": _NUMBERS}),
+    "forward": ([], {"times": _NONEMPTY_NUMBERS}),
+    "ou-bridge": (["target"], {"target": _NUMBERS, "times": _NONEMPTY_NUMBERS}),
     "guided": (["target"], {
         "target": _NUMBERS,
         "conditioning": {"enum": ["exact", "noisy_obs"]},
@@ -71,6 +71,7 @@ _TASK_VARIANTS = {
     "dynkin": (["test_functions"], {
         "test_functions": {
             "type": "array",
+            "minItems": 1,
             "items": {
                 "type": "object",
                 "required": ["a", "c"],
@@ -78,12 +79,12 @@ _TASK_VARIANTS = {
                 "properties": {"a": _NUMBERS, "c": _NUMBER, "phase": {"enum": ["sin", "cos"]}},
             },
         },
-        "times": _NUMBERS,
+        "times": _NONEMPTY_NUMBERS,
     }),
     "martingale-diag": (["target"], {
         "target": _NUMBERS,
         "h_horizon": _NUMBER,
-        "times": _NUMBERS,
+        "times": _NONEMPTY_NUMBERS,
         "probe_time": _NUMBER,
         "novikov_fractions": _NUMBERS,
     }),
@@ -91,10 +92,10 @@ _TASK_VARIANTS = {
     "ck-check": ([], {
         "s": _NUMBER,
         "t": _NUMBER,
-        "modes": {"type": "array", "items": _INTEGER},
-        "mid": _NUMBERS,
-        "x": _NUMBERS,
-        "y": _NUMBERS,
+        "modes": {"type": "array", "items": _INTEGER, "minItems": 1},
+        "mid": _NONEMPTY_NUMBERS,
+        "x": _NONEMPTY_NUMBERS,
+        "y": _NONEMPTY_NUMBERS,
         "tolerance": _NUMBER,
     }),
 }
@@ -277,6 +278,15 @@ def _check_semantics(scenario: dict) -> None:
         for i, mode in enumerate(task.get("modes", [])):
             if not 0 <= mode < n:
                 raise SchemaError(f"$.task.modes[{i}]: expected a mode index in [0, {n})")
+    # a task's "times" and "probe_time" name grid nodes; none may lie off the grid
+    horizon = scenario["grid"]["horizon"]
+    fields = [(f"times[{i}]", t) for i, t in enumerate(task.get("times", []))]
+    if "probe_time" in task:
+        fields.append(("probe_time", task["probe_time"]))
+    for field, t in fields:
+        slack = 1e-12 * max(1.0, abs(t))  # the relative slack of forward.node_at_or_before
+        if not -slack <= t <= horizon + slack:
+            raise SchemaError(f"$.task.{field}: expected a time in [0, {horizon}]")
     if "paths" in scenario["output"]["formats"] and task["name"] != "forward":
         raise SchemaError('$.output.formats: "paths" is written only by the forward task')
 

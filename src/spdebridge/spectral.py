@@ -10,7 +10,7 @@ one-minus-exponential primitives.
 States ("fields") are plain float64 arrays of coefficients in that basis.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,7 @@ class SpectralModel:
             raise DomainError("all noise intensities must be strictly positive")
         if not (self.domain_length > 0.0):
             raise DomainError("domain_length must be positive")
-        trace = float(np.sum(q / (2.0 * np.abs(lam))))
+        trace = float(np.sum(covariance_qinf(self)))
         if not np.isfinite(trace):
             raise DomainError("stationary covariance trace is not finite")
         lam.setflags(write=False)
@@ -80,21 +80,6 @@ def dirichlet_model(n_modes: int, rho: float = 0.0, domain_length: float = 1.0) 
     return SpectralModel(lam=lam, q=q, domain_length=domain_length)
 
 
-@dataclass(frozen=True)
-class DiagonalOperator:
-    """Operator diagonal in the model basis, stored as its diagonal."""
-
-    diag: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.diag, dtype=np.float64)
-        object.__setattr__(self, "diag", d)
-        d.setflags(write=False)
-
-    def trace(self) -> float:
-        return float(np.sum(self.diag))
-
-
 def semigroup_apply(model: SpectralModel, t: float, x) -> np.ndarray:
     """Apply the linear flow at time t >= 0: entrywise exp(lam_j t) x_j."""
     if t < 0.0:
@@ -119,14 +104,9 @@ def covariance_qt_diag(model: SpectralModel, t) -> np.ndarray:
     return model.q * one_minus_exp(expo) / (2.0 * np.abs(lam))
 
 
-def covariance_qt(model: SpectralModel, t: float) -> DiagonalOperator:
-    """Covariance operator of the stochastic convolution over [0, t]."""
-    return DiagonalOperator(covariance_qt_diag(model, float(t)))
-
-
-def covariance_qinf(model: SpectralModel) -> DiagonalOperator:
-    """Stationary covariance: q_j / (2 |lam_j|)."""
-    return DiagonalOperator(model.q / (2.0 * np.abs(model.lam)))
+def covariance_qinf(model: SpectralModel) -> np.ndarray:
+    """Per-mode stationary variances q_j / (2 |lam_j|)."""
+    return model.q / (2.0 * np.abs(model.lam))
 
 
 def gamma_diag(model: SpectralModel, r) -> np.ndarray:
@@ -137,12 +117,6 @@ def gamma_diag(model: SpectralModel, r) -> np.ndarray:
     qr = covariance_qt_diag(model, r)
     expo = model.lam * (r_arr[..., None] if r_arr.ndim else r_arr)
     return np.exp(expo) / np.sqrt(qr)
-
-
-def gamma_apply(model: SpectralModel, r: float, x) -> np.ndarray:
-    """Apply Q_r^{-1/2} S_r; bounded for every r > 0 under the diagonal model."""
-    x = model.validate_field(x)
-    return gamma_diag(model, float(r)) * x
 
 
 def gamma_hs_norm_sq(model: SpectralModel, r: float) -> float:
@@ -156,8 +130,7 @@ def sine_basis(model: SpectralModel, n_grid: int):
 
     Grid points are s_g = g L / (n_grid + 1), g = 1..n_grid; basis functions
     sqrt(2/L) sin(j pi s / L). Discrete sine orthogonality makes C @ B the
-    identity whenever n_grid >= J, so analyze(synthesize(x)) == x for any
-    band-limited x.
+    identity whenever n_grid >= J.
     """
     if n_grid < model.n_modes:
         raise DomainError("n_grid must be at least the number of modes")
@@ -168,17 +141,3 @@ def sine_basis(model: SpectralModel, n_grid: int):
     analysis = basis.T * (length / (n_grid + 1))
     return basis, analysis
 
-
-def synthesize_on_grid(model: SpectralModel, x, n_grid: int) -> np.ndarray:
-    """Evaluate the field on the interior equispaced grid."""
-    x = model.validate_field(x)
-    basis, _ = sine_basis(model, n_grid)
-    return x @ basis.T
-
-
-def analyze_from_grid(model: SpectralModel, values: np.ndarray) -> np.ndarray:
-    """Recover mode coefficients from grid values (inverse of synthesize)."""
-    values = np.asarray(values, dtype=np.float64)
-    n_grid = values.shape[-1]
-    _, analysis = sine_basis(model, n_grid)
-    return values @ analysis.T

@@ -64,6 +64,12 @@ class TestScenarioValidation:
         jsonschema.Draft202012Validator.check_schema(SCENARIO_SCHEMA)
         assert TASK_NAMES == list(tasks.TASKS)
 
+    def test_times_at_the_grid_ends_accepted(self):
+        # within node_at_or_before's relative 1e-12 of 0 and of the horizon
+        resolve_scenario(base_scenario({"name": "forward", "times": [-1e-13, 1.0 + 1e-13]}))
+        resolve_scenario(base_scenario({"name": "guided", "target": [0.5, -0.2],
+                                        "probe_time": 1.0}))
+
     def test_resolution_fills_defaults(self):
         resolved = resolve_scenario(base_scenario({"name": "forward"}))
         assert resolved["dynamics"]["oversample"] == 4
@@ -264,6 +270,18 @@ class TestExitCodes:
             ({"name": "forward"}, {"sampling": {"n_paths": 4.0}}, "$.sampling.n_paths"),
             ({"name": "forward"}, {"sampling": {"seed": 1.0}}, "$.sampling.seed"),
             ({"name": "forward"}, {"sampling": {"seed": True}}, "$.sampling.seed"),
+            ({"name": "ck-check", "mid": []}, None, "$.task.mid"),
+            ({"name": "ck-check", "modes": []}, None, "$.task.modes"),
+            ({"name": "forward", "times": []}, None, "$.task.times"),
+            ({"name": "dynkin", "test_functions": []}, None, "$.task.test_functions"),
+            ({"name": "forward", "times": [5.0]}, None, "$.task.times[0]"),
+            ({"name": "forward", "times": [0.5, -3.0]}, None, "$.task.times[1]"),
+            ({"name": "ou-bridge", "target": [0.5, -0.2], "times": [1.5]}, None,
+             "$.task.times[0]"),
+            ({"name": "guided", "target": [0.5, -0.2], "probe_time": 3.0}, None,
+             "$.task.probe_time"),
+            ({"name": "conditioned", "endpoint": {"kind": "dirac", "target": [0.5, -0.2]},
+              "probe_time": -0.1}, None, "$.task.probe_time"),
         ],
         ids=[
             "unknown-key", "bridge-target", "dirac-target", "endpoint-kind", "dynkin-c",
@@ -271,6 +289,9 @@ class TestExitCodes:
             "string-time", "times-not-array", "n-points-not-integer", "n-points-zero",
             "no-weight-cutoffs", "boolean-target",
             "float-n-steps", "float-n-paths", "float-seed", "boolean-seed",
+            "ck-mid-empty", "ck-modes-empty", "times-empty", "no-test-functions",
+            "time-past-horizon", "time-negative", "bridge-time-past-horizon",
+            "probe-past-horizon", "probe-negative",
         ],
     )
     def test_task_block_checked_at_resolve_time(self, tmp_path, capsys, task, blocks, field):

@@ -1,6 +1,7 @@
-"""Property test of the CLI contract: every schema-valid scenario ends in an
-exit code of 0, 1, 2 or 3 and one-line messages, never a traceback, and a
-task value of the wrong type exits 1 with a message naming the field.
+"""Property test of the CLI contract: every drawn scenario ends in an exit
+code of 0, 1, 2 or 3 and one-line messages, never a traceback; a task value
+of the wrong type, an empty task list, and a task time off the grid each
+exit 1 with a message naming the field.
 
 Scenarios are drawn at small sizes (a few modes, steps and paths) so the
 whole test stays within a few seconds.
@@ -24,7 +25,6 @@ any_number = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.integers(-5, 5),
 )
-times = st.lists(st.floats(-0.5, 2.5, allow_nan=False), min_size=1, max_size=3)
 # mostly valid model values, so that runs get past the model's own checks
 eigenvalues = st.one_of(st.floats(-30.0, -0.5), st.floats(-30.0, -0.5), any_number)
 intensities = st.one_of(st.floats(0.1, 3.0), st.floats(0.1, 3.0), any_number)
@@ -34,14 +34,62 @@ def vector(n, elements=any_number):
     return st.lists(elements, min_size=n, max_size=n)
 
 
+def on_or_off_grid(horizon):
+    """A task time: mostly on the grid's [0, horizon], some off it."""
+    return st.one_of(
+        st.floats(0.0, horizon), st.floats(-0.5, horizon + 0.5), any_number
+    )
+
+
+# task lists the schema requires to be non-empty
+NONEMPTY = {
+    "forward": ("times",),
+    "ou-bridge": ("times",),
+    "guided": ("weight_cutoffs",),
+    "dynkin": ("test_functions", "times"),
+    "martingale-diag": ("times",),
+    "ck-check": ("modes", "mid", "x", "y"),
+}
+
+
+def off_grid(t, horizon):
+    slack = 1e-12 * max(1.0, abs(t))
+    return not -slack <= t <= horizon + slack
+
+
+def expected_error_fields(scenario):
+    """Fields one of which a run must name, exiting 1; empty if none must fail.
+
+    The schema's checks come before those that compare fields, so an empty
+    list is reported ahead of a mode index or a time out of range.
+    """
+    task = scenario["task"]
+    name = task["name"]
+    empty = [f"$.task.{key}" for key in NONEMPTY.get(name, ()) if task.get(key) == []]
+    if empty:
+        return empty
+    n_modes = scenario["model"]["n_modes"]
+    for i, mode in enumerate(task.get("modes", [])):
+        if not 0 <= mode < n_modes:
+            return [f"$.task.modes[{i}]"]
+    horizon = scenario["grid"]["horizon"]
+    for i, t in enumerate(task.get("times", [])):
+        if off_grid(t, horizon):
+            return [f"$.task.times[{i}]"]
+    if "probe_time" in task and off_grid(task["probe_time"], horizon):
+        return ["$.task.probe_time"]
+    return []
+
+
 @st.composite
-def task_blocks(draw, n):
+def task_blocks(draw, n, horizon):
     name = draw(
         st.sampled_from(
             ["forward", "ou-bridge", "guided", "conditioned", "dynkin",
              "martingale-diag", "gamma-diag", "ck-check"]
         )
     )
+    times = st.lists(on_or_off_grid(horizon), max_size=3)
     optional = {}
     if name == "forward":
         optional = {"times": times}
@@ -53,7 +101,7 @@ def task_blocks(draw, n):
             "conditioning": st.sampled_from(["exact", "noisy_obs"]),
             "obs_var": st.one_of(any_number, vector(n)),
             "weight_cutoffs": times,
-            "probe_time": any_number,
+            "probe_time": on_or_off_grid(horizon),
         }
     elif name == "conditioned":
         optional = {
@@ -63,7 +111,7 @@ def task_blocks(draw, n):
                     {"kind": st.just("tilted"), "mean": vector(n), "var": vector(n)}
                 ),
             ),
-            "probe_time": any_number,
+            "probe_time": on_or_off_grid(horizon),
             "weight_cutoff": any_number,
         }
     elif name == "dynkin":
@@ -72,7 +120,7 @@ def task_blocks(draw, n):
             optional={"phase": st.sampled_from(["sin", "cos"])},
         )
         optional = {
-            "test_functions*": st.lists(test_function, min_size=1, max_size=2),
+            "test_functions*": st.lists(test_function, max_size=2),
             "times": times,
         }
     elif name == "martingale-diag":
@@ -80,7 +128,7 @@ def task_blocks(draw, n):
             "target*": vector(n, finite),
             "h_horizon": any_number,
             "times": times,
-            "probe_time": any_number,
+            "probe_time": on_or_off_grid(horizon),
             "novikov_fractions": st.lists(finite, min_size=1, max_size=3),
         }
     elif name == "gamma-diag":
@@ -89,10 +137,10 @@ def task_blocks(draw, n):
         optional = {
             "s": any_number,
             "t": any_number,
-            "modes": st.lists(st.integers(-1, n), min_size=1, max_size=2),
+            "modes": st.lists(st.integers(-1, n), max_size=2),
             "mid": times,
-            "x": st.lists(finite, min_size=1, max_size=2),
-            "y": st.lists(finite, min_size=1, max_size=2),
+            "x": st.lists(finite, max_size=2),
+            "y": st.lists(finite, max_size=2),
             "tolerance": any_number,
         }
     block = {"name": name}
@@ -139,12 +187,12 @@ def scenarios(draw):
             st.fixed_dictionaries({"kind": st.just("explicit"), "values": vector(n)}),
         )
     )
-    task = draw(task_blocks(n))
     grid = {
         "horizon": draw(st.floats(0.05, 2.0)),
         "n_steps": draw(st.integers(1, 12)),
         "kind": draw(st.sampled_from(["uniform", "geometric"])),
     }
+    task = draw(task_blocks(n, grid["horizon"]))
     if grid["kind"] == "geometric" and draw(st.booleans()):
         grid["ratio"] = draw(st.floats(0.05, 0.95))
     formats = draw(st.lists(st.sampled_from(["csv", "json"]), unique=True))
@@ -184,16 +232,16 @@ def test_every_schema_valid_scenario_keeps_the_exit_code_contract(scenario, asse
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(args)
-    validate_scenario(scenario)
     assert code in (0, 1, 2, 3), err.getvalue()
     assert "Traceback" not in err.getvalue()
     if code:
         assert err.getvalue().strip(), "a failed run must say why on stderr"
-    n_modes = scenario["model"]["n_modes"]
-    modes = scenario["task"].get("modes", []) if scenario["task"]["name"] == "ck-check" else []
-    bad = [i for i, mode in enumerate(modes) if not 0 <= mode < n_modes]
-    if bad:
-        assert code == 1 and f"$.task.modes[{bad[0]}]: " in err.getvalue(), err.getvalue()
+    fields = expected_error_fields(scenario)
+    if fields:
+        assert code == 1, err.getvalue()
+        assert any(err.getvalue().startswith(f"error: {f}: ") for f in fields), err.getvalue()
+    else:
+        validate_scenario(scenario)
 
 
 @st.composite
@@ -228,6 +276,8 @@ def mistyped(draw, task):
 @given(scenario=scenarios(), data=st.data())
 def test_wrong_typed_task_value_names_the_field(scenario, data):
     assume(len(scenario["task"]) > 1)
+    # an empty list elsewhere in the block is a schema error of its own
+    assume(not any(value == [] for value in scenario["task"].values()))
     scenario["task"], field = data.draw(mistyped(scenario["task"]))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scn.json"

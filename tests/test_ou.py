@@ -9,10 +9,8 @@ from spdebridge import (
     chapman_kolmogorov_residual,
     geometric_grid,
     grad_log_ptilde,
-    guided_drift,
     log_h_noisy_obs,
     log_ptilde,
-    ou_transition,
     uniform_grid,
 )
 from spdebridge import rng
@@ -21,7 +19,7 @@ from spdebridge.ou import (
     ou_bridge_snapshots,
     ou_bridge_states,
 )
-from spdebridge.spectral import covariance_qt_diag
+from spdebridge.spectral import covariance_qt_diag, gamma_diag
 
 
 def qt_quad(lam, q, t):
@@ -36,24 +34,14 @@ def gauss_hermite_nu(qinf, n=200):
     return np.sqrt(2.0 * qinf) * xi, w / np.sqrt(np.pi)
 
 
-class TestTransition:
-    def test_ergodic_limit(self, two_mode):
-        law = ou_transition(two_mode, -50.0, np.array([2.0, -3.0]), 0.0)
-        qinf = two_mode.q / (2 * np.abs(two_mode.lam))
-        assert np.all(np.abs(law.mean) < 1e-10)
-        np.testing.assert_allclose(law.var.diag, qinf, atol=1e-10)
-
-    def test_zero_start_zero_mean(self, two_mode):
-        law = ou_transition(two_mode, 0.0, np.zeros(2), 0.7)
-        assert np.all(law.mean == 0.0)
-
-    def test_variance_against_quadrature(self, single_mode):
-        law = ou_transition(single_mode, 0.1, np.array([1.0]), 0.4)
-        assert law.var.diag[0] == pytest.approx(qt_quad(-1.0, 2.0, 0.3), rel=1e-10)
-
-    def test_rejects_bad_ordering(self, single_mode):
-        with pytest.raises(DomainError):
-            ou_transition(single_mode, 1.0, np.array([0.0]), 1.0)
+def log_ptilde_cameron_martin(model, r, x, y):
+    """log_ptilde at lag r in the whitened-semigroup form: the Cameron-Martin
+    exponent in x plus the x-independent density ratio at the origin."""
+    qr = covariance_qt_diag(model, r)
+    g = gamma_diag(model, r)
+    cm = (g * y / np.sqrt(qr)) * x - 0.5 * (g * x) ** 2
+    ratio_at_origin = -0.5 * np.log(-np.expm1(2.0 * model.lam * r)) - 0.5 * (y * g) ** 2
+    return np.sum(cm + ratio_at_origin)
 
 
 class TestLogPtilde:
@@ -88,8 +76,8 @@ class TestLogPtilde:
             r = gen.uniform(0.05, 5.0)
             x = gen.standard_normal(4)
             y = gen.standard_normal(4) * 0.3
-            a = log_ptilde(dirichlet4, 0.0, x, r, y, route="density_ratio")
-            b = log_ptilde(dirichlet4, 0.0, x, r, y, route="cameron_martin")
+            a = log_ptilde(dirichlet4, 0.0, x, r, y)
+            b = log_ptilde_cameron_martin(dirichlet4, r, x, y)
             assert a == pytest.approx(b, abs=1e-10)
 
     def test_near_horizon_guard(self, single_mode):
@@ -104,11 +92,11 @@ class TestGuidedDrift:
         r = 0.1
         y = np.array([0.5, -0.3, 0.1, 0.0])
         x = np.exp(-dirichlet4.lam * r) * y
-        drift = guided_drift(dirichlet4, 1.0 - r, 1.0, y, x)
+        drift = dirichlet4.q * grad_log_ptilde(dirichlet4, 1.0 - r, x, 1.0, y)
         np.testing.assert_allclose(drift, 0.0, atol=1e-8)
 
     def test_zero_target_zero_state(self, dirichlet4):
-        drift = guided_drift(dirichlet4, 0.3, 1.0, np.zeros(4), np.zeros(4))
+        drift = dirichlet4.q * grad_log_ptilde(dirichlet4, 0.3, np.zeros(4), 1.0, np.zeros(4))
         assert np.all(drift == 0.0)
 
     def test_finite_difference_oracle(self, single_mode):
@@ -120,7 +108,8 @@ class TestGuidedDrift:
             - log_ptilde(single_mode, t, x - h, horizon, y)
         ) / (2 * h)
         expected = single_mode.q[0] * fd
-        assert guided_drift(single_mode, t, horizon, y, x)[0] == pytest.approx(
+        drift = single_mode.q * grad_log_ptilde(single_mode, t, x, horizon, y)
+        assert drift[0] == pytest.approx(
             expected, rel=1e-6
         )
 

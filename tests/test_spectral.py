@@ -5,16 +5,12 @@ from scipy.integrate import quad
 from spdebridge import (
     DomainError,
     SpectralModel,
-    analyze_from_grid,
     covariance_qinf,
-    covariance_qt,
     dirichlet_model,
-    gamma_apply,
     gamma_hs_norm_sq,
     semigroup_apply,
-    synthesize_on_grid,
 )
-from spdebridge.spectral import covariance_qt_diag, gamma_diag
+from spdebridge.spectral import covariance_qt_diag, gamma_diag, sine_basis
 
 # 50-digit reference evaluations of exp(lam * t), frozen from mpmath
 EXP_NEG_PI2_01 = 0.3727078388534379
@@ -47,10 +43,10 @@ class TestModelInvariants:
 
     def test_trace_bound_finite_and_equals_qinf_trace(self):
         model = dirichlet_model(64)
-        trace = covariance_qinf(model).trace()
+        trace = np.sum(covariance_qinf(model))
         assert np.isfinite(trace)
         # supremum over t of the covariance trace is attained in the limit
-        assert covariance_qt(model, 200.0).trace() == pytest.approx(trace, rel=1e-12)
+        assert np.sum(covariance_qt_diag(model, 200.0)) == pytest.approx(trace, rel=1e-12)
 
     def test_strong_feller_ratio_finite(self, dirichlet4):
         for r in (1e-6, 1e-3, 0.1, 5.0):
@@ -101,10 +97,10 @@ class TestSemigroup:
 
 class TestCovariance:
     def test_stationary_limit(self, single_mode):
-        assert covariance_qt(single_mode, 50.0).diag[0] == pytest.approx(1.0, abs=1e-12)
+        assert covariance_qt_diag(single_mode, 50.0)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_small_time_stable_branch(self, single_mode):
-        val = covariance_qt(single_mode, 1e-8).diag[0]
+        val = covariance_qt_diag(single_mode, 1e-8)[0]
         # reference from 50-digit evaluation; the naive 1 - exp(...) form
         # loses ~7 digits here
         assert val == pytest.approx(QT_TINY, rel=1e-12)
@@ -112,27 +108,27 @@ class TestCovariance:
 
     def test_against_quadrature(self):
         model = SpectralModel(lam=np.array([-np.pi**2]), q=np.array([1.0]))
-        val = covariance_qt(model, 0.3).diag[0]
+        val = covariance_qt_diag(model, 0.3)[0]
         assert val == pytest.approx(qt_quad(-np.pi**2, 1.0, 0.3), rel=1e-10)
 
     def test_rejects_nonpositive_time(self, single_mode):
         with pytest.raises(DomainError):
-            covariance_qt(single_mode, 0.0)
+            covariance_qt_diag(single_mode, 0.0)
 
     def test_qinf_closed_forms(self, single_mode):
-        assert covariance_qinf(single_mode).diag[0] == pytest.approx(1.0, rel=1e-15)
+        assert covariance_qinf(single_mode)[0] == pytest.approx(1.0, rel=1e-15)
         model = SpectralModel(
             lam=np.array([-np.pi**2, -4 * np.pi**2]), q=np.array([1.0, 1.0])
         )
         np.testing.assert_allclose(
-            covariance_qinf(model).diag,
+            covariance_qinf(model),
             [1.0 / (2 * np.pi**2), 1.0 / (8 * np.pi**2)],
             rtol=1e-15,
         )
 
     def test_qinf_trace_direct_summation(self):
         model = dirichlet_model(64)
-        assert covariance_qinf(model).trace() == pytest.approx(TRACE_J64, rel=1e-14)
+        assert np.sum(covariance_qinf(model)) == pytest.approx(TRACE_J64, rel=1e-14)
 
     def test_flow_identity(self, dirichlet4):
         gen = np.random.default_rng(7)
@@ -151,28 +147,28 @@ class TestCovariance:
         assert np.all(np.diff(vals, axis=0) > 0)
         ts_wide = np.linspace(0.01, 3.0, 40)
         vals_wide = np.stack([covariance_qt_diag(dirichlet4, t) for t in ts_wide])
-        assert np.all(vals_wide <= covariance_qinf(dirichlet4).diag)
+        assert np.all(vals_wide <= covariance_qinf(dirichlet4))
 
 
 class TestGamma:
     def test_near_stationary(self, single_mode):
-        out = gamma_apply(single_mode, 50.0, np.array([1.0]))
+        out = gamma_diag(single_mode, 50.0)
         assert out[0] == pytest.approx(np.exp(-50.0), rel=1e-12)
 
     def test_linearity_at_zero(self, single_mode):
-        assert gamma_apply(single_mode, 1.0, np.array([0.0]))[0] == 0.0
+        assert (gamma_diag(single_mode, 1.0) * np.array([0.0]))[0] == 0.0
 
     def test_against_quadrature(self):
         model = SpectralModel(lam=np.array([-np.pi**2]), q=np.array([1.0]))
         r = 0.2
         expected = np.exp(-np.pi**2 * r) / np.sqrt(qt_quad(-np.pi**2, 1.0, r))
-        assert gamma_apply(model, r, np.array([1.0]))[0] == pytest.approx(
+        assert gamma_diag(model, r)[0] == pytest.approx(
             expected, rel=1e-10
         )
 
     def test_rejects_r_zero(self, single_mode):
         with pytest.raises(DomainError):
-            gamma_apply(single_mode, 0.0, np.array([1.0]))
+            gamma_diag(single_mode, 0.0)
 
     def test_vanishes_at_infinity(self, dirichlet4):
         small = gamma_diag(dirichlet4, 80.0)
@@ -183,9 +179,7 @@ class TestGamma:
         gen = np.random.default_rng(3)
         x = gen.standard_normal(4)
         for r in (0.05, 0.4, 2.0):
-            lhs = np.sqrt(covariance_qt_diag(dirichlet4, r)) * gamma_apply(
-                dirichlet4, r, x
-            )
+            lhs = np.sqrt(covariance_qt_diag(dirichlet4, r)) * gamma_diag(dirichlet4, r) * x
             np.testing.assert_allclose(
                 lhs, semigroup_apply(dirichlet4, r, x), rtol=1e-12
             )
@@ -229,20 +223,22 @@ class TestGammaHsNorm:
 class TestGridSynthesis:
     def test_first_mode_midpoint(self):
         model = dirichlet_model(4)
-        values = synthesize_on_grid(model, np.array([1.0, 0, 0, 0]), n_grid=9)
+        basis, _ = sine_basis(model, 9)
+        values = basis @ np.array([1.0, 0, 0, 0])
         # s = 0.5 is grid point index 4 of 9; sqrt(2) sin(pi/2) = sqrt(2)
         assert values[4] == pytest.approx(np.sqrt(2.0), rel=1e-14)
 
     def test_zero_field(self, dirichlet4):
-        assert np.all(synthesize_on_grid(dirichlet4, np.zeros(4), 16) == 0.0)
+        basis, _ = sine_basis(dirichlet4, 16)
+        assert np.all(basis @ np.zeros(4) == 0.0)
 
     def test_round_trip(self):
         model = dirichlet_model(8)
         gen = np.random.default_rng(11)
         x = gen.standard_normal(8)
-        u = synthesize_on_grid(model, x, 33)
-        np.testing.assert_allclose(analyze_from_grid(model, u), x, atol=1e-12)
+        basis, analysis = sine_basis(model, 33)
+        np.testing.assert_allclose(analysis @ (basis @ x), x, atol=1e-12)
 
     def test_rejects_undersized_grid(self, dirichlet4):
         with pytest.raises(DomainError):
-            synthesize_on_grid(dirichlet4, np.zeros(4), 3)
+            sine_basis(dirichlet4, 3)

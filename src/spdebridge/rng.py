@@ -11,7 +11,20 @@ logical consumer gets a disjoint region of the counter space:
 
 This makes every path individually reproducible from
 ``(master_seed, purpose, path_index)`` alone.
+
+``path_increments`` draws on several threads: its rows go out in
+``ROW_BLOCK``-path blocks from one shared counter, and each thread (the
+caller's included) draws the blocks it takes with its own Philox, reset to
+each path's counter block. A path's draws depend on nothing but its key and
+index, and every thread writes only its own rows, so the bytes cannot depend
+on the thread count or on which thread took which block. The count is every
+core the process may run on, or fewer inside ``threads``; numpy releases the
+GIL while it draws normals and copies rows.
 """
+
+import contextlib
+import itertools
+import os
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -61,6 +74,90 @@ def _is_step_major(out, shape) -> bool:
     )
 
 
+def available_cores() -> int:
+    """Number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_threads = None  # threads for path_increments; None: every available core
+_pool = (None, 0)  # (ThreadPoolExecutor, its max_workers), built on first use
+
+
+def _forget_pool() -> None:
+    # A forked child inherits the pool but none of its threads: a draw
+    # queued there would wait forever, so the child builds its own.
+    global _pool
+    _pool = (None, 0)
+
+
+if hasattr(os, "register_at_fork"):  # not on Windows, which has no fork
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+@contextlib.contextmanager
+def threads(n):
+    """Inside the block, ``path_increments`` draws on at most ``n`` threads.
+
+    ``n`` is clamped to the cores available before any thread starts; None
+    keeps the default of every available core. At 1 no thread is started.
+    """
+    global _threads
+    if n is not None and n < 1:
+        raise ValueError(f"thread count must be at least 1, got {n}")
+    previous = _threads
+    _threads = None if n is None else min(n, available_cores())
+    try:
+        yield
+    finally:
+        _threads = previous
+
+
+def _executor(workers: int):
+    """The shared pool of at least ``workers`` threads, built on first use."""
+    global _pool
+    pool, size = _pool
+    if size < workers:
+        from concurrent.futures import ThreadPoolExecutor
+
+        if pool is not None:
+            pool.shutdown()
+        pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="spdebridge-rng")
+        _pool = (pool, workers)
+    return pool
+
+
+def _draw_blocks(key, idx, out, step_major: bool, blocks) -> None:
+    """Draw the rows of each block that ``blocks`` hands out until it runs past ``idx``."""
+    n_steps, n_modes = out.shape[1:]
+    block = np.empty((min(ROW_BLOCK, idx.size), n_steps, n_modes)) if step_major else None
+    # One (path, step) row of n_modes doubles as a single item: numpy copies
+    # the scratch block into the strided step-major ``out`` item by item,
+    # about a third faster than 8 bytes at a time, and the bytes are the same.
+    item = np.dtype((np.void, 8 * n_modes))
+    bitgen = Philox(key=key)
+    gen = Generator(bitgen)
+    state = bitgen.state
+    # ``blocks`` is one itertools.count shared by every thread: each ``next``
+    # is a single C call under the GIL, so no two threads take one block.
+    for lo in blocks:
+        if lo >= idx.size:
+            return
+        dest = out[lo : lo + ROW_BLOCK]
+        rows = block[: len(dest)] if step_major else dest
+        for row, i in enumerate(idx[lo : lo + ROW_BLOCK]):
+            # Same state as Philox(key=key, counter=i << 192): counter block
+            # i, empty output buffer.
+            state["state"]["counter"] = np.array([0, 0, 0, i], dtype=np.uint64)
+            state["buffer_pos"] = 4
+            state["has_uint32"] = 0
+            bitgen.state = state
+            gen.standard_normal(out=rows[row])
+        if step_major:
+            dest.view(item)[...] = rows.view(item)
+
+
 def path_increments(
     master_seed: int, path_indices, n_steps: int, n_modes: int, *, out=None
 ) -> np.ndarray:
@@ -79,6 +176,13 @@ def path_increments(
 
     Both layouts receive the same values; step-major rows are drawn
     ``ROW_BLOCK`` at a time into a path-major scratch block and copied in.
+
+    Rows go out ``ROW_BLOCK`` at a time from one shared counter to T
+    threads, the caller's among them, with T the thread count (see
+    ``threads``) but no more than there are blocks. A thread that stalls
+    takes fewer blocks and holds no other thread up. Each thread draws with
+    its own Philox and scratch block into its own rows, so the result is
+    the same at every T; at T = 1 the caller draws every block itself.
     """
     key = philox_key(master_seed, PATHS)
     idx = np.asarray(path_indices, dtype=np.int64)
@@ -88,25 +192,16 @@ def path_increments(
     if out is None:
         out = np.empty(shape)
     step_major = _is_step_major(out, shape)
-    block = np.empty((min(ROW_BLOCK, idx.size), n_steps, n_modes)) if step_major else None
-    # One (path, step) row of n_modes doubles as a single item: numpy copies
-    # the scratch block into the strided step-major ``out`` item by item,
-    # about a third faster than 8 bytes at a time, and the bytes are the same.
-    item = np.dtype((np.void, 8 * n_modes))
-    bitgen = Philox(key=key)
-    gen = Generator(bitgen)
-    state = bitgen.state
-    for lo in range(0, idx.size, ROW_BLOCK):
-        dest = out[lo : lo + ROW_BLOCK]
-        rows = block[: len(dest)] if step_major else dest
-        for row, i in enumerate(idx[lo : lo + ROW_BLOCK]):
-            # Same state as Philox(key=key, counter=i << 192): counter block
-            # i, empty output buffer.
-            state["state"]["counter"] = np.array([0, 0, 0, i], dtype=np.uint64)
-            state["buffer_pos"] = 4
-            state["has_uint32"] = 0
-            bitgen.state = state
-            gen.standard_normal(out=rows[row])
-        if step_major:
-            dest.view(item)[...] = rows.view(item)
+    blocks = itertools.count(0, ROW_BLOCK)
+    n_threads = min(_threads or available_cores(), -(-idx.size // ROW_BLOCK))
+    pool = _executor(n_threads - 1) if n_threads > 1 else None
+    workers = [
+        pool.submit(_draw_blocks, key, idx, out, step_major, blocks)
+        for _ in range(n_threads - 1)
+    ]
+    try:
+        _draw_blocks(key, idx, out, step_major, blocks)
+    finally:
+        for worker in workers:
+            worker.result()
     return out

@@ -242,6 +242,23 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("task forward: domain error: sample_")
         assert not (tmp_path / "r" / "summary.csv").exists()
 
+    def test_diverging_run_over_two_chunks_prints_one_line(self, tmp_path):
+        # bounded_rational at alpha = 1e308 turns the states to inf and nan in
+        # both chunks; numpy's floating-point warnings must stay silenced
+        # wherever the kernels run, so stderr holds the domain error alone
+        scn = base_scenario({"name": "forward"}, sampling={"n_paths": 4096, "seed": 77})
+        scn["dynamics"]["nonlinearity"] = {"kind": "bounded_rational", "alpha": 1e308}
+        f = tmp_path / "scn.json"
+        f.write_text(json.dumps(scn))
+        env = dict(os.environ, PYTHONPATH=str(FilePath(spdebridge.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "spdebridge.cli", "run", str(f), "--out", str(tmp_path / "r")],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        err = proc.stderr.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("task forward: domain error: ")
+
     @pytest.mark.parametrize(
         "task, blocks, field",
         [
@@ -323,6 +340,82 @@ def test_package_import_leaves_scipy_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_package_import_starts_no_thread():
+    # the normals' thread pool, and concurrent.futures with it, load on the first draw
+    code = (
+        "import sys, threading, spdebridge, spdebridge.tasks, spdebridge.scenario, "
+        "spdebridge.io; "
+        "print('concurrent.futures' in sys.modules, threading.active_count())"
+    )
+    env = dict(os.environ, PYTHONPATH=str(FilePath(spdebridge.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.split() == ["False", "1"]
+
+
+# Two chunks of paths each, so every streamed driver hands the draw two calls.
+THREAD_MATRIX = {
+    "forward-paths": {"name": "forward", "times": [0.5, 1.0]},
+    "guided": {"name": "guided", "target": [0.5, -0.2], "weight_cutoffs": [0.8, 0.95]},
+    "conditioned": {"name": "conditioned", "endpoint": {"kind": "dirac", "target": [0.3, -0.1]}},
+    "dynkin": {
+        "name": "dynkin", "times": [0.5, 1.0],
+        "test_functions": [{"a": [0.8, -0.4], "c": 0.3}, {"a": [-0.5, 0.2], "c": 0.0,
+                                                           "phase": "cos"}],
+    },
+    "ou-bridge": {"name": "ou-bridge", "target": [0.5, -0.2]},
+    "martingale-diag": {"name": "martingale-diag", "target": [0.5, -0.2]},
+}
+THREAD_ARTIFACTS = ("summary.csv", "diagnostics.json", "manifest.json", "paths.spdb")
+
+
+class TestThreads:
+    def _scenario_file(self, tmp_path, task):
+        scn = base_scenario(
+            task, grid={"horizon": 1.0, "n_steps": 16, "kind": "geometric"},
+            sampling={"n_paths": CHUNK + 40, "seed": 77},
+        )
+        scn["dynamics"]["nonlinearity"] = {"kind": "sine", "alpha": 0.5}
+        if task["name"] == "forward":
+            scn["output"] = {"formats": ["csv", "json", "paths"]}
+        f = tmp_path / "scn.json"
+        f.write_text(json.dumps(scn))
+        return f
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_thread_count_below_one_exits_one(self, tmp_path, capsys, n):
+        f = self._scenario_file(tmp_path, {"name": "forward"})
+        assert run_cli(["run", str(f), "--out", str(tmp_path / "r"), "--threads", n]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--threads" in err[0]
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("name", list(THREAD_MATRIX))
+    def test_artifacts_identical_at_every_thread_count(self, tmp_path, monkeypatch, name):
+        f = self._scenario_file(tmp_path, THREAD_MATRIX[name])
+        runs = [["--threads", "1"], []]
+        for i, extra in enumerate(runs):
+            assert run_cli(["run", str(f), "--out", str(tmp_path / str(i)), *extra]) == 0
+        # three threads whatever the host has, so more than one always draws
+        monkeypatch.setattr(spdebridge.rng, "available_cores", lambda: 3)
+        assert run_cli(["run", str(f), "--out", str(tmp_path / "3")]) == 0
+        expected = [a for a in THREAD_ARTIFACTS if (tmp_path / "0" / a).is_file()]
+        assert expected[:3] == list(THREAD_ARTIFACTS[:3])
+        for run in ("1", "3"):
+            assert sorted(p.name for p in (tmp_path / run).iterdir()) == sorted(expected)
+            for a in expected:
+                assert (tmp_path / run / a).read_bytes() == (tmp_path / "0" / a).read_bytes(), a
+
+    def test_one_thread_starts_no_pool(self, tmp_path, monkeypatch):
+        def no_pool(workers):
+            raise AssertionError("a pool was asked for at --threads 1")
+
+        monkeypatch.setattr(spdebridge.rng, "_executor", no_pool)
+        f = self._scenario_file(tmp_path, {"name": "forward"})
+        assert run_cli(["run", str(f), "--out", str(tmp_path / "r"), "--threads", "1"]) == 0
 
 
 class TestCompare:

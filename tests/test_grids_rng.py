@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
@@ -51,6 +53,10 @@ class TestGeometricGrid:
             TimeGrid(nodes, "geometric")
 
 
+def _draw_into(queue, n):
+    queue.put(rng.path_increments(31, range(n), 4, 2))
+
+
 class TestRngStreams:
     def test_path_block_independent_of_batch(self):
         a = rng.path_increments(9, [5], 16, 3)[0]
@@ -68,6 +74,61 @@ class TestRngStreams:
         for row, i in enumerate(indices):
             fresh = Generator(Philox(key=key, counter=i << 192)).standard_normal((16, 3))
             assert np.array_equal(got[row], fresh)
+
+    @pytest.mark.parametrize("n_modes", [1, 4, 9])
+    @pytest.mark.parametrize("n", [1, 2, 31, 33, 2047, 2048])
+    def test_same_bits_at_every_thread_count(self, monkeypatch, n, n_modes):
+        # three threads whatever the host has; rows start at a nonzero path offset
+        monkeypatch.setattr(rng, "available_cores", lambda: 3)
+        idx = range(1000, 1000 + n)
+        key = rng.philox_key(31)
+        with rng.threads(1):
+            want = rng.path_increments(31, idx, 8, n_modes)
+        for row in (0, n - 1):
+            fresh = Generator(Philox(key=key, counter=idx[row] << 192))
+            assert np.array_equal(want[row], fresh.standard_normal((8, n_modes)))
+        for t in (1, 2, 3):
+            step_major = np.full((8, n, n_modes), np.nan).transpose(1, 0, 2)
+            with rng.threads(t):
+                got = rng.path_increments(31, idx, 8, n_modes)
+                rng.path_increments(31, idx, 8, n_modes, out=step_major)
+            assert np.array_equal(got, want)
+            assert np.array_equal(step_major, want)
+
+    def test_thread_count_clamped_to_cores(self, monkeypatch):
+        real = rng._executor
+        asked = []
+
+        def executor(workers):
+            asked.append(workers)
+            return real(workers)
+
+        monkeypatch.setattr(rng, "available_cores", lambda: 2)
+        monkeypatch.setattr(rng, "_executor", executor)
+        for n, workers in ((5, [1]), (None, [1]), (1, [])):
+            asked.clear()
+            with rng.threads(n):
+                rng.path_increments(31, range(2048), 4, 2)
+            assert asked == workers, n
+        with pytest.raises(ValueError, match="at least 1"):
+            with rng.threads(0):
+                pass
+
+    def test_draw_in_forked_child(self, monkeypatch):
+        # the parent's pool exists before the fork; the child must not queue
+        # its draw on that pool's threads, which it does not have
+        monkeypatch.setattr(rng, "available_cores", lambda: 2)
+        want = rng.path_increments(31, range(256), 4, 2)
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.SimpleQueue()
+        child = ctx.Process(target=_draw_into, args=(queue, 256))
+        child.start()
+        child.join(timeout=60)
+        alive = child.is_alive()
+        if alive:
+            child.kill()
+        assert not alive and child.exitcode == 0
+        assert np.array_equal(queue.get(), want)
 
     def test_negative_path_index_rejected(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 
-from . import rng
 from .errors import DomainError
 from .io import read_manifest, read_summary
 from .scenario import SchemaError, resolve_scenario
@@ -37,8 +36,7 @@ def _build_parser() -> _Parser:
     run_p.add_argument("--out", help="output directory (default from scenario)")
     run_p.add_argument(
         "--threads", type=int, default=None,
-        help="threads that draw the normals (default and maximum: the cores "
-        "available); the artifacts are the same at every count",
+        help="accepted and ignored: the numpy kernels run on one thread",
     )
     run_p.add_argument(
         "--assert", dest="assert_mode", action="store_true",
@@ -62,14 +60,11 @@ def _load_json(path: str) -> dict:
 
 
 def _cmd_run(args) -> int:
-    if args.threads is not None and args.threads < 1:
-        raise SchemaError(f"--threads must be at least 1, got {args.threads}")
     scenario = resolve_scenario(_load_json(args.scenario))
     outdir = args.out or scenario["output"].get("directory") or "run"
     task = scenario["task"]["name"]
     try:
-        with rng.threads(args.threads):
-            run_scenario(scenario, outdir, assert_mode=args.assert_mode)
+        run_scenario(scenario, outdir, assert_mode=args.assert_mode)
     except AssertionFailure as exc:
         print(f"task {task}: assertion failure: {exc}", file=sys.stderr)
         return EXIT_ASSERT

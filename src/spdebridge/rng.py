@@ -18,11 +18,12 @@ caller's included) draws the blocks it takes with its own Philox, reset to
 each path's counter block. A path's draws depend on nothing but its key and
 index, and every thread writes only its own rows, so the bytes cannot depend
 on the thread count or on which thread took which block. The count is every
-core the process may run on, or fewer inside ``threads``; numpy releases the
-GIL while it draws normals and copies rows.
+core the process may run on (``taskset`` lowers it), but a draw whose paths
+hold fewer than ``THREADED_ROW_MIN`` normals each stays on the caller's
+thread: numpy releases the GIL while it draws normals and copies rows, but
+not while a thread resets its Philox to the next path.
 """
 
-import contextlib
 import itertools
 import os
 
@@ -55,6 +56,13 @@ def stream(master_seed: int, purpose: int = PATHS, index: int = 0) -> Generator:
 # 512 KB, small enough to stay in cache between the draw and the copy.
 ROW_BLOCK = 32
 
+# Normals per path below which ``path_increments`` draws on the caller's
+# thread alone. Resetting the Philox to a path holds the GIL for about 10 us;
+# on a 2-core Xeon VM (numpy 2.4.6) two threads drew 512 paths 0.6-0.9x as
+# fast as one at 64-512 normals per path, about even at 768, and 1.3-1.8x as
+# fast from 1024 up, at 64 and at 1024 paths alike.
+THREADED_ROW_MIN = 1024
+
 
 def _is_step_major(out, shape) -> bool:
     """False for a path-major ``out``, True for a step-major one, else ValueError."""
@@ -81,51 +89,30 @@ def available_cores() -> int:
     return os.cpu_count() or 1
 
 
-_threads = None  # threads for path_increments; None: every available core
-_pool = (None, 0)  # (ThreadPoolExecutor, its max_workers), built on first use
+_pool = None  # ThreadPoolExecutor for path_increments, built on first use
 
 
 def _forget_pool() -> None:
     # A forked child inherits the pool but none of its threads: a draw
     # queued there would wait forever, so the child builds its own.
     global _pool
-    _pool = (None, 0)
+    _pool = None
 
 
 if hasattr(os, "register_at_fork"):  # not on Windows, which has no fork
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-@contextlib.contextmanager
-def threads(n):
-    """Inside the block, ``path_increments`` draws on at most ``n`` threads.
-
-    ``n`` is clamped to the cores available before any thread starts; None
-    keeps the default of every available core. At 1 no thread is started.
-    """
-    global _threads
-    if n is not None and n < 1:
-        raise ValueError(f"thread count must be at least 1, got {n}")
-    previous = _threads
-    _threads = None if n is None else min(n, available_cores())
-    try:
-        yield
-    finally:
-        _threads = previous
-
-
-def _executor(workers: int):
-    """The shared pool of at least ``workers`` threads, built on first use."""
+def _executor():
+    """The shared pool of one thread per available core but the caller's."""
     global _pool
-    pool, size = _pool
-    if size < workers:
+    if _pool is None:
         from concurrent.futures import ThreadPoolExecutor
 
-        if pool is not None:
-            pool.shutdown()
-        pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="spdebridge-rng")
-        _pool = (pool, workers)
-    return pool
+        _pool = ThreadPoolExecutor(
+            max_workers=available_cores() - 1, thread_name_prefix="spdebridge-rng"
+        )
+    return _pool
 
 
 def _draw_blocks(key, idx, out, step_major: bool, blocks) -> None:
@@ -178,11 +165,12 @@ def path_increments(
     ``ROW_BLOCK`` at a time into a path-major scratch block and copied in.
 
     Rows go out ``ROW_BLOCK`` at a time from one shared counter to T
-    threads, the caller's among them, with T the thread count (see
-    ``threads``) but no more than there are blocks. A thread that stalls
-    takes fewer blocks and holds no other thread up. Each thread draws with
-    its own Philox and scratch block into its own rows, so the result is
-    the same at every T; at T = 1 the caller draws every block itself.
+    threads, the caller's among them, with T the cores available but no
+    more than there are blocks, and T = 1 below ``THREADED_ROW_MIN``
+    normals per path. A thread that stalls takes fewer blocks and holds no
+    other thread up. Each thread draws with its own Philox and scratch
+    block into its own rows, so the result is the same at every T; at T = 1
+    the caller draws every block itself and no pool is built.
     """
     key = philox_key(master_seed, PATHS)
     idx = np.asarray(path_indices, dtype=np.int64)
@@ -193,10 +181,11 @@ def path_increments(
         out = np.empty(shape)
     step_major = _is_step_major(out, shape)
     blocks = itertools.count(0, ROW_BLOCK)
-    n_threads = min(_threads or available_cores(), -(-idx.size // ROW_BLOCK))
-    pool = _executor(n_threads - 1) if n_threads > 1 else None
+    n_threads = 1
+    if n_steps * n_modes >= THREADED_ROW_MIN:
+        n_threads = min(available_cores(), -(-idx.size // ROW_BLOCK))
     workers = [
-        pool.submit(_draw_blocks, key, idx, out, step_major, blocks)
+        _executor().submit(_draw_blocks, key, idx, out, step_major, blocks)
         for _ in range(n_threads - 1)
     ]
     try:

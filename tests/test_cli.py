@@ -226,38 +226,26 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == ["error: TypeError: unforeseen failure"]
 
     def test_non_finite_result_is_a_domain_error(self, tmp_path):
-        # alpha = 1e308 overflows the states; the run must not report "ok"
-        scn = base_scenario({"name": "forward"})
-        scn["dynamics"]["nonlinearity"] = {"kind": "sine", "alpha": 1e308}
-        f = tmp_path / "scn.json"
-        f.write_text(json.dumps(scn))
-        env = dict(os.environ, PYTHONPATH=str(FilePath(spdebridge.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "spdebridge.cli", "run", str(f), "--out", str(tmp_path / "r")],
-            env=env, capture_output=True, text=True,
-        )
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        err = proc.stderr.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("task forward: domain error: sample_")
-        assert not (tmp_path / "r" / "summary.csv").exists()
-
-    def test_diverging_run_over_two_chunks_prints_one_line(self, tmp_path):
-        # bounded_rational at alpha = 1e308 turns the states to inf and nan in
-        # both chunks; numpy's floating-point warnings must stay silenced
-        # wherever the kernels run, so stderr holds the domain error alone
-        scn = base_scenario({"name": "forward"}, sampling={"n_paths": 4096, "seed": 77})
-        scn["dynamics"]["nonlinearity"] = {"kind": "bounded_rational", "alpha": 1e308}
-        f = tmp_path / "scn.json"
-        f.write_text(json.dumps(scn))
-        env = dict(os.environ, PYTHONPATH=str(FilePath(spdebridge.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "spdebridge.cli", "run", str(f), "--out", str(tmp_path / "r")],
-            env=env, capture_output=True, text=True,
-        )
-        assert proc.returncode == 2
-        err = proc.stderr.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("task forward: domain error: ")
+        # alpha = 1e308 overflows the states; the run must not report "ok".
+        # bounded_rational over two chunks turns them to inf and nan in both:
+        # numpy's floating-point warnings must stay silenced wherever the
+        # kernels run, so stderr holds the domain error alone
+        for kind, n_paths in (("sine", 400), ("bounded_rational", 4096)):
+            scn = base_scenario({"name": "forward"}, sampling={"n_paths": n_paths, "seed": 77})
+            scn["dynamics"]["nonlinearity"] = {"kind": kind, "alpha": 1e308}
+            f = tmp_path / "scn.json"
+            f.write_text(json.dumps(scn))
+            env = dict(os.environ, PYTHONPATH=str(FilePath(spdebridge.__file__).parents[1]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "spdebridge.cli", "run", str(f),
+                 "--out", str(tmp_path / "r")],
+                env=env, capture_output=True, text=True,
+            )
+            assert proc.returncode == 2, kind
+            assert "Traceback" not in proc.stderr
+            err = proc.stderr.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("task forward: domain error: sample_"), err
+            assert not (tmp_path / "r" / "summary.csv").exists()
 
     @pytest.mark.parametrize(
         "task, blocks, field",
@@ -385,37 +373,21 @@ class TestThreads:
         f.write_text(json.dumps(scn))
         return f
 
-    @pytest.mark.parametrize("n", ["0", "-3"])
-    def test_thread_count_below_one_exits_one(self, tmp_path, capsys, n):
-        f = self._scenario_file(tmp_path, {"name": "forward"})
-        assert run_cli(["run", str(f), "--out", str(tmp_path / "r"), "--threads", n]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "--threads" in err[0]
-        assert not (tmp_path / "r").exists()
-
     @pytest.mark.parametrize("name", list(THREAD_MATRIX))
     def test_artifacts_identical_at_every_thread_count(self, tmp_path, monkeypatch, name):
+        # one core, the host's cores and three cores, on rows of any length
+        monkeypatch.setattr(spdebridge.rng, "THREADED_ROW_MIN", 1)
         f = self._scenario_file(tmp_path, THREAD_MATRIX[name])
-        runs = [["--threads", "1"], []]
-        for i, extra in enumerate(runs):
-            assert run_cli(["run", str(f), "--out", str(tmp_path / str(i)), *extra]) == 0
-        # three threads whatever the host has, so more than one always draws
-        monkeypatch.setattr(spdebridge.rng, "available_cores", lambda: 3)
-        assert run_cli(["run", str(f), "--out", str(tmp_path / "3")]) == 0
-        expected = [a for a in THREAD_ARTIFACTS if (tmp_path / "0" / a).is_file()]
+        runs = {"1": lambda: 1, "default": spdebridge.rng.available_cores, "3": lambda: 3}
+        for run, cores in runs.items():
+            monkeypatch.setattr(spdebridge.rng, "available_cores", cores)
+            assert run_cli(["run", str(f), "--out", str(tmp_path / run)]) == 0
+        expected = [a for a in THREAD_ARTIFACTS if (tmp_path / "1" / a).is_file()]
         assert expected[:3] == list(THREAD_ARTIFACTS[:3])
-        for run in ("1", "3"):
+        for run in ("default", "3"):
             assert sorted(p.name for p in (tmp_path / run).iterdir()) == sorted(expected)
             for a in expected:
-                assert (tmp_path / run / a).read_bytes() == (tmp_path / "0" / a).read_bytes(), a
-
-    def test_one_thread_starts_no_pool(self, tmp_path, monkeypatch):
-        def no_pool(workers):
-            raise AssertionError("a pool was asked for at --threads 1")
-
-        monkeypatch.setattr(spdebridge.rng, "_executor", no_pool)
-        f = self._scenario_file(tmp_path, {"name": "forward"})
-        assert run_cli(["run", str(f), "--out", str(tmp_path / "r"), "--threads", "1"]) == 0
+                assert (tmp_path / run / a).read_bytes() == (tmp_path / "1" / a).read_bytes(), a
 
 
 class TestCompare:

@@ -1,4 +1,5 @@
 import multiprocessing
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -57,6 +58,13 @@ def _draw_into(queue, n):
     queue.put(rng.path_increments(31, range(n), 4, 2))
 
 
+@pytest.fixture(scope="module")
+def two_worker_pool():
+    # with the caller's thread, three threads draw on any host
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        yield pool
+
+
 class TestRngStreams:
     def test_path_block_independent_of_batch(self):
         a = rng.path_increments(9, [5], 16, 3)[0]
@@ -77,48 +85,57 @@ class TestRngStreams:
 
     @pytest.mark.parametrize("n_modes", [1, 4, 9])
     @pytest.mark.parametrize("n", [1, 2, 31, 33, 2047, 2048])
-    def test_same_bits_at_every_thread_count(self, monkeypatch, n, n_modes):
-        # three threads whatever the host has; rows start at a nonzero path offset
-        monkeypatch.setattr(rng, "available_cores", lambda: 3)
+    def test_same_bits_at_every_thread_count(self, monkeypatch, two_worker_pool, n, n_modes):
+        # up to three threads whatever the host has, on rows of any length;
+        # rows start at a nonzero path offset
+        monkeypatch.setattr(rng, "THREADED_ROW_MIN", 1)
+        monkeypatch.setattr(rng, "_pool", two_worker_pool)
         idx = range(1000, 1000 + n)
         key = rng.philox_key(31)
-        with rng.threads(1):
-            want = rng.path_increments(31, idx, 8, n_modes)
-        for row in (0, n - 1):
-            fresh = Generator(Philox(key=key, counter=idx[row] << 192))
-            assert np.array_equal(want[row], fresh.standard_normal((8, n_modes)))
+        want = None
         for t in (1, 2, 3):
+            monkeypatch.setattr(rng, "available_cores", lambda: t)
             step_major = np.full((8, n, n_modes), np.nan).transpose(1, 0, 2)
-            with rng.threads(t):
-                got = rng.path_increments(31, idx, 8, n_modes)
-                rng.path_increments(31, idx, 8, n_modes, out=step_major)
+            got = rng.path_increments(31, idx, 8, n_modes)
+            rng.path_increments(31, idx, 8, n_modes, out=step_major)
+            if want is None:
+                want = got
+                for row in (0, n - 1):
+                    fresh = Generator(Philox(key=key, counter=idx[row] << 192))
+                    assert np.array_equal(want[row], fresh.standard_normal((8, n_modes)))
             assert np.array_equal(got, want)
             assert np.array_equal(step_major, want)
 
-    def test_thread_count_clamped_to_cores(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "cores, n, n_steps, workers",
+        [
+            (1, 2048, 256, 0),  # one core
+            (2, 2048, 256, 1),  # 256 steps x 4 modes is THREADED_ROW_MIN
+            (2, 2048, 255, 0),  # a shorter row stays on the caller's thread
+            (3, 2 * rng.ROW_BLOCK, 256, 1),  # no more threads than blocks
+            (2, rng.ROW_BLOCK, 256, 0),
+        ],
+    )
+    def test_thread_count(self, monkeypatch, cores, n, n_steps, workers):
         real = rng._executor
         asked = []
 
-        def executor(workers):
-            asked.append(workers)
-            return real(workers)
+        def executor():
+            asked.append(1)
+            return real()
 
-        monkeypatch.setattr(rng, "available_cores", lambda: 2)
+        monkeypatch.setattr(rng, "available_cores", lambda: cores)
         monkeypatch.setattr(rng, "_executor", executor)
-        for n, workers in ((5, [1]), (None, [1]), (1, [])):
-            asked.clear()
-            with rng.threads(n):
-                rng.path_increments(31, range(2048), 4, 2)
-            assert asked == workers, n
-        with pytest.raises(ValueError, match="at least 1"):
-            with rng.threads(0):
-                pass
+        rng.path_increments(31, range(n), n_steps, 4)
+        assert len(asked) == workers
 
     def test_draw_in_forked_child(self, monkeypatch):
         # the parent's pool exists before the fork; the child must not queue
         # its draw on that pool's threads, which it does not have
         monkeypatch.setattr(rng, "available_cores", lambda: 2)
+        monkeypatch.setattr(rng, "THREADED_ROW_MIN", 1)
         want = rng.path_increments(31, range(256), 4, 2)
+        assert rng._pool is not None
         ctx = multiprocessing.get_context("fork")
         queue = ctx.SimpleQueue()
         child = ctx.Process(target=_draw_into, args=(queue, 256))

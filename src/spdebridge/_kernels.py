@@ -12,9 +12,11 @@ global ``_nemytskii_np``, which the benchmark's tracer wraps. G, the guide
 drift of the h-transformed process, exists only in ``guided``. Each public
 kernel is a readout of that loop (stored states, a Dynkin functional, guided
 states with log weights) that reads its output nodes from slot tables and
-never calls another: the benchmark's tracer wraps the four by name and
-counts one pass per call. ``htransform.exp_martingale_mc`` also reads
-``_nodes`` but is not a traced kernel, so its passes are not counted.
+never calls another. ``forward.run_pass`` calls one of them once per unit
+of a pass (a 1024-path share of a chunk, see there), and the benchmark's
+tracer wraps the four by name and counts one pass per traced task call.
+``htransform.exp_martingale_mc`` also reads ``_nodes`` but is not a traced
+kernel, so its passes are not counted.
 ``BACKEND`` names the execution engine and is echoed into run manifests.
 
 Wide rows: every per-mode coefficient product runs on a wide view of the
@@ -24,10 +26,12 @@ broadcast over (n, J) as n inner loops of J elements; the wide view runs
 the same products in n/g loops of g*J. Each element still meets the same
 scalar operations in the same order, and elementwise IEEE arithmetic does
 not depend on the array's shape, so the results are bit-identical to the
-narrow form. ``wide`` is the one rule for the view's shape and tables,
-with g = ``fold_factor(n, J)``. The operations whose rounding does
-depend on shape (``x @ B.T``, ``@ C.T``, Dynkin's ``x @ a[i]`` and the row
-sums of the weight integrand) still see the (n, J) state.
+narrow form. ``Tables.wide`` is the one rule for the view's shape and
+tables, with g = ``fold_factor(n, J)``; each pass tiles its tables once per
+g and shares them read-only between its units. The operations whose
+rounding does depend on shape (``x @ B.T``, ``@ C.T``, Dynkin's
+``x @ a[i]`` and the row sums of the weight integrand) still see the (n, J)
+state.
 
 Batch of one: numpy runs a one-row ``x @ B.T`` or ``@ C.T`` through a
 matrix-vector kernel that rounds differently from the matrix-matrix kernel
@@ -45,7 +49,7 @@ same bits.
 Normals Z (n, n_steps, J) come in either of two layouts with the same
 values: path-major (C-contiguous, as ``rng.path_increments`` returns by
 default) or step-major (``np.empty((n_steps, n, J)).transpose(1, 0, 2)``,
-as ``forward.stream_paths`` draws them). In the step-major layout the
+as ``forward.run_pass`` draws them). In the step-major layout the
 normals of step k, ``Z[:, k]``, are one contiguous (n, J) block and their
 wide view is free; path-major they are gathered with a copy. The products
 are elementwise, so both layouts give the same bits.
@@ -62,8 +66,6 @@ Nonlinearity codes: 0 zero, 1 linear scale, 2 bounded rational u/(1+u^2),
 3 sine. Codes 0 and 1 are evaluated spectrally (exact); 2 and 3 go through
 the sine-basis grid (synthesis matrix ``B``, analysis matrix ``C``).
 """
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -92,10 +94,26 @@ def fold_factor(n: int, n_modes: int) -> int:
     return g
 
 
-def wide(n: int, n_modes: int, *tables):
-    """Wide-view shape (n/g, g*J) of an (n, J) block, then each table tiled g times."""
-    g = fold_factor(n, n_modes)
-    return ((n // g, g * n_modes), *(np.tile(t, g) for t in tables))
+class Tables(tuple):
+    """Per-step (n_steps, J) coefficient tables of a pass, and their tilings.
+
+    A tuple of the tables themselves. ``wide`` tiles them once per fold
+    factor and keeps the copy, so every unit of a pass, on any thread, reads
+    one shared read-only set.
+    """
+
+    def __new__(cls, *tables):
+        self = super().__new__(cls, tables)
+        self._tiled = {}
+        return self
+
+    def wide(self, n: int, n_modes: int):
+        """Wide-view shape (n/g, g*J) of an (n, J) block, then each table tiled g times."""
+        g = fold_factor(n, n_modes)
+        if g not in self._tiled:
+            # two threads may tile at once: setdefault keeps the first copy for both
+            self._tiled.setdefault(g, tuple(np.tile(t, g) for t in self))
+        return ((n // g, g * n_modes), *self._tiled[g])
 
 
 # numpy's pairwise summation: rows shorter than this are summed by one
@@ -164,16 +182,12 @@ def _nemytskii_np(x: np.ndarray, B, C, kind: int, alpha: float) -> np.ndarray:
     return (_pointwise_np(u, kind, alpha) @ C.T)[: x.shape[0]]
 
 
-class Stepper(NamedTuple):
+class Stepper:
     """What a pass steps with (see the module docstring); E, P, S are (n_steps, J)."""
 
-    E: np.ndarray
-    P: np.ndarray
-    S: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    kind: int
-    alpha: float
+    def __init__(self, E, P, S, B, C, kind: int, alpha: float):
+        self.EPS = Tables(E, P, S)
+        self.B, self.C, self.kind, self.alpha = B, C, kind, alpha
 
     def F(self, x):
         """Nonlinearity coefficients of the states x (n, J)."""
@@ -190,7 +204,7 @@ def _nodes(x0, Z, st, drift=None):
     ``P * (F + 0)``, which would turn a -0.0 entry of F into +0.0.
     """
     n, n_steps, n_modes = Z.shape
-    shape, Ew, Pw, Sw = wide(n, n_modes, st.E, st.P, st.S)
+    shape, Ew, Pw, Sw = st.EPS.wide(n, n_modes)
     x = x0.copy()
     xw = x.reshape(shape)
     tw = np.empty(shape)
@@ -262,8 +276,8 @@ def dynkin_snap(x0, Z, st, t_nodes, dt, a, c, phase_sin, lam_a, qaa, slots):
 def guided(x0, Z, st, guide, y, dt, slots, wslots):
     """Guided paths toward per-path targets y (n, J), with Girsanov log weights.
 
-    ``guide`` is (Ag, Bg, Wg, pin): per-step guide rows and whether the
-    final state is set to y. Returns (snaps (n, n_snap, J), logw (n,
+    ``guide`` is (Tables(Ag, Bg, Wg), pin): per-step guide rows and whether
+    the final state is set to y. Returns (snaps (n, n_snap, J), logw (n,
     n_wckpt)): the states at the nodes whose ``slots`` entry is set, and at
     each node k < n_steps whose ``wslots`` entry is set, the trapezoid
     integral of the weight integrand <F(x), Wg (y - Bg x)> from node 0 to
@@ -271,8 +285,8 @@ def guided(x0, Z, st, guide, y, dt, slots, wslots):
     at the last node.
     """
     n, _, n_modes = Z.shape
-    Ag, Bg, Wg, pin = guide
-    shape, Agw, Bgw, Wgw = wide(n, n_modes, Ag, Bg, Wg)
+    tables, pin = guide
+    shape, Agw, Bgw, Wgw = tables.wide(n, n_modes)
     yw = y.reshape(shape)
     snaps = np.empty((n, slots.max() + 1, n_modes))
     logw = np.empty((n, wslots.max() + 1))

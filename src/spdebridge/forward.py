@@ -7,7 +7,10 @@ Nonlinearities act pseudo-spectrally: synthesize on an oversampled sine
 grid, map pointwise, analyze back.
 """
 
+import contextvars
 import hashlib
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +30,25 @@ _KIND_CODES = {
 DEFAULT_OVERSAMPLE = 4
 # Paths per chunk of every streamed ensemble. Path i draws counter block i
 # of the seed's path stream, so the chunking never changes a path's noise.
+# Dynkin's sums are folded per chunk, so CHUNK is part of their bytes.
 CHUNK = 2048
+# Paths per unit of work of ``run_pass``: each chunk is cut at multiples of
+# UNIT inside it, the same way at every thread count, and a remainder below
+# UNIT_MIN paths joins the unit before it, because a short tail product
+# rounds its rows differently from the chunk's more often. Where the BLAS
+# picks its kernel by the product's size, a unit's rows can still differ
+# from the same rows stepped as one chunk: on scipy-openblas 0.3.31 (x86,
+# AVX-512, J = 1..32, 40, 48, 64) the analysis product ``@ C.T`` does at
+# J = 12 in chunks of more than 1736 paths and at J = 17-20 and 25-28 in
+# chunks of 1280 to 1889 paths.
+UNIT = 1024
+UNIT_MIN = 256
+# Normals per path below which ``run_pass`` runs on the caller's thread
+# alone. Resetting the Philox to a path holds the GIL for about 10 us; on a
+# 2-core Xeon VM (numpy 2.4.6) two threads drew 512 paths 0.6-0.9x as fast
+# as one at 64-512 normals per path, about even at 768, and 1.3-1.8x as fast
+# from 1024 up, at 64 and at 1024 paths alike.
+THREADED_ROW_MIN = 1024
 
 
 @dataclass(frozen=True)
@@ -263,24 +284,113 @@ def _snap_slots(grid: TimeGrid, nodes) -> tuple[np.ndarray, int]:
     return slots, nodes.size
 
 
-def stream_paths(model: SpectralModel, x0, grid: TimeGrid, rng_seed, n_paths: int):
-    """Yield (lo, hi, x0 rows, standard normals) for paths lo..hi-1, in chunk order.
+def units(n_paths: int):
+    """(lo, hi) of every unit of an n_paths pass, in path order.
 
-    This is the one chunk loop of every streamed ensemble; callers write
-    rows lo..hi or reduce over chunks in the order they arrive. Every chunk
-    is drawn into one normals buffer, so the yielded normals are
-    overwritten by the next chunk: use them inside the loop body only. The
-    buffer is step-major (see ``rng.path_increments``): the normals of step
-    k, ``z[:, k]``, are one contiguous (n, J) block, as the stepper reads them.
+    Each chunk is cut at multiples of ``UNIT`` inside it, and a remainder
+    below ``UNIT_MIN`` paths joins the unit before it. The cut depends on
+    nothing but n_paths.
     """
-    m = min(CHUNK, n_paths)
-    buf = np.empty((grid.n_steps, m, model.n_modes)).transpose(1, 0, 2)
-    for lo in range(0, n_paths, CHUNK):
-        hi = min(lo + CHUNK, n_paths)
-        x0b = np.broadcast_to(x0, (hi - lo, model.n_modes)).copy()
-        yield lo, hi, x0b, rng.path_increments(
-            rng_seed, range(lo, hi), grid.n_steps, model.n_modes, out=buf[: hi - lo]
-        )
+    for start in range(0, n_paths, CHUNK):
+        end = min(start + CHUNK, n_paths)
+        cuts = list(range(start, end, UNIT))
+        if len(cuts) > 1 and end - cuts[-1] < UNIT_MIN:
+            del cuts[-1]
+        yield from zip(cuts, cuts[1:] + [end])
+
+
+def available_cores() -> int:
+    """Number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_pool = None  # ThreadPoolExecutor of run_pass, built on the first threaded pass
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    # A forked child inherits the pool but none of its threads: a unit
+    # queued there would wait forever, so the child builds its own.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # not on Windows, which has no fork
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _executor():
+    """The shared pool of one thread per available core but the caller's."""
+    global _pool
+    with _pool_lock:  # passes started on two threads at once build one pool
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(
+                max_workers=available_cores() - 1, thread_name_prefix="spdebridge-pass"
+            )
+        return _pool
+
+
+def run_pass(
+    model: SpectralModel, x0, grid: TimeGrid, rng_seed, n_paths: int, unit_fn
+) -> None:
+    """Draw and step paths 0..n_paths-1 unit by unit, on every available core.
+
+    This is the one loop of every streamed ensemble. ``units`` cuts the
+    paths; the units go out one at a time from one shared iterator to T
+    threads, the caller's included, so a stalled thread takes fewer units
+    and holds no other up. A thread draws each unit it takes with
+    ``rng.path_increments`` into its own step-major normals buffer (the
+    normals of step k, ``z[:, k]``, one contiguous (n, J) block, as the
+    stepper reads them) and calls ``unit_fn(lo, hi, x0 rows, z)``, which
+    must write only rows lo..hi of its outputs; the buffer is overwritten
+    by the thread's next unit, so ``z`` is valid inside the call only.
+
+    A path's normals depend on nothing but the seed and its index, and the
+    cut on nothing but n_paths, so every row comes out the same at every
+    T. T is every available core, but no more than there are units, and 1
+    when a path holds fewer than ``THREADED_ROW_MIN`` normals. Each thread
+    runs in a copy of the caller's context, so the caller's ``np.errstate``
+    holds on all of them. At T = 1 the caller runs every unit and no pool
+    is built.
+    """
+    spans = list(units(n_paths))
+    if not spans:
+        return
+    n_threads = 1
+    if grid.n_steps * model.n_modes >= THREADED_ROW_MIN:
+        n_threads = min(available_cores(), len(spans))
+    m = max(hi - lo for lo, hi in spans)
+    todo = iter(spans)  # each next() is one C call under the GIL: no unit goes twice
+
+    def work():
+        buf = None  # allocated on the thread's first unit: a late thread may get none
+        try:
+            for lo, hi in todo:
+                if buf is None:
+                    buf = np.empty((grid.n_steps, m, model.n_modes)).transpose(1, 0, 2)
+                x0b = np.broadcast_to(x0, (hi - lo, model.n_modes)).copy()
+                z = rng.path_increments(
+                    rng_seed, range(lo, hi), grid.n_steps, model.n_modes, out=buf[: hi - lo]
+                )
+                unit_fn(lo, hi, x0b, z)
+        except BaseException:
+            for _ in todo:  # hand out no more units: the other threads stop too
+                pass
+            raise
+
+    workers = [
+        _executor().submit(contextvars.copy_context().run, work)
+        for _ in range(n_threads - 1)
+    ]
+    try:
+        work()
+    finally:
+        for worker in workers:
+            worker.result()
 
 
 def nearest_node(grid: TimeGrid, t: float) -> int:
@@ -309,21 +419,29 @@ def forward_snapshots(
 
     Returns (n_paths, n_snapshots, J) without storing full trajectories.
     With ``dump``, a ``write(lo, states, increments)`` such as
-    ``io.path_dump`` yields, each chunk's full states and normals are
-    handed to it inside the loop, so at most one chunk of states is alive.
+    ``io.path_dump`` yields, each unit's full states and normals are handed
+    to it, one unit at a time under a lock, so at most one unit of states
+    per thread is alive.
     """
     x0 = model.validate_field(x0)
     slots, n_snap = _snap_slots(grid, snap_nodes)
     st = stepper(model, nonlin, grid, oversample)
     out = np.empty((n_paths, n_snap, model.n_modes))
-    for lo, hi, x0b, z in stream_paths(model, x0, grid, rng_seed, n_paths):
-        if dump is None:
+    if dump is None:
+
+        def unit(lo, hi, x0b, z):
             out[lo:hi] = _kernels.forward_snap(x0b, z, st, slots)
-            continue
-        states = _kernels.forward_full(x0b, z, st)
-        out[lo:hi] = states[:, slots >= 0]
-        dump(lo, states, z)
-        del states  # before the next chunk allocates its own
+
+    else:
+        lock = threading.Lock()
+
+        def unit(lo, hi, x0b, z):
+            states = _kernels.forward_full(x0b, z, st)
+            out[lo:hi] = states[:, slots >= 0]
+            with lock:  # the writes seek to explicit offsets in one file
+                dump(lo, states, z)
+
+    run_pass(model, x0, grid, rng_seed, n_paths, unit)
     return out
 
 

@@ -23,9 +23,9 @@ from .forward import (
     _transform_matrices,  # unused here; the benchmark's tracer patches this name
     model_id,
     node_at_or_before,
+    run_pass,
     step_coefficients,  # unused here; the benchmark's tracer patches this name
     stepper,
-    stream_paths,
     _snap_slots,
 )
 from .grids import GEOMETRIC, TimeGrid
@@ -88,7 +88,7 @@ def _guide_precomps(model: SpectralModel, spec: GuidedSpec, grid: TimeGrid):
     bg = np.exp(model.lam * r[:, None])
     wg = bg / den
     ag = model.q * wg
-    return ag, bg, wg, spec.conditioning == EXACT
+    return _kernels.Tables(ag, bg, wg), spec.conditioning == EXACT
 
 
 def _check_guided_grid(spec: GuidedSpec, grid: TimeGrid):
@@ -186,10 +186,13 @@ def guided_snapshots(
     y_all = _targets(model, spec, n_paths, endpoints)
     snaps = np.empty((n_paths, n_snap, model.n_modes))
     logw = np.empty((n_paths, weight_nodes.size))
-    for lo, hi, x0b, z in stream_paths(model, x0, grid, rng_seed, n_paths):
+
+    def unit(lo, hi, x0b, z):
         snaps[lo:hi], logw[lo:hi] = _kernels.guided(
             x0b, z, st, guide, np.ascontiguousarray(y_all[lo:hi]), grid.steps, slots, wslots
         )
+
+    run_pass(model, x0, grid, rng_seed, n_paths, unit)
     return snaps, logw
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from . import _kernels, rng
 from .errors import DomainError
 from .forward import (
+    CHUNK,
     DEFAULT_OVERSAMPLE,
     Nonlinearity,
     PathEnsemble,
@@ -27,9 +28,9 @@ from .forward import (
     _snap_slots,
     nearest_node,
     node_at_or_before,
+    run_pass,
     step_coefficients,  # unused here; the benchmark's tracer patches this name
     stepper,
-    stream_paths,
 )
 from .grids import TimeGrid
 from .ou import (
@@ -260,14 +261,21 @@ def dynkin_residual_mc(
     phase_sin = [p.phase == "sin" for p in phis]
     lam_a = model.lam * a
     qaa = np.array([np.sum(model.q * p.a * p.a) for p in phis])
-    total = np.zeros((len(phis), n_snap))
-    total_sq = np.zeros((len(phis), n_snap))
-    for _, _, x0b, z in stream_paths(model, x0, grid, rng_seed, n_paths):
-        vals = _kernels.dynkin_snap(
+    vals = np.empty((n_paths, len(phis), n_snap))
+
+    def unit(lo, hi, x0b, z):
+        vals[lo:hi] = _kernels.dynkin_snap(
             x0b, z, st, grid.nodes, grid.steps, a, c, phase_sin, lam_a, qaa, slots
         )
-        total += vals.sum(axis=0)
-        total_sq += (vals * vals).sum(axis=0)
+
+    run_pass(model, x0, grid, rng_seed, n_paths, unit)
+    # folded per chunk, in chunk order: the sums' bytes depend on both
+    total = np.zeros((len(phis), n_snap))
+    total_sq = np.zeros((len(phis), n_snap))
+    for lo in range(0, n_paths, CHUNK):
+        chunk = vals[lo : lo + CHUNK]
+        total += chunk.sum(axis=0)
+        total_sq += (chunk * chunk).sum(axis=0)
     mean = total / n_paths
     var = (total_sq - n_paths * mean**2) / (n_paths - 1)
     stderr = np.sqrt(var / n_paths)
@@ -406,8 +414,9 @@ def exp_martingale_mc(
     series = np.empty((n_paths, n_read))
     probes = np.empty((n_paths, model.n_modes))
     novikov = np.empty((len(k_nov), n_novikov))
-    for lo, hi, x0b, z in stream_paths(model, model.validate_field(x0), grid, rng_seed, n_paths):
-        m = max(0, min(hi, n_novikov) - lo)  # Novikov rows of this chunk
+
+    def unit(lo, hi, x0b, z):
+        m = max(0, min(hi, n_novikov) - lo)  # Novikov rows of this unit
         lh = None if k_lh < 0 else np.empty((hi - lo, k_lh + 1))
         k_grad = max(k_lh, k_norm if m else -1)  # grad log h only where it is used
         log_h0 = h.log_h(grid.nodes[0], x0b)
@@ -431,6 +440,8 @@ def exp_martingale_mc(
         series[lo:hi] = _exp_series(log_h, log_h0, lh, grid.steps, read)
         for i, k in enumerate(k_nov):
             novikov[i, lo : lo + m] = _novikov_values(norms, grid.steps, k)
+
+    run_pass(model, model.validate_field(x0), grid, rng_seed, n_paths, unit)
     return series, probes, novikov
 
 

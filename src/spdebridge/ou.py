@@ -11,7 +11,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError
-from .forward import _snap_slots, stream_paths
+from .forward import _snap_slots, run_pass
 from .grids import TimeGrid
 from .spectral import (
     SpectralModel,
@@ -114,7 +114,7 @@ def _check_bridge_grid(grid: TimeGrid, horizon: float):
 def _bridge_table(model: SpectralModel, horizon: float, grid: TimeGrid, y):
     """Per-step rows (ca, cy * y, sqrt v) of the bridge recursion to target y (J,).
 
-    Each is an (n_steps, J) array.
+    Each is an (n_steps, J) array, held in one ``_kernels.Tables``.
     """
     if y.shape != (model.n_modes,):
         raise DomainError("the bridge target must be one field")
@@ -124,7 +124,7 @@ def _bridge_table(model: SpectralModel, horizon: float, grid: TimeGrid, y):
         for k in range(grid.n_steps)
     ]
     ca, cy, v = (np.array(c) for c in zip(*steps))
-    return ca, cy * y, np.sqrt(v)
+    return _kernels.Tables(ca, cy * y, np.sqrt(v))
 
 
 def _bridge_run(x, table, z, out, slot):
@@ -135,7 +135,7 @@ def _bridge_run(x, table, z, out, slot):
     ``_kernels``), in the order ((ca x) + cyy) + (sv z).
     """
     n, n_modes = x.shape
-    wide, ca, cyy, sv = _kernels.wide(n, n_modes, *table)
+    wide, ca, cyy, sv = table.wide(n, n_modes)
     if slot[0] >= 0:
         out[:, slot[0]] = x
     xw = x.reshape(wide).copy()
@@ -183,8 +183,11 @@ def ou_bridge_snapshots(
     slot, n_snap = _snap_slots(grid, snap_nodes)
     table = _bridge_table(model, horizon, grid, y)
     out = np.empty((n_paths, n_snap, model.n_modes))
-    for lo, hi, x, z in stream_paths(model, x0, grid, rng_seed, n_paths):
+
+    def unit(lo, hi, x, z):
         _bridge_run(x, table, z, out[lo:hi], slot)
+
+    run_pass(model, x0, grid, rng_seed, n_paths, unit)
     return out
 
 

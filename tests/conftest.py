@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -17,3 +19,10 @@ def two_mode():
 @pytest.fixture
 def dirichlet4():
     return dirichlet_model(4)
+
+
+@pytest.fixture(scope="module")
+def two_worker_pool():
+    """A pool for forward.run_pass: with the caller's thread, three threads on any host."""
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        yield pool

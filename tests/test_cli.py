@@ -229,9 +229,16 @@ class TestExitCodes:
         # alpha = 1e308 overflows the states; the run must not report "ok".
         # bounded_rational over two chunks turns them to inf and nan in both:
         # numpy's floating-point warnings must stay silenced wherever the
-        # kernels run, so stderr holds the domain error alone
-        for kind, n_paths in (("sine", 400), ("bounded_rational", 4096)):
-            scn = base_scenario({"name": "forward"}, sampling={"n_paths": n_paths, "seed": 77})
+        # kernels run, so stderr holds the domain error alone. At 512 steps x
+        # 2 modes a path holds forward.THREADED_ROW_MIN normals, so the units
+        # also run on forward.run_pass's pool threads, wherever it has them
+        for kind, n_paths, n_steps in (
+            ("sine", 400, 32), ("bounded_rational", 4096, 32), ("bounded_rational", 4096, 512),
+        ):
+            scn = base_scenario(
+                {"name": "forward"}, sampling={"n_paths": n_paths, "seed": 77},
+                grid={"horizon": 1.0, "n_steps": n_steps, "kind": "uniform"},
+            )
             scn["dynamics"]["nonlinearity"] = {"kind": kind, "alpha": 1e308}
             f = tmp_path / "scn.json"
             f.write_text(json.dumps(scn))
@@ -331,7 +338,8 @@ def test_package_import_leaves_scipy_unloaded():
 
 
 def test_package_import_starts_no_thread():
-    # the normals' thread pool, and concurrent.futures with it, load on the first draw
+    # forward.run_pass's thread pool, and concurrent.futures with it, load on
+    # the first threaded pass
     code = (
         "import sys, threading, spdebridge, spdebridge.tasks, spdebridge.scenario, "
         "spdebridge.io; "
@@ -344,7 +352,7 @@ def test_package_import_starts_no_thread():
     assert proc.stdout.split() == ["False", "1"]
 
 
-# Two chunks of paths each, so every streamed driver hands the draw two calls.
+# Two chunks of paths each, three units of forward.run_pass.
 THREAD_MATRIX = {
     "forward-paths": {"name": "forward", "times": [0.5, 1.0]},
     "guided": {"name": "guided", "target": [0.5, -0.2], "weight_cutoffs": [0.8, 0.95]},
@@ -375,12 +383,13 @@ class TestThreads:
 
     @pytest.mark.parametrize("name", list(THREAD_MATRIX))
     def test_artifacts_identical_at_every_thread_count(self, tmp_path, monkeypatch, name):
-        # one core, the host's cores and three cores, on rows of any length
-        monkeypatch.setattr(spdebridge.rng, "THREADED_ROW_MIN", 1)
+        # one core, the host's cores and three cores, with the row floor
+        # lowered so that rows of 16 steps x 2 modes are past it
+        monkeypatch.setattr(spdebridge.forward, "THREADED_ROW_MIN", 1)
         f = self._scenario_file(tmp_path, THREAD_MATRIX[name])
-        runs = {"1": lambda: 1, "default": spdebridge.rng.available_cores, "3": lambda: 3}
+        runs = {"1": lambda: 1, "default": spdebridge.forward.available_cores, "3": lambda: 3}
         for run, cores in runs.items():
-            monkeypatch.setattr(spdebridge.rng, "available_cores", cores)
+            monkeypatch.setattr(spdebridge.forward, "available_cores", cores)
             assert run_cli(["run", str(f), "--out", str(tmp_path / run)]) == 0
         expected = [a for a in THREAD_ARTIFACTS if (tmp_path / "1" / a).is_file()]
         assert expected[:3] == list(THREAD_ARTIFACTS[:3])

@@ -1,12 +1,22 @@
+import hashlib
 import multiprocessing
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from spdebridge import DomainError, TimeGrid, geometric_grid, uniform_grid
-from spdebridge import rng
+from spdebridge import (
+    DomainError,
+    TimeGrid,
+    dirichlet_model,
+    geometric_grid,
+    sine_nemytskii,
+    uniform_grid,
+)
+from spdebridge import _kernels, forward, rng
 
 
 class TestUniformGrid:
@@ -54,15 +64,20 @@ class TestGeometricGrid:
             TimeGrid(nodes, "geometric")
 
 
-def _draw_into(queue, n):
-    queue.put(rng.path_increments(31, range(n), 4, 2))
+def _pass_normals(n):
+    """The normals of an n-path pass of 4 steps x 2 modes, as forward.run_pass hands them out."""
+    z_all = np.full((n, 4, 2), np.nan)
+
+    def unit(lo, hi, x0b, z):
+        z_all[lo:hi] = z
+
+    forward.run_pass(dirichlet_model(2), np.zeros(2), uniform_grid(1.0, 4), 31, n, unit)
+    return z_all
 
 
-@pytest.fixture(scope="module")
-def two_worker_pool():
-    # with the caller's thread, three threads draw on any host
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        yield pool
+def _pass_digest_into(queue, n):
+    # a digest, not the array: a child blocked on a full pipe would never exit
+    queue.put(hashlib.sha256(_pass_normals(n).tobytes()).hexdigest())
 
 
 class TestRngStreams:
@@ -83,28 +98,90 @@ class TestRngStreams:
             fresh = Generator(Philox(key=key, counter=i << 192)).standard_normal((16, 3))
             assert np.array_equal(got[row], fresh)
 
+    # The next three tests are of forward.run_pass, the one caller that
+    # draws on several threads.
     @pytest.mark.parametrize("n_modes", [1, 4, 9])
-    @pytest.mark.parametrize("n", [1, 2, 31, 33, 2047, 2048])
+    @pytest.mark.parametrize("n", [1, 2, 31, 33, 1279, 1280, 2047, 2048, 4099])
     def test_same_bits_at_every_thread_count(self, monkeypatch, two_worker_pool, n, n_modes):
-        # up to three threads whatever the host has, on rows of any length;
-        # rows start at a nonzero path offset
-        monkeypatch.setattr(rng, "THREADED_ROW_MIN", 1)
-        monkeypatch.setattr(rng, "_pool", two_worker_pool)
-        idx = range(1000, 1000 + n)
-        key = rng.philox_key(31)
+        # up to three threads whatever the host has, on rows of any length:
+        # every unit goes out once, and its normals and stepped states land
+        # in its rows with the same bits at every thread count
+        monkeypatch.setattr(forward, "THREADED_ROW_MIN", 1)
+        monkeypatch.setattr(forward, "_pool", two_worker_pool)
+        model, grid = dirichlet_model(n_modes), uniform_grid(1.0, 8)
+        st = forward.stepper(model, sine_nemytskii(0.5), grid, 4)
+        slots = np.arange(9, dtype=np.int64)
+        x0 = np.linspace(-0.5, 0.5, n_modes)
         want = None
         for t in (1, 2, 3):
-            monkeypatch.setattr(rng, "available_cores", lambda: t)
-            step_major = np.full((8, n, n_modes), np.nan).transpose(1, 0, 2)
-            got = rng.path_increments(31, idx, 8, n_modes)
-            rng.path_increments(31, idx, 8, n_modes, out=step_major)
+            monkeypatch.setattr(forward, "available_cores", lambda: t)
+            normals = np.full((n, 8, n_modes), np.nan)
+            states = np.full((n, 9, n_modes), np.nan)
+            taken = []
+
+            def unit(lo, hi, x0b, z):
+                taken.append((lo, hi))
+                normals[lo:hi] = z
+                states[lo:hi] = _kernels.forward_snap(x0b, z, st, slots)
+
+            forward.run_pass(model, x0, grid, 31, n, unit)
+            assert sorted(taken) == list(forward.units(n))
             if want is None:
-                want = got
-                for row in (0, n - 1):
-                    fresh = Generator(Philox(key=key, counter=idx[row] << 192))
-                    assert np.array_equal(want[row], fresh.standard_normal((8, n_modes)))
-            assert np.array_equal(got, want)
-            assert np.array_equal(step_major, want)
+                want = normals, states
+                assert np.array_equal(normals, rng.path_increments(31, range(n), 8, n_modes))
+                assert np.array_equal(states[:, 0], np.broadcast_to(x0, (n, n_modes)))
+            assert np.array_equal(normals, want[0])
+            assert np.array_equal(states, want[1])
+
+    def test_units_go_out_once_under_contention(self, monkeypatch):
+        # five threads on this host's cores, switching every microsecond:
+        # every unit is taken once, and each thread's buffer holds only its
+        # own unit's normals while it uses them
+        n = 64 * forward.UNIT
+        model, grid = dirichlet_model(1), uniform_grid(1.0, 2)
+        want = rng.path_increments(31, range(n), 2, 1)
+        tables = _kernels.Tables(np.ones((2, 1)))
+        taken, tiled, failures = [], [], []
+
+        def unit(lo, hi, x0b, z):
+            taken.append((lo, hi))
+            tiled.append(tables.wide(hi - lo, 1)[1])
+            if not np.array_equal(z, want[lo:hi]):
+                failures.append((lo, hi))
+
+        monkeypatch.setattr(forward, "THREADED_ROW_MIN", 1)
+        monkeypatch.setattr(forward, "available_cores", lambda: 5)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                monkeypatch.setattr(forward, "_pool", pool)
+                run = threading.Thread(
+                    target=forward.run_pass, args=(model, np.zeros(1), grid, 31, n, unit)
+                )
+                run.start()
+                run.join(timeout=60)
+                assert not run.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert sorted(taken) == list(forward.units(n)) and not failures
+        assert all(t is tiled[0] for t in tiled)
+
+    @pytest.mark.parametrize(
+        "n, cuts",
+        [
+            (0, []),
+            (1, [0, 1]),
+            (1024, [0, 1024]),
+            (1279, [0, 1279]),  # a remainder below UNIT_MIN joins the unit before it
+            (1280, [0, 1024, 1280]),
+            (2048, [0, 1024, 2048]),
+            (2049, [0, 1024, 2048, 2049]),  # units never cross a chunk border
+            (2048 + 1300, [0, 1024, 2048, 3072, 3348]),
+        ],
+    )
+    def test_units_cut_each_chunk(self, n, cuts):
+        assert list(forward.units(n)) == list(zip(cuts, cuts[1:]))
 
     @pytest.mark.parametrize(
         "cores, n, n_steps, workers",
@@ -112,40 +189,44 @@ class TestRngStreams:
             (1, 2048, 256, 0),  # one core
             (2, 2048, 256, 1),  # 256 steps x 4 modes is THREADED_ROW_MIN
             (2, 2048, 255, 0),  # a shorter row stays on the caller's thread
-            (3, 2 * rng.ROW_BLOCK, 256, 1),  # no more threads than blocks
-            (2, rng.ROW_BLOCK, 256, 0),
+            (3, 2048, 256, 1),  # no more threads than units
+            (3, 2048 + 64, 256, 2),
+            (2, 32, 256, 0),
         ],
     )
     def test_thread_count(self, monkeypatch, cores, n, n_steps, workers):
-        real = rng._executor
+        real = forward._executor
         asked = []
 
         def executor():
             asked.append(1)
             return real()
 
-        monkeypatch.setattr(rng, "available_cores", lambda: cores)
-        monkeypatch.setattr(rng, "_executor", executor)
-        rng.path_increments(31, range(n), n_steps, 4)
+        monkeypatch.setattr(forward, "available_cores", lambda: cores)
+        monkeypatch.setattr(forward, "_executor", executor)
+        forward.run_pass(
+            dirichlet_model(4), np.zeros(4), uniform_grid(1.0, n_steps), 31, n,
+            lambda lo, hi, x0b, z: None,
+        )
         assert len(asked) == workers
 
     def test_draw_in_forked_child(self, monkeypatch):
         # the parent's pool exists before the fork; the child must not queue
-        # its draw on that pool's threads, which it does not have
-        monkeypatch.setattr(rng, "available_cores", lambda: 2)
-        monkeypatch.setattr(rng, "THREADED_ROW_MIN", 1)
-        want = rng.path_increments(31, range(256), 4, 2)
-        assert rng._pool is not None
+        # its units on that pool's threads, which it does not have
+        monkeypatch.setattr(forward, "available_cores", lambda: 2)
+        monkeypatch.setattr(forward, "THREADED_ROW_MIN", 1)
+        want = hashlib.sha256(_pass_normals(2048).tobytes()).hexdigest()
+        assert forward._pool is not None
         ctx = multiprocessing.get_context("fork")
         queue = ctx.SimpleQueue()
-        child = ctx.Process(target=_draw_into, args=(queue, 256))
+        child = ctx.Process(target=_pass_digest_into, args=(queue, 2048))
         child.start()
         child.join(timeout=60)
         alive = child.is_alive()
         if alive:
             child.kill()
         assert not alive and child.exitcode == 0
-        assert np.array_equal(queue.get(), want)
+        assert queue.get() == want
 
     def test_negative_path_index_rejected(self):
         with pytest.raises(ValueError):

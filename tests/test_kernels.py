@@ -59,6 +59,20 @@ def test_fold_factor():
     assert _kernels.fold_factor(2050, 4) == 2
 
 
+def test_tables_tile_once_per_fold_factor():
+    # the units of a pass, on any thread, read one shared tiling per fold factor
+    a, b = np.arange(8.0).reshape(2, 4), np.ones((2, 4))
+    tables = _kernels.Tables(a, b)
+    shape, aw, bw = tables.wide(64, 4)
+    assert shape == (2, 128)
+    assert np.array_equal(aw, np.tile(a, 32)) and np.array_equal(bw, np.tile(b, 32))
+    again = tables.wide(1024, 4)
+    assert again[0] == (32, 128) and again[1] is aw and again[2] is bw
+    assert tables.wide(2, 4)[0] == (1, 8)
+    first, second = tables
+    assert first is a and second is b
+
+
 @by_kind_and_rows
 def test_forward_full_matches_one_step_map(dirichlet4, nonlin, n):
     x0, z, dt, st = _setup(dirichlet4, nonlin, n)
@@ -98,7 +112,8 @@ def test_guided_without_guide_is_forward_snap(dirichlet4, nonlin, n):
     y = np.random.default_rng(1).standard_normal((n, 4))
     nil = np.zeros((12, 4))
     every = np.arange(13, dtype=np.int64)
-    snaps, logw = _kernels.guided(*common, (nil, nil, nil, False), y, dt, every, every[:12])
+    guide = (_kernels.Tables(nil, nil, nil), False)
+    snaps, logw = _kernels.guided(*common, guide, y, dt, every, every[:12])
     assert np.array_equal(snaps, _kernels.forward_snap(*common, every))
     assert np.all(logw == 0.0)
 
@@ -137,7 +152,7 @@ def test_guided_log_weights_are_trapezoid_of_own_states(dirichlet4):
     Wg = Bg / den
     Ag = dirichlet4.q * Wg
     every = np.arange(13, dtype=np.int64)
-    common = (x0, z, st, (Ag, Bg, Wg, True), y, dt)
+    common = (x0, z, st, (_kernels.Tables(Ag, Bg, Wg), True), y, dt)
     snaps, logw = _kernels.guided(*common, every, every[:12])
     assert np.array_equal(snaps[:, 0], x0)
     assert np.array_equal(snaps[:, 12], y)
@@ -178,6 +193,7 @@ def test_rows_do_not_depend_on_batch_size(dirichlet4, nonlin):
     slots = np.full(13, -1, dtype=np.int64)
     slots[[0, 6, 12]] = [0, 1, 2]
     table = ou._bridge_table(dirichlet4, 1.0, uniform_grid(1.0, 12), y[0])
+    guide = (_kernels.Tables(dirichlet4.q * Wg, Bg, Wg), True)
 
     def run(n):
         common = (x0[:n], z[:n], st)
@@ -190,9 +206,7 @@ def test_rows_do_not_depend_on_batch_size(dirichlet4, nonlin):
                 *common, nodes, dt, a, np.array([0.2, -1.1]), [True, False],
                 dirichlet4.lam * a, np.sum(dirichlet4.q * a * a, axis=1), slots,
             ),
-            *_kernels.guided(
-                *common, (dirichlet4.q * Wg, Bg, Wg, True), y[:n], dt, every, every[:12]
-            ),
+            *_kernels.guided(*common, guide, y[:n], dt, every, every[:12]),
             bridge,
         ]
 
@@ -227,7 +241,7 @@ def test_row_sum_data_tells_summation_orders_apart():
 
 @by_kind_and_rows
 def test_step_major_normals_give_the_same_bits(dirichlet4, nonlin, n):
-    # forward.stream_paths hands the kernels step-major normals, where
+    # forward.run_pass hands the kernels step-major normals, where
     # z[:, k] is one contiguous block; the path-major array must agree
     x0, z, dt, st = _setup(dirichlet4, nonlin, n)
     z_step = np.empty((z.shape[1], n, 4)).transpose(1, 0, 2)
@@ -241,6 +255,7 @@ def test_step_major_normals_give_the_same_bits(dirichlet4, nonlin, n):
     Wg = Bg / covariance_qt_diag(dirichlet4, r)
     every = np.arange(13, dtype=np.int64)
     table = ou._bridge_table(dirichlet4, 1.0, uniform_grid(1.0, 12), y[0])
+    guide = (_kernels.Tables(dirichlet4.q * Wg, Bg, Wg), True)
 
     def run(zz):
         common = (x0, zz, st)
@@ -253,9 +268,7 @@ def test_step_major_normals_give_the_same_bits(dirichlet4, nonlin, n):
                 *common, nodes, dt, a, np.array([0.2, -1.1]), [True, False],
                 dirichlet4.lam * a, np.sum(dirichlet4.q * a * a, axis=1), every,
             ),
-            *_kernels.guided(
-                *common, (dirichlet4.q * Wg, Bg, Wg, True), y, dt, every, every[:12]
-            ),
+            *_kernels.guided(*common, guide, y, dt, every, every[:12]),
             bridge,
         ]
 
@@ -280,7 +293,7 @@ def test_guided_log_weights_sum_like_np_sum_at_nine_modes():
     Wg = Bg / covariance_qt_diag(model, r)
     every = np.arange(n_steps + 1, dtype=np.int64)
     snaps, logw = _kernels.guided(
-        x0, z, st, (model.q * Wg, Bg, Wg, False), y, dt, every, every[:n_steps]
+        x0, z, st, (_kernels.Tables(model.q * Wg, Bg, Wg), False), y, dt, every, every[:n_steps]
     )
     cum = np.zeros(n)
     for k in range(n_steps):

@@ -1,10 +1,11 @@
-"""The streaming driver draws every chunk into one normals buffer.
+"""Each thread of forward.run_pass draws its units into one normals buffer.
 
 These tests pin what that buffer may and may not change: each streamed
-caller gives the same bits as with fresh normals per chunk (so none keeps
-its chunk's normals past the loop body), and peak memory holds one chunk
-of normals, not two. The forward task's paths dump also holds one chunk
-of states, never the whole ensemble and never a second copy of a chunk.
+caller gives the same bits as with fresh normals per unit (so none keeps
+its unit's normals past the call), and peak memory holds one unit of
+normals per thread, not more. The forward task's paths dump also holds one
+unit of states per thread, never the whole ensemble and never a second
+copy of a unit.
 """
 
 import hashlib
@@ -22,8 +23,8 @@ from spdebridge import (
     geometric_grid,
     sine_nemytskii,
 )
-from spdebridge import forward, guided, htransform, ou, rng
-from spdebridge.forward import CHUNK, forward_snapshots, nearest_node
+from spdebridge import forward, rng
+from spdebridge.forward import CHUNK, UNIT, forward_snapshots, nearest_node
 from spdebridge.guided import guided_snapshots, weight_node
 from spdebridge.htransform import dynkin_residual_mc
 from spdebridge.ou import ou_bridge_snapshots
@@ -37,19 +38,14 @@ TARGET = np.array([0.5, -0.3, 0.1, 0.0])
 SEED = 97
 
 
-def _fresh_stream_paths(model, x0, grid, rng_seed, n_paths):
-    """The driver as it was before the shared buffer: new normals per chunk."""
-    for lo in range(0, n_paths, CHUNK):
-        hi = min(lo + CHUNK, n_paths)
-        x0b = np.broadcast_to(x0, (hi - lo, model.n_modes)).copy()
-        yield lo, hi, x0b, rng.path_increments(
-            rng_seed, range(lo, hi), grid.n_steps, model.n_modes
-        )
-
-
 def _use_fresh_normals(monkeypatch):
-    for mod in (forward, guided, htransform, ou):
-        monkeypatch.setattr(mod, "stream_paths", _fresh_stream_paths)
+    """Make run_pass's draw ignore its buffer: new path-major normals per unit."""
+    draw = rng.path_increments
+
+    def fresh(master_seed, path_indices, n_steps, n_modes, *, out):
+        return draw(master_seed, path_indices, n_steps, n_modes)
+
+    monkeypatch.setattr(rng, "path_increments", fresh)
 
 
 # each runner returns a tuple of arrays
@@ -164,21 +160,29 @@ def test_martingale_diag_shared_buffer_matches_fresh_normals(tmp_path, monkeypat
         ).read_bytes()
 
 
-# Peak memory in chunks of normals. The dump adds one chunk of states, which
-# is about one chunk of normals, and row blocks of increments.
-PEAK_CHUNKS = {"forward-paths": 2.5}
+# Peak memory in units of normals per thread. The dump adds one unit of
+# states per thread, which is about one unit of normals, and row blocks of
+# increments. What a pass holds once (its tables and outputs) stays below
+# half a unit.
+PEAK_UNITS = {"forward-paths": 2.5}
 
 
 @pytest.mark.parametrize("name", list(STREAMED))
-def test_peak_memory_holds_one_chunk_of_normals(name):
+def test_peak_memory_holds_one_chunk_of_normals(monkeypatch, two_worker_pool, name):
+    # one unit per thread: at two threads, one chunk; rows of 64 steps x 4
+    # modes are past the lowered row floor
     grid = geometric_grid(1.0, 64)
-    one_chunk = CHUNK * grid.n_steps * MODEL.n_modes * 8
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        STREAMED[name](grid)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    bound = PEAK_CHUNKS.get(name, 1.5)
-    assert peak < bound * one_chunk, f"peak {peak / one_chunk:.2f} chunks of normals"
+    one_unit = UNIT * grid.n_steps * MODEL.n_modes * 8
+    monkeypatch.setattr(forward, "THREADED_ROW_MIN", 1)
+    monkeypatch.setattr(forward, "_pool", two_worker_pool)
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(forward, "available_cores", lambda: cores)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            STREAMED[name](grid)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        bound = PEAK_UNITS.get(name, 1.5) * cores + 0.5
+        assert peak < bound * one_unit, f"{cores} cores: peak {peak / one_unit:.2f} units"

@@ -8,13 +8,16 @@ from a ``Stepper`` (rows E = exp(lam dt), P = phi(dt), S = sqrt(per-step
 noise variance) per step, the transform matrices B, C, the nonlinearity's
 code and alpha) that ``forward.stepper`` builds once per pass, so every run
 and any replay use the same coefficients. ``Stepper.F`` calls the module
-global ``_nemytskii_np``, which the benchmark's tracer wraps. G, the guide
+global ``_nemytskii_np``, which the benchmark's tracer wraps, except for the
+zero kind, whose F is one cached read-only block of zeros. G, the guide
 drift of the h-transformed process, exists only in ``guided``. Each public
 kernel is a readout of that loop (stored states, a Dynkin functional, guided
 states with log weights) that reads its output nodes from slot tables and
 never calls another. ``forward.run_pass`` calls one of them once per unit
 of a pass (a 1024-path share of a chunk, see there), and the benchmark's
 tracer wraps the four by name and counts one pass per traced task call.
+``forward_full`` stores every node, or hands the states out a node block at
+a time, so the forward paths dump never holds a unit's states whole.
 ``htransform.exp_martingale_mc`` also reads ``_nodes`` but is not a traced
 kernel, so its passes are not counted.
 ``BACKEND`` names the execution engine and is echoed into run manifests.
@@ -44,7 +47,9 @@ not J = 9..12). Dynkin's ``x @ a[i]`` keeps the one-row rounding.
 The update runs in place on one state buffer and one scratch block per
 call, as ((E x) + (P F)) + (S z) with ``out=``: the same operations on the
 same operands in the same order as the expression with temporaries, so the
-same bits.
+same bits. The zero kind without a guide drift steps as ((E x) + 0.0) +
+(S z), with no F and no product: P is positive and finite, so P F is +0.0,
+and adding +0.0 keeps the bits, turning a -0.0 entry of E x into +0.0.
 
 Normals Z (n, n_steps, J) come in either of two layouts with the same
 values: path-major (C-contiguous, as ``rng.path_increments`` returns by
@@ -188,10 +193,23 @@ class Stepper:
     def __init__(self, E, P, S, B, C, kind: int, alpha: float):
         self.EPS = Tables(E, P, S)
         self.B, self.C, self.kind, self.alpha = B, C, kind, alpha
+        self._zeros = {}
 
     def F(self, x):
-        """Nonlinearity coefficients of the states x (n, J)."""
-        return _nemytskii_np(x, self.B, self.C, self.kind, self.alpha)
+        """Nonlinearity coefficients of the states x (n, J).
+
+        The zero kind returns one cached read-only block of zeros per shape,
+        shared by every unit of the pass on any thread.
+        """
+        if self.kind != KIND_ZERO:
+            return _nemytskii_np(x, self.B, self.C, self.kind, self.alpha)
+        zeros = self._zeros.get(x.shape)
+        if zeros is None:
+            zeros = np.zeros(x.shape)
+            zeros.flags.writeable = False
+            # two threads may build one at once: setdefault keeps the first for both
+            zeros = self._zeros.setdefault(x.shape, zeros)
+        return zeros
 
 
 def _nodes(x0, Z, st, drift=None):
@@ -201,35 +219,50 @@ def _nodes(x0, Z, st, drift=None):
     yield, on the wide view (see the module docstring), so a caller that
     keeps x_k past its loop body must copy it. ``drift(k, xw)`` is the extra
     term G on the wide view; without it the update is ``P * F`` rather than
-    ``P * (F + 0)``, which would turn a -0.0 entry of F into +0.0.
+    ``P * (F + 0)``, which would turn a -0.0 entry of F into +0.0. The zero
+    kind without a drift adds +0.0 in place of ``P * F``, with the same bits
+    (see the module docstring).
     """
     n, n_steps, n_modes = Z.shape
     shape, Ew, Pw, Sw = st.EPS.wide(n, n_modes)
     x = x0.copy()
     xw = x.reshape(shape)
     tw = np.empty(shape)
+    zero = drift is None and st.kind == KIND_ZERO
     for k in range(n_steps):
         f = st.F(x)
         yield k, x, f
-        fw = f.reshape(shape)
-        if drift is None:
-            np.multiply(Pw[k], fw, out=tw)
-        else:
-            np.add(fw, drift(k, xw), out=tw)
+        if drift is not None:
+            np.add(f.reshape(shape), drift(k, xw), out=tw)
             tw *= Pw[k]
+        elif not zero:
+            np.multiply(Pw[k], f.reshape(shape), out=tw)
         xw *= Ew[k]
-        xw += tw
+        xw += 0.0 if zero else tw
         np.multiply(Sw[k], Z[:, k].reshape(shape), out=tw)
         xw += tw
     yield n_steps, x, None
 
 
-def forward_full(x0, Z, st):
+def forward_full(x0, Z, st, out=None, flush=None):
+    """States of every path at every node, (n, n_steps + 1, J), in ``out``.
+
+    With ``flush``, ``out`` may be a node block (n, m, J) of m <= n_steps + 1
+    nodes: node k goes to ``out[:, k % m]``, and each time the block fills,
+    and after the last node, ``flush(k0, out[:, :m'])`` is handed nodes
+    k0..k0+m'-1. A caller that streams the states so never holds all of
+    them. Returns ``out``.
+    """
     n, n_steps, n_modes = Z.shape
-    states = np.empty((n, n_steps + 1, n_modes))
+    if out is None:
+        out = np.empty((n, n_steps + 1, n_modes))
+    m = out.shape[1]
     for k, x, _ in _nodes(x0, Z, st):
-        states[:, k] = x
-    return states
+        j = k % m
+        out[:, j] = x
+        if flush is not None and (j == m - 1 or k == n_steps):
+            flush(k - j, out[:, : j + 1])
+    return out
 
 
 def forward_snap(x0, Z, st, slots):

@@ -49,6 +49,15 @@ UNIT_MIN = 256
 # as one at 64-512 normals per path, about even at 768, and 1.3-1.8x as fast
 # from 1024 up, at 64 and at 1024 paths alike.
 THREADED_ROW_MIN = 1024
+# Bytes of the node block in which each thread of a dumping forward pass
+# keeps its unit's states: they go to the file a block at a time, so no unit
+# holds all of its (n, n_nodes, J) states. The nodes are cut into equal
+# blocks of at most this size (1024 paths x 4 modes: at most 128 nodes, so
+# 513 nodes go in 5 blocks of 103). On a
+# 2-core Xeon VM, 8000 paths x 513 nodes x 4 modes at two threads peaked at
+# 79.0, 83.4 and 106.4 MB with blocks of 64, 128 and 257 nodes, and at 107.3
+# MB with whole units; smaller blocks take more writes.
+DUMP_BLOCK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -335,7 +344,7 @@ def _executor():
 
 
 def run_pass(
-    model: SpectralModel, x0, grid: TimeGrid, rng_seed, n_paths: int, unit_fn
+    model: SpectralModel, x0, grid: TimeGrid, rng_seed, n_paths: int, unit_fn, sink=None
 ) -> None:
     """Draw and step paths 0..n_paths-1 unit by unit, on every available core.
 
@@ -347,7 +356,10 @@ def run_pass(
     normals of step k, ``z[:, k]``, one contiguous (n, J) block, as the
     stepper reads them) and calls ``unit_fn(lo, hi, x0 rows, z)``, which
     must write only rows lo..hi of its outputs; the buffer is overwritten
-    by the thread's next unit, so ``z`` is valid inside the call only.
+    by the thread's next unit, so ``z`` is valid inside the call only. With
+    ``sink``, the draw also hands each block of up to ``rng.ROW_BLOCK`` paths
+    it draws to ``sink(i, rows)``: the path-major normals of paths i.., as
+    ``rng.path_increments`` hands them out, before the unit is stepped.
 
     A path's normals depend on nothing but the seed and its index, and the
     cut on nothing but n_paths, so every row comes out the same at every
@@ -373,8 +385,10 @@ def run_pass(
                 if buf is None:
                     buf = np.empty((grid.n_steps, m, model.n_modes)).transpose(1, 0, 2)
                 x0b = np.broadcast_to(x0, (hi - lo, model.n_modes)).copy()
+                drawn = None if sink is None else (lambda r, rows: sink(lo + r, rows))
                 z = rng.path_increments(
-                    rng_seed, range(lo, hi), grid.n_steps, model.n_modes, out=buf[: hi - lo]
+                    rng_seed, range(lo, hi), grid.n_steps, model.n_modes,
+                    out=buf[: hi - lo], sink=drawn,
                 )
                 unit_fn(lo, hi, x0b, z)
         except BaseException:
@@ -418,10 +432,11 @@ def forward_snapshots(
     """States at selected nodes for a large ensemble, streamed in chunks.
 
     Returns (n_paths, n_snapshots, J) without storing full trajectories.
-    With ``dump``, a ``write(lo, states, increments)`` such as
-    ``io.path_dump`` yields, each unit's full states and normals are handed
-    to it, one unit at a time under a lock, so at most one unit of states
-    per thread is alive.
+    With ``dump``, an ``io.PathDump`` such as ``io.path_dump`` yields, every
+    path's states and normals also go to it, from any thread and with no
+    lock: the normals a block of paths at a time as they are drawn, and the
+    states a node block at a time as they are stepped, from one
+    ``DUMP_BLOCK_BYTES`` block per thread. No unit holds all its states.
     """
     x0 = model.validate_field(x0)
     slots, n_snap = _snap_slots(grid, snap_nodes)
@@ -432,16 +447,26 @@ def forward_snapshots(
         def unit(lo, hi, x0b, z):
             out[lo:hi] = _kernels.forward_snap(x0b, z, st, slots)
 
-    else:
-        lock = threading.Lock()
+        run_pass(model, x0, grid, rng_seed, n_paths, unit)
+        return out
+    rows = max((hi - lo for lo, hi in units(n_paths)), default=1)
+    n_nodes = grid.n_steps + 1
+    n_blocks = -(-n_nodes // max(1, DUMP_BLOCK_BYTES // (8 * rows * model.n_modes)))
+    block_shape = (rows, -(-n_nodes // n_blocks), model.n_modes)
+    scratch = threading.local()  # one node block per thread, as run_pass's normals
 
-        def unit(lo, hi, x0b, z):
-            states = _kernels.forward_full(x0b, z, st)
-            out[lo:hi] = states[:, slots >= 0]
-            with lock:  # the writes seek to explicit offsets in one file
-                dump(lo, states, z)
+    def unit(lo, hi, x0b, z):
+        if not hasattr(scratch, "block"):
+            scratch.block = np.empty(block_shape)
 
-    run_pass(model, x0, grid, rng_seed, n_paths, unit)
+        def flush(k0, states):
+            dump.states(lo, k0, states)
+            for j in np.flatnonzero(slots[k0 : k0 + states.shape[1]] >= 0):
+                out[lo:hi, slots[k0 + j]] = states[:, j]
+
+        _kernels.forward_full(x0b, z, st, scratch.block[: hi - lo], flush)
+
+    run_pass(model, x0, grid, rng_seed, n_paths, unit, sink=dump.increments)
     return out
 
 

@@ -10,14 +10,17 @@ The binary dump layout ("SPDB") is:
 Storing the increments makes every dumped path replayable through the
 stepper, which the stochastic-exponential cross-checks require.
 
-``path_dump`` writes the header and grid once and then the rows of each
-chunk of paths at their offsets in the two regions, so a streamed ensemble
-is dumped chunk by chunk and never held whole; ``write_path_dump`` is the
-same writer given one stored ensemble as a single chunk.
+``path_dump`` writes the header and grid once and then, with one
+``os.pwrite`` each at their offsets, node blocks of paths' states and
+blocks of paths' increments, so a streamed ensemble is dumped while it is
+drawn and stepped and never held whole; ``write_path_dump`` is the same
+writer given one stored ensemble as a single block.
 """
 
 import csv
+import errno
 import json
+import os
 import struct
 from contextlib import contextmanager
 from pathlib import Path as FilePath
@@ -31,9 +34,7 @@ from .grids import TimeGrid, GEOMETRIC, UNIFORM
 MAGIC = b"SPDB"
 FORMAT_VERSION = 1
 
-# Paths of increments reordered to path-major order per copy when a dump is
-# written: 32 paths of 512 steps x 4 modes are 512 KB, not a whole chunk.
-ROW_BLOCK = 32
+_F8 = np.dtype("<f8")  # the dump's number format
 
 SUMMARY_FIELDS = ["quantity", "mode", "time", "value", "stderr", "units", "provenance"]
 
@@ -94,51 +95,98 @@ def summary_row(
     }
 
 
+def _pwrite(fd: int, data: np.ndarray, at: int, done: int | None = None) -> None:
+    """Write every byte of the C-contiguous array ``data`` at offset ``at`` of fd.
+
+    ``os.pwrite`` may write fewer bytes than asked: the rest follows in
+    further calls, and a call that writes nothing raises ``OSError``, so a
+    dump is never cut short in silence. ``done`` is what a caller's own
+    first ``os.pwrite(fd, data, at)`` wrote, if it made one.
+    """
+    size = data.nbytes
+    n = done = os.pwrite(fd, data, at) if done is None else done
+    while done < size:
+        if n == 0:
+            raise OSError(errno.EIO, f"wrote no byte of {size - done} at offset {at + done}")
+        n = os.pwrite(fd, memoryview(data).cast("B")[done:], at + done)
+        done += n
+
+
+class PathDump:
+    """Positional writer of the paths of one open SPDB dump (see ``path_dump``).
+
+    Every write is an ``os.pwrite`` at its offset in the layout, so writers
+    on several threads need no lock and share no file position.
+    """
+
+    def __init__(self, fd: int, n_paths: int, n_nodes: int, n_modes: int):
+        self._fd = fd
+        self.n_paths, self.n_nodes, self.n_modes = n_paths, n_nodes, n_modes
+        self._states_at = 20 + 8 * n_nodes
+        self._increments_at = self._states_at + 8 * n_paths * n_nodes * n_modes
+
+    def _check(self, fits, what, lo, arr):
+        if not (fits and 0 <= lo <= self.n_paths - len(arr)):
+            raise DomainError(
+                f"cannot write {what} {arr.shape} of paths {lo}..{lo + len(arr)} "
+                f"into a dump of {self.n_paths} paths of shape "
+                f"({self.n_nodes}, {self.n_modes})"
+            )
+
+    def states(self, lo: int, k0: int, block: np.ndarray) -> None:
+        """Store nodes k0..k0+m-1 of paths lo..lo+n-1 from ``block`` (n, m, J).
+
+        Each path's m nodes are one run of bytes in the file, written from
+        ``block[i]`` directly; a block whose rows are not C-contiguous
+        little-endian float64 is converted first.
+        """
+        n, m = block.shape[:2]
+        fits = block.shape[2:] == (self.n_modes,) and 0 <= k0 <= self.n_nodes - m
+        self._check(fits, f"the states at nodes {k0}..{k0 + m}", lo, block)
+        path_bytes = 8 * self.n_nodes * self.n_modes
+        at = self._states_at + lo * path_bytes + 8 * k0 * self.n_modes
+        if block.dtype != _F8 or not block[:1].flags.c_contiguous:
+            block = np.ascontiguousarray(block, dtype=_F8)
+        # the forward dump makes one call per path and node block, so the
+        # loop calls os.pwrite itself and _pwrite only to finish a short write
+        row_bytes = 8 * m * self.n_modes
+        for row in block:
+            written = os.pwrite(self._fd, row, at)
+            if written < row_bytes:
+                _pwrite(self._fd, row, at, written)
+            at += path_bytes
+
+    def increments(self, lo: int, rows: np.ndarray) -> None:
+        """Store the normals (n, n_nodes - 1, J) of paths lo..lo+n-1 in one write."""
+        fits = rows.shape[1:] == (self.n_nodes - 1, self.n_modes)
+        self._check(fits, "the increments", lo, rows)
+        at = self._increments_at + 8 * lo * (self.n_nodes - 1) * self.n_modes
+        _pwrite(self._fd, np.ascontiguousarray(rows, dtype=_F8), at)
+
+
 @contextmanager
 def path_dump(path: FilePath, grid: TimeGrid, n_paths: int, n_modes: int):
-    """Open an SPDB dump of n_paths paths on grid; yield ``write(lo, states, increments)``.
+    """Open an SPDB dump of n_paths paths on grid and yield its ``PathDump``.
 
-    ``write`` stores paths lo.. given their states (n, n_nodes, J) and
-    increments (n, n_steps, J) in any memory layout, each region at its
-    offset, so chunks may come one at a time. Increments go to the file
-    ``ROW_BLOCK`` paths at a time, so a step-major block is reordered in
-    small copies, never as a whole. The dump is complete once every path
-    has been written.
+    The header and grid are written at once. States and increments may then
+    come in any order and pieces, from any thread: ``states`` takes a node
+    block of some paths, ``increments`` the normals of some paths. The dump
+    is complete once every path's states and increments have been written.
     """
-    nodes = np.ascontiguousarray(grid.nodes, dtype="<f8")
-    n_nodes = nodes.size
-    states_at = 20 + 8 * n_nodes
-    increments_at = states_at + 8 * n_paths * n_nodes * n_modes
-
-    def write(lo, states, increments):
-        n = len(states)
-        if (
-            states.shape != (n, n_nodes, n_modes)
-            or increments.shape != (n, n_nodes - 1, n_modes)
-            or not 0 <= lo <= n_paths - n
-        ):
-            raise DomainError(
-                f"cannot write paths {lo}..{lo + n} with states {states.shape} and "
-                f"increments {increments.shape} into a dump of {n_paths} paths of "
-                f"shape ({n_nodes}, {n_modes})"
-            )
-        fh.seek(states_at + 8 * lo * n_nodes * n_modes)
-        np.ascontiguousarray(states, dtype="<f8").tofile(fh)
-        fh.seek(increments_at + 8 * lo * (n_nodes - 1) * n_modes)
-        for r in range(0, n, ROW_BLOCK):
-            np.ascontiguousarray(increments[r : r + ROW_BLOCK], dtype="<f8").tofile(fh)
-
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<IIII", FORMAT_VERSION, n_modes, n_nodes, n_paths))
-        nodes.tofile(fh)
-        yield write
+    nodes = np.ascontiguousarray(grid.nodes, dtype=_F8)
+    header = MAGIC + struct.pack("<IIII", FORMAT_VERSION, n_modes, nodes.size, n_paths)
+    with open(path, "wb", buffering=0) as fh:
+        fd = fh.fileno()
+        _pwrite(fd, np.frombuffer(header, np.uint8), 0)
+        _pwrite(fd, nodes, len(header))
+        yield PathDump(fd, n_paths, nodes.size, n_modes)
 
 
 def write_path_dump(path: FilePath, ensemble: PathEnsemble) -> None:
     n_paths, _, n_modes = ensemble.states.shape
-    with path_dump(path, ensemble.grid, n_paths, n_modes) as write:
-        write(0, ensemble.states, ensemble.increments)
+    with path_dump(path, ensemble.grid, n_paths, n_modes) as dump:
+        dump.states(0, 0, ensemble.states)
+        dump.increments(0, ensemble.increments)
 
 
 def read_path_dump(path: FilePath, grid_kind: str = UNIFORM) -> PathEnsemble:

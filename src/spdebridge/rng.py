@@ -14,7 +14,9 @@ This makes every path individually reproducible from
 
 ``path_increments`` is a single-threaded loop: it resets one Philox to each
 path's counter block in turn. ``forward.run_pass`` draws different paths on
-different threads by calling it once per unit of paths.
+different threads by calling it once per unit of paths. Its ``sink`` hands
+out each block of rows as it is drawn, which is how the forward paths dump
+writes its increments without a copy of its own.
 """
 
 import numpy as np
@@ -42,8 +44,9 @@ def stream(master_seed: int, purpose: int = PATHS, index: int = 0) -> Generator:
 
 
 # Rows drawn at a time into a C-contiguous scratch block when ``out`` is
-# step-major, then copied into place: 32 rows of 512 steps x 4 modes are
-# 512 KB, small enough to stay in cache between the draw and the copy.
+# step-major, then copied into place (and handed to a sink, if any): 32 rows
+# of 512 steps x 4 modes are 512 KB, small enough to stay in cache between
+# the draw and the copy.
 ROW_BLOCK = 32
 
 
@@ -66,7 +69,7 @@ def _is_step_major(out, shape) -> bool:
 
 
 def path_increments(
-    master_seed: int, path_indices, n_steps: int, n_modes: int, *, out=None
+    master_seed: int, path_indices, n_steps: int, n_modes: int, *, out=None, sink=None
 ) -> np.ndarray:
     """Standard-normal increments for the given paths, shape (n, n_steps, n_modes).
 
@@ -83,6 +86,12 @@ def path_increments(
 
     Both layouts receive the same values; step-major rows are drawn
     ``ROW_BLOCK`` at a time into a path-major scratch block and copied in.
+
+    With ``sink``, each block of up to ``ROW_BLOCK`` rows is also handed to
+    ``sink(r, rows)`` as soon as it is drawn: ``rows`` is C-contiguous and
+    holds the normals of ``path_indices[r : r + len(rows)]``. It is the
+    scratch block (or a slice of a path-major ``out``), valid inside the
+    call only.
     """
     key = philox_key(master_seed, PATHS)
     idx = np.asarray(path_indices, dtype=np.int64)
@@ -111,6 +120,8 @@ def path_increments(
             state["has_uint32"] = 0
             bitgen.state = state
             gen.standard_normal(out=rows[row])
+        if sink is not None:
+            sink(lo, rows)
         if step_major:
             dest.view(item)[...] = rows.view(item)
     return out

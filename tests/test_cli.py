@@ -15,7 +15,7 @@ import spdebridge
 from spdebridge import replay_path, simulate_ensemble, sine_nemytskii, uniform_grid
 from spdebridge import tasks
 from spdebridge.cli import main
-from spdebridge.forward import CHUNK
+from spdebridge.forward import CHUNK, PathEnsemble
 from spdebridge.io import read_manifest, read_path_dump, write_path_dump
 from spdebridge.scenario import SCENARIO_SCHEMA, TASK_NAMES, SchemaError, resolve_scenario
 from spdebridge.tasks import run_scenario
@@ -567,15 +567,105 @@ class TestPathDump:
             spdebridge.dirichlet_model(2), sine_nemytskii(0.5), np.zeros(2), grid, 5,
             n_paths=2,
         )
-        with path_dump(tmp_path / "paths.spdb", grid, 3, 2) as write:
-            write(0, ens.states, ens.increments)
-            for lo, states, increments in (
-                (2, ens.states, ens.increments),  # rows 2..3 of 3
-                (0, ens.states[:, :-1], ens.increments[:, :-1]),  # wrong grid
-                (0, ens.states, ens.increments[:1]),  # row counts differ
+        with path_dump(tmp_path / "paths.spdb", grid, 3, 2) as dump:
+            dump.states(0, 0, ens.states)
+            dump.increments(0, ens.increments)
+            for write in (
+                lambda: dump.states(2, 0, ens.states),  # rows 2..3 of 3
+                lambda: dump.increments(2, ens.increments),
+                lambda: dump.states(0, 1, ens.states),  # nodes 1..5 of 5
+                lambda: dump.states(0, 0, ens.states[..., :1]),  # one mode of 2
+                lambda: dump.increments(0, ens.increments[:, :-1]),  # wrong grid
             ):
                 with pytest.raises(DomainError):
-                    write(lo, states, increments)
+                    write()
+
+    def _dump_scenario(self, n_modes, n_paths, nonlin="sine"):
+        scn = base_scenario(
+            {"name": "forward", "times": [0.5, 1.0]},
+            model={"n_modes": n_modes},
+            dynamics={"nonlinearity": {"kind": nonlin, "alpha": 0.5}, "x0": {"kind": "zero"}},
+            grid={"horizon": 1.0, "n_steps": 16, "kind": "geometric"},
+            sampling={"n_paths": n_paths, "seed": 77},
+            output={"formats": ["csv", "json", "paths"]},
+        )
+        return resolve_scenario(scn)
+
+    @pytest.mark.parametrize("n_paths", [CHUNK + 40, 2 * CHUNK + 3])
+    @pytest.mark.parametrize("n_modes", [1, 4, 9])
+    def test_dump_identical_at_every_thread_count_across_node_blocks(
+        self, tmp_path, monkeypatch, n_modes, n_paths
+    ):
+        # blocks of 5 of the 17 nodes (5, 5, 5, 2) for 1024-path units; the
+        # row floor lowered so that rows of 16 steps are past it
+        monkeypatch.setattr(spdebridge.forward, "DUMP_BLOCK_BYTES", 8 * 1024 * n_modes * 5)
+        monkeypatch.setattr(spdebridge.forward, "THREADED_ROW_MIN", 1)
+        scn = self._dump_scenario(n_modes, n_paths)
+        model = tasks.build_model(scn)
+        grid = tasks.build_grid(scn)
+        # each unit stored whole: at J = 9 a unit's rows round as the unit's,
+        # not as those of one batch of every path
+        units = [
+            simulate_ensemble(
+                model, tasks.build_nonlinearity(scn), tasks.build_x0(scn, model), grid, 77,
+                hi - lo, oversample=scn["dynamics"]["oversample"], path_offset=lo,
+            )
+            for lo, hi in spdebridge.forward.units(n_paths)
+        ]
+        ens = PathEnsemble(
+            grid, np.concatenate([u.states for u in units]),
+            np.concatenate([u.increments for u in units]), "units",
+        )
+        # the SPDB layout written out by hand: what every writer must match
+        header = b"SPDB" + np.array([1, n_modes, 17, n_paths], "<u4").tobytes()
+        want = header + b"".join(
+            a.astype("<f8").tobytes() for a in (grid.nodes, ens.states, ens.increments)
+        )
+        write_path_dump(tmp_path / "stored.spdb", ens)
+        assert (tmp_path / "stored.spdb").read_bytes() == want
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(spdebridge.forward, "available_cores", lambda: cores)
+            run_scenario(scn, tmp_path / str(cores))
+            assert (tmp_path / str(cores) / "paths.spdb").read_bytes() == want, cores
+
+    def test_short_writes_complete_the_dump(self, tmp_path, monkeypatch):
+        # os.pwrite may write fewer bytes than asked; here it writes at most
+        # 1000, less than a path's 17 nodes x 9 modes of states
+        scn = self._dump_scenario(9, CHUNK + 40)
+        run_scenario(scn, tmp_path / "whole")
+        pwrite = os.pwrite
+        calls = []
+
+        def short_pwrite(fd, data, offset):
+            calls.append(offset)
+            return pwrite(fd, memoryview(data).cast("B")[:1000], offset)
+
+        monkeypatch.setattr(os, "pwrite", short_pwrite)
+        run_scenario(scn, tmp_path / "short")
+        assert len(calls) > (tmp_path / "short" / "paths.spdb").stat().st_size // 1000
+        for name in ("paths.spdb", "summary.csv"):
+            assert (tmp_path / "short" / name).read_bytes() == (
+                tmp_path / "whole" / name
+            ).read_bytes(), name
+
+    def test_write_error_exits_without_traceback(self, tmp_path, monkeypatch, capsys):
+        # past the header and grid, every write writes nothing, on every
+        # thread; the first to raise ends the run on the CLI's error path
+        f = tmp_path / "scn.json"
+        scn = base_scenario(
+            {"name": "forward"}, sampling={"n_paths": CHUNK + 40, "seed": 77},
+            output={"formats": ["csv", "json", "paths"]},
+        )
+        f.write_text(json.dumps(scn))
+        monkeypatch.setattr(spdebridge.forward, "THREADED_ROW_MIN", 1)
+        pwrite = os.pwrite
+        monkeypatch.setattr(
+            os, "pwrite", lambda fd, data, offset: pwrite(fd, data, offset) if offset < 100 else 0
+        )
+        assert run_cli(["run", str(f), "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: OSError: [Errno 5] wrote no byte")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     def test_forward_task_writes_dump(self, tmp_path):
         scn = base_scenario({"name": "forward", "times": [1.0]})

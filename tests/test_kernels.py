@@ -92,6 +92,44 @@ def test_forward_full_matches_one_step_map(dirichlet4, nonlin, n):
                 np.testing.assert_allclose(states[i, k + 1], x, rtol=1e-13, atol=1e-15)
 
 
+@pytest.mark.parametrize("n", list(ROWS))
+def test_zero_kind_steps_as_the_general_update(dirichlet4, n):
+    # the zero kind adds +0.0 in place of P * F (P is positive and finite),
+    # so the states keep the bits of ((E x) + (P F)) + (S z) with F = +0.0;
+    # a -0.0 state driven by a -0.0 normal becomes +0.0 only through the add
+    x0, z, dt, st = _setup(dirichlet4, zero(), n)
+    x0[:, ::2] = -0.0
+    z[:, 0, ::2] = -0.0
+    E, P, S = st.EPS
+    x, want = x0, [x0]
+    for k in range(dt.size):
+        x = (E[k] * x + P[k] * np.zeros_like(x)) + S[k] * z[:, k]
+        want.append(x)
+    got = _kernels.forward_full(x0, z, st)
+    assert _bits(got) == _bits(np.stack(want, axis=1))
+    assert not np.any(np.signbit(got[:, 1, ::2]))
+    # readouts that read F get one cached read-only block of zeros
+    f = st.F(x0)
+    assert f is st.F(x0.copy()) and not f.flags.writeable and not np.any(f)
+
+
+@pytest.mark.parametrize("m", [1, 5, 13])
+def test_forward_full_in_node_blocks(dirichlet4, m):
+    # a node block of m of the 13 nodes, flushed when full and at the end,
+    # hands out every state of forward_full once, in node order
+    x0, z, dt, st = _setup(dirichlet4, sine_nemytskii(0.5), 64)
+    full = _kernels.forward_full(x0, z, st)
+    got, starts = np.full_like(full, np.nan), []
+
+    def flush(k0, states):
+        starts.append(k0)
+        got[:, k0 : k0 + states.shape[1]] = states
+
+    _kernels.forward_full(x0, z, st, np.empty((64, m, 4)), flush)
+    assert starts == list(range(0, 13, m))
+    assert _bits(got) == _bits(full)
+
+
 @by_kind_and_rows
 def test_forward_snap_matches_forward_full(dirichlet4, nonlin, n):
     x0, z, dt, st = _setup(dirichlet4, nonlin, n)

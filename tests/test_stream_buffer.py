@@ -3,9 +3,9 @@
 These tests pin what that buffer may and may not change: each streamed
 caller gives the same bits as with fresh normals per unit (so none keeps
 its unit's normals past the call), and peak memory holds one unit of
-normals per thread, not more. The forward task's paths dump also holds one
-unit of states per thread, never the whole ensemble and never a second
-copy of a unit.
+normals per thread, not more. The forward task's paths dump holds no more:
+its states go to the file a node block at a time, so no unit holds all of
+its states, and its normals go straight from the draw.
 """
 
 import hashlib
@@ -39,11 +39,17 @@ SEED = 97
 
 
 def _use_fresh_normals(monkeypatch):
-    """Make run_pass's draw ignore its buffer: new path-major normals per unit."""
+    """Make run_pass's draw ignore its buffer: new path-major normals per unit.
+
+    A sink still gets the unit's rows, all in one path-major block.
+    """
     draw = rng.path_increments
 
-    def fresh(master_seed, path_indices, n_steps, n_modes, *, out):
-        return draw(master_seed, path_indices, n_steps, n_modes)
+    def fresh(master_seed, path_indices, n_steps, n_modes, *, out, sink=None):
+        z = draw(master_seed, path_indices, n_steps, n_modes)
+        if sink is not None:
+            sink(0, z)
+        return z
 
     monkeypatch.setattr(rng, "path_increments", fresh)
 
@@ -160,21 +166,19 @@ def test_martingale_diag_shared_buffer_matches_fresh_normals(tmp_path, monkeypat
         ).read_bytes()
 
 
-# Peak memory in units of normals per thread. The dump adds one unit of
-# states per thread, which is about one unit of normals, and row blocks of
-# increments. What a pass holds once (its tables and outputs) stays below
-# half a unit.
-PEAK_UNITS = {"forward-paths": 2.5}
-
-
 @pytest.mark.parametrize("name", list(STREAMED))
 def test_peak_memory_holds_one_chunk_of_normals(monkeypatch, two_worker_pool, name):
     # one unit per thread: at two threads, one chunk; rows of 64 steps x 4
-    # modes are past the lowered row floor
+    # modes are past the lowered row floor. Peak memory is counted in units
+    # of normals per thread, plus half a unit for what a pass holds once
+    # (its tables and outputs).
     grid = geometric_grid(1.0, 64)
     one_unit = UNIT * grid.n_steps * MODEL.n_modes * 8
     monkeypatch.setattr(forward, "THREADED_ROW_MIN", 1)
     monkeypatch.setattr(forward, "_pool", two_worker_pool)
+    # the dump's node block, as the same share of a unit of normals as at 512
+    # steps: the whole budget would hold all 65 nodes, a unit of states
+    monkeypatch.setattr(forward, "DUMP_BLOCK_BYTES", forward.DUMP_BLOCK_BYTES * 64 // 512)
     for cores in (1, 2, 3):
         monkeypatch.setattr(forward, "available_cores", lambda: cores)
         tracemalloc.start()
@@ -184,5 +188,5 @@ def test_peak_memory_holds_one_chunk_of_normals(monkeypatch, two_worker_pool, na
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        bound = PEAK_UNITS.get(name, 1.5) * cores + 0.5
+        bound = 1.5 * cores + 0.5
         assert peak < bound * one_unit, f"{cores} cores: peak {peak / one_unit:.2f} units"

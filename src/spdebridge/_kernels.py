@@ -8,8 +8,7 @@ from a ``Stepper`` (rows E = exp(lam dt), P = phi(dt), S = sqrt(per-step
 noise variance) per step, the transform matrices B, C, the nonlinearity's
 code and alpha) that ``forward.stepper`` builds once per pass, so every run
 and any replay use the same coefficients. ``Stepper.F`` calls the module
-global ``_nemytskii_np``, which the benchmark's tracer wraps, except for the
-zero kind, whose F is one cached read-only block of zeros. G, the guide
+global ``_nemytskii_np``, which the benchmark's tracer wraps. G, the guide
 drift of the h-transformed process, exists only in ``guided``. Each public
 kernel is a readout of that loop (stored states, a Dynkin functional, guided
 states with log weights) that reads its output nodes from slot tables and
@@ -47,9 +46,7 @@ not J = 9..12). Dynkin's ``x @ a[i]`` keeps the one-row rounding.
 The update runs in place on one state buffer and one scratch block per
 call, as ((E x) + (P F)) + (S z) with ``out=``: the same operations on the
 same operands in the same order as the expression with temporaries, so the
-same bits. The zero kind without a guide drift steps as ((E x) + 0.0) +
-(S z), with no F and no product: P is positive and finite, so P F is +0.0,
-and adding +0.0 keeps the bits, turning a -0.0 entry of E x into +0.0.
+same bits.
 
 Normals Z (n, n_steps, J) come in either of two layouts with the same
 values: path-major (C-contiguous, as ``rng.path_increments`` returns by
@@ -193,23 +190,10 @@ class Stepper:
     def __init__(self, E, P, S, B, C, kind: int, alpha: float):
         self.EPS = Tables(E, P, S)
         self.B, self.C, self.kind, self.alpha = B, C, kind, alpha
-        self._zeros = {}
 
     def F(self, x):
-        """Nonlinearity coefficients of the states x (n, J).
-
-        The zero kind returns one cached read-only block of zeros per shape,
-        shared by every unit of the pass on any thread.
-        """
-        if self.kind != KIND_ZERO:
-            return _nemytskii_np(x, self.B, self.C, self.kind, self.alpha)
-        zeros = self._zeros.get(x.shape)
-        if zeros is None:
-            zeros = np.zeros(x.shape)
-            zeros.flags.writeable = False
-            # two threads may build one at once: setdefault keeps the first for both
-            zeros = self._zeros.setdefault(x.shape, zeros)
-        return zeros
+        """Nonlinearity coefficients of the states x (n, J)."""
+        return _nemytskii_np(x, self.B, self.C, self.kind, self.alpha)
 
 
 def _nodes(x0, Z, st, drift=None):
@@ -219,26 +203,24 @@ def _nodes(x0, Z, st, drift=None):
     yield, on the wide view (see the module docstring), so a caller that
     keeps x_k past its loop body must copy it. ``drift(k, xw)`` is the extra
     term G on the wide view; without it the update is ``P * F`` rather than
-    ``P * (F + 0)``, which would turn a -0.0 entry of F into +0.0. The zero
-    kind without a drift adds +0.0 in place of ``P * F``, with the same bits
-    (see the module docstring).
+    ``P * (F + 0)``, which would turn a -0.0 entry of F into +0.0.
     """
     n, n_steps, n_modes = Z.shape
     shape, Ew, Pw, Sw = st.EPS.wide(n, n_modes)
     x = x0.copy()
     xw = x.reshape(shape)
     tw = np.empty(shape)
-    zero = drift is None and st.kind == KIND_ZERO
     for k in range(n_steps):
         f = st.F(x)
         yield k, x, f
-        if drift is not None:
-            np.add(f.reshape(shape), drift(k, xw), out=tw)
+        fw = f.reshape(shape)
+        if drift is None:
+            np.multiply(Pw[k], fw, out=tw)
+        else:
+            np.add(fw, drift(k, xw), out=tw)
             tw *= Pw[k]
-        elif not zero:
-            np.multiply(Pw[k], f.reshape(shape), out=tw)
         xw *= Ew[k]
-        xw += 0.0 if zero else tw
+        xw += tw
         np.multiply(Sw[k], Z[:, k].reshape(shape), out=tw)
         xw += tw
     yield n_steps, x, None

@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import re
@@ -482,6 +483,19 @@ class TestCompare:
         assert run_cli(["compare", str(a), str(tmp_path / "c"), str(tol)]) == 2
 
 
+@pytest.fixture(
+    params=[
+        pytest.param(
+            "_pwrite", marks=pytest.mark.skipif(not hasattr(os, "pwrite"), reason="no os.pwrite")
+        ),
+        "_seek_write",
+    ]
+)
+def write_once(request):
+    """Each way the dump writes at an offset: os.pwrite, or a seek of the thread's handle."""
+    return getattr(spdebridge.io, request.param)
+
+
 class TestPathDump:
     def test_round_trip_and_replay(self, tmp_path, two_mode):
         grid = uniform_grid(0.5, 16)
@@ -594,10 +608,11 @@ class TestPathDump:
     @pytest.mark.parametrize("n_paths", [CHUNK + 40, 2 * CHUNK + 3])
     @pytest.mark.parametrize("n_modes", [1, 4, 9])
     def test_dump_identical_at_every_thread_count_across_node_blocks(
-        self, tmp_path, monkeypatch, n_modes, n_paths
+        self, tmp_path, monkeypatch, write_once, n_modes, n_paths
     ):
         # blocks of 5 of the 17 nodes (5, 5, 5, 2) for 1024-path units; the
         # row floor lowered so that rows of 16 steps are past it
+        monkeypatch.setattr(spdebridge.io, "_write_once", write_once)
         monkeypatch.setattr(spdebridge.forward, "DUMP_BLOCK_BYTES", 8 * 1024 * n_modes * 5)
         monkeypatch.setattr(spdebridge.forward, "THREADED_ROW_MIN", 1)
         scn = self._dump_scenario(n_modes, n_paths)
@@ -628,19 +643,18 @@ class TestPathDump:
             run_scenario(scn, tmp_path / str(cores))
             assert (tmp_path / str(cores) / "paths.spdb").read_bytes() == want, cores
 
-    def test_short_writes_complete_the_dump(self, tmp_path, monkeypatch):
-        # os.pwrite may write fewer bytes than asked; here it writes at most
-        # 1000, less than a path's 17 nodes x 9 modes of states
+    def test_short_writes_complete_the_dump(self, tmp_path, monkeypatch, write_once):
+        # a file write may write fewer bytes than asked; here every one
+        # writes at most 1000, less than a path's 17 nodes x 9 modes of states
         scn = self._dump_scenario(9, CHUNK + 40)
         run_scenario(scn, tmp_path / "whole")
-        pwrite = os.pwrite
         calls = []
 
-        def short_pwrite(fd, data, offset):
-            calls.append(offset)
-            return pwrite(fd, memoryview(data).cast("B")[:1000], offset)
+        def short_write(fh, data, at):
+            calls.append(at)
+            return write_once(fh, memoryview(data).cast("B")[:1000], at)
 
-        monkeypatch.setattr(os, "pwrite", short_pwrite)
+        monkeypatch.setattr(spdebridge.io, "_write_once", short_write)
         run_scenario(scn, tmp_path / "short")
         assert len(calls) > (tmp_path / "short" / "paths.spdb").stat().st_size // 1000
         for name in ("paths.spdb", "summary.csv"):
@@ -658,13 +672,10 @@ class TestPathDump:
         )
         f.write_text(json.dumps(scn))
         monkeypatch.setattr(spdebridge.forward, "THREADED_ROW_MIN", 1)
-        pwrite = os.pwrite
-        monkeypatch.setattr(
-            os, "pwrite", lambda fd, data, offset: pwrite(fd, data, offset) if offset < 100 else 0
-        )
+        monkeypatch.setattr(spdebridge.io, "_write_once", lambda fh, data, at: 0)
         assert run_cli(["run", str(f), "--out", str(tmp_path / "r")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: OSError: [Errno 5] wrote no byte")
+        assert err.startswith(f"error: OSError: [Errno {errno.EIO}] wrote no byte")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     def test_forward_task_writes_dump(self, tmp_path):

@@ -6,7 +6,7 @@ One loop, ``_nodes``, runs the exponential-Euler recursion
 
 from a ``Stepper`` (rows E = exp(lam dt), P = phi(dt), S = sqrt(per-step
 noise variance) per step, the transform matrices B, C, the nonlinearity's
-code and alpha) that ``forward.stepper`` builds once per pass, so every run
+kind and alpha) that ``forward.stepper`` builds once per pass, so every run
 and any replay use the same coefficients. ``Stepper.F`` calls the module
 global ``_nemytskii_np``, which the benchmark's tracer wraps. G, the guide
 drift of the h-transformed process, exists only in ``guided``. Each public
@@ -64,19 +64,15 @@ interleaved accumulators from 8 up, halves above 128), added to an initial
 reduction per row; ``row_sum`` runs J adds over n-element columns, with the
 same operations on the same operands, so the same bits.
 
-Nonlinearity codes: 0 zero, 1 linear scale, 2 bounded rational u/(1+u^2),
-3 sine. Codes 0 and 1 are evaluated spectrally (exact); 2 and 3 go through
-the sine-basis grid (synthesis matrix ``B``, analysis matrix ``C``).
+Nonlinearity kinds, as ``forward.Nonlinearity`` names them: "zero",
+"linear" (alpha u), "bounded_rational" (alpha u/(1+u^2)) and "sine" (alpha
+sin u). The first two are evaluated spectrally (exact); the other two go
+through the sine-basis grid (synthesis matrix ``B``, analysis matrix ``C``).
 """
 
 import numpy as np
 
 BACKEND = "numpy"
-
-KIND_ZERO = 0
-KIND_LINEAR = 1
-KIND_BOUNDED_RATIONAL = 2
-KIND_SINE = 3
 
 # Widest row of the wide view, in doubles. Measured on a 2-core x86 VM, one
 # 8192-element multiply takes 18.5 us at row width 4 and 8.0 us at 128, and
@@ -160,8 +156,8 @@ def _pairwise_cols(p, lo, m):
     return _pairwise_cols(p, lo, half) + _pairwise_cols(p, lo + half, m - half)
 
 
-def _pointwise_np(u: np.ndarray, kind: int, alpha: float) -> np.ndarray:
-    if kind == KIND_BOUNDED_RATIONAL:
+def _pointwise_np(u: np.ndarray, kind: str, alpha: float) -> np.ndarray:
+    if kind == "bounded_rational":
         den = u * u
         den += 1.0
         out = alpha * u
@@ -172,11 +168,11 @@ def _pointwise_np(u: np.ndarray, kind: int, alpha: float) -> np.ndarray:
     return out
 
 
-def _nemytskii_np(x: np.ndarray, B, C, kind: int, alpha: float) -> np.ndarray:
+def _nemytskii_np(x: np.ndarray, B, C, kind: str, alpha: float) -> np.ndarray:
     """Nonlinearity coefficients for a batch of states x (N, J)."""
-    if kind == KIND_ZERO:
+    if kind == "zero":
         return np.zeros_like(x)
-    if kind == KIND_LINEAR:
+    if kind == "linear":
         return alpha * x
     # one row runs as two equal rows: see "Batch of one" in the module docstring
     rows = x if x.shape[0] > 1 else np.concatenate((x, x))
@@ -187,7 +183,7 @@ def _nemytskii_np(x: np.ndarray, B, C, kind: int, alpha: float) -> np.ndarray:
 class Stepper:
     """What a pass steps with (see the module docstring); E, P, S are (n_steps, J)."""
 
-    def __init__(self, E, P, S, B, C, kind: int, alpha: float):
+    def __init__(self, E, P, S, B, C, kind: str, alpha: float):
         self.EPS = Tables(E, P, S)
         self.B, self.C, self.kind, self.alpha = B, C, kind, alpha
 

@@ -36,7 +36,7 @@ def _build_parser() -> _Parser:
     run_p.add_argument("--out", help="output directory (default from scenario)")
     run_p.add_argument(
         "--threads", type=int, default=None,
-        help="accepted and ignored: the numpy kernels run on one thread",
+        help="accepted and ignored: streamed passes use every available core",
     )
     run_p.add_argument(
         "--assert", dest="assert_mode", action="store_true",

@@ -10,7 +10,6 @@ grid, map pointwise, analyze back.
 import contextvars
 import hashlib
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,13 +18,6 @@ from . import _kernels, rng
 from .errors import DomainError
 from .grids import TimeGrid
 from .spectral import SpectralModel, covariance_qinf, covariance_qt_diag, sine_basis
-
-_KIND_CODES = {
-    "zero": _kernels.KIND_ZERO,
-    "linear": _kernels.KIND_LINEAR,
-    "bounded_rational": _kernels.KIND_BOUNDED_RATIONAL,
-    "sine": _kernels.KIND_SINE,
-}
 
 DEFAULT_OVERSAMPLE = 4
 # Paths per chunk of every streamed ensemble. Path i draws counter block i
@@ -49,14 +41,14 @@ UNIT_MIN = 256
 # as one at 64-512 normals per path, about even at 768, and 1.3-1.8x as fast
 # from 1024 up, at 64 and at 1024 paths alike.
 THREADED_ROW_MIN = 1024
-# Bytes of the node block in which each thread of a dumping forward pass
-# keeps its unit's states: they go to the file a block at a time, so no unit
-# holds all of its (n, n_nodes, J) states. The nodes are cut into equal
-# blocks of at most this size (1024 paths x 4 modes: at most 128 nodes, so
-# 513 nodes go in 5 blocks of 103). On a
-# 2-core Xeon VM, 8000 paths x 513 nodes x 4 modes at two threads peaked at
-# 79.0, 83.4 and 106.4 MB with blocks of 64, 128 and 257 nodes, and at 107.3
-# MB with whole units; smaller blocks take more writes.
+# Bytes of the node block in which each unit of a dumping forward pass keeps
+# its states: they go to the file a block at a time, so no unit holds all of
+# its (n, n_nodes, J) states. The nodes are cut into equal blocks of at most
+# this size (1024 paths x 4 modes: at most 128 nodes, so 513 nodes go in 5
+# blocks of 103). On a 2-core Xeon VM, 8000 paths x 513 nodes x 4 modes at
+# two threads peaked at 79.0, 83.4 and 106.4 MB with blocks of 64, 128 and
+# 257 nodes, and at 107.3 MB with whole units; smaller blocks take more
+# writes.
 DUMP_BLOCK_BYTES = 4 << 20
 
 
@@ -72,16 +64,12 @@ class Nonlinearity:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _KIND_CODES:
+        if self.kind not in ("zero", "linear", "bounded_rational", "sine"):
             raise DomainError(f"unknown nonlinearity kind {self.kind!r}")
 
     @property
     def lipschitz_bound(self) -> float:
         return 0.0 if self.kind == "zero" else abs(self.alpha)
-
-    @property
-    def code(self) -> int:
-        return _KIND_CODES[self.kind]
 
 
 def zero() -> Nonlinearity:
@@ -157,7 +145,7 @@ def step_coefficients(model: SpectralModel, steps: np.ndarray):
 
 
 def _transform_matrices(model: SpectralModel, nonlin: Nonlinearity, oversample: int):
-    if nonlin.code in (_kernels.KIND_ZERO, _kernels.KIND_LINEAR):
+    if nonlin.kind in ("zero", "linear"):
         dummy = np.zeros((1, 1))
         return dummy, dummy
     return sine_basis(model, grid_size(model, oversample))
@@ -169,7 +157,7 @@ def stepper(
     """Everything a pass over ``grid`` steps with; each pass builds it once."""
     E, P, S = step_coefficients(model, grid.steps)
     B, C = _transform_matrices(model, nonlin, oversample)
-    return _kernels.Stepper(E, P, S, B, C, nonlin.code, nonlin.alpha)
+    return _kernels.Stepper(E, P, S, B, C, nonlin.kind, nonlin.alpha)
 
 
 def apply_nonlinearity(
@@ -187,7 +175,7 @@ def apply_nonlinearity(
     x = model.validate_field(x)
     batch = np.atleast_2d(x)
     B, C = _transform_matrices(model, nonlin, oversample)
-    out = _kernels._nemytskii_np(batch, B, C, nonlin.code, nonlin.alpha)
+    out = _kernels._nemytskii_np(batch, B, C, nonlin.kind, nonlin.alpha)
     return out.reshape(x.shape)
 
 
@@ -315,34 +303,6 @@ def available_cores() -> int:
     return os.cpu_count() or 1
 
 
-_pool = None  # ThreadPoolExecutor of run_pass, built on the first threaded pass
-_pool_lock = threading.Lock()
-
-
-def _forget_pool() -> None:
-    # A forked child inherits the pool but none of its threads: a unit
-    # queued there would wait forever, so the child builds its own.
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # not on Windows, which has no fork
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _executor():
-    """The shared pool of one thread per available core but the caller's."""
-    global _pool
-    with _pool_lock:  # passes started on two threads at once build one pool
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(
-                max_workers=available_cores() - 1, thread_name_prefix="spdebridge-pass"
-            )
-        return _pool
-
-
 def run_pass(
     model: SpectralModel, x0, grid: TimeGrid, rng_seed, n_paths: int, unit_fn, sink=None
 ) -> None:
@@ -366,8 +326,9 @@ def run_pass(
     T. T is every available core, but no more than there are units, and 1
     when a path holds fewer than ``THREADED_ROW_MIN`` normals. Each thread
     runs in a copy of the caller's context, so the caller's ``np.errstate``
-    holds on all of them. At T = 1 the caller runs every unit and no pool
-    is built.
+    holds on all of them. At T > 1 the pass starts T - 1 threads and joins
+    them before it returns, also when a unit raises; at T = 1 the caller
+    runs every unit and no thread is started.
     """
     spans = list(units(n_paths))
     if not spans:
@@ -396,15 +357,20 @@ def run_pass(
                 pass
             raise
 
-    workers = [
-        _executor().submit(contextvars.copy_context().run, work)
-        for _ in range(n_threads - 1)
-    ]
-    try:
+    if n_threads == 1:
         work()
-    finally:
-        for worker in workers:
-            worker.result()
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(n_threads - 1, thread_name_prefix="spdebridge-pass") as pool:
+        workers = [
+            pool.submit(contextvars.copy_context().run, work) for _ in range(n_threads - 1)
+        ]
+        try:
+            work()
+        finally:
+            for worker in workers:
+                worker.result()
 
 
 def nearest_node(grid: TimeGrid, t: float) -> int:
@@ -436,7 +402,8 @@ def forward_snapshots(
     path's states and normals also go to it, from any thread and with no
     lock: the normals a block of paths at a time as they are drawn, and the
     states a node block at a time as they are stepped, from one
-    ``DUMP_BLOCK_BYTES`` block per thread. No unit holds all its states.
+    ``DUMP_BLOCK_BYTES`` block per unit being stepped. No unit holds all its
+    states.
     """
     x0 = model.validate_field(x0)
     slots, n_snap = _snap_slots(grid, snap_nodes)
@@ -452,19 +419,16 @@ def forward_snapshots(
     rows = max((hi - lo for lo, hi in units(n_paths)), default=1)
     n_nodes = grid.n_steps + 1
     n_blocks = -(-n_nodes // max(1, DUMP_BLOCK_BYTES // (8 * rows * model.n_modes)))
-    block_shape = (rows, -(-n_nodes // n_blocks), model.n_modes)
-    scratch = threading.local()  # one node block per thread, as run_pass's normals
+    block_nodes = -(-n_nodes // n_blocks)
 
     def unit(lo, hi, x0b, z):
-        if not hasattr(scratch, "block"):
-            scratch.block = np.empty(block_shape)
-
         def flush(k0, states):
             dump.states(lo, k0, states)
             for j in np.flatnonzero(slots[k0 : k0 + states.shape[1]] >= 0):
                 out[lo:hi, slots[k0 + j]] = states[:, j]
 
-        _kernels.forward_full(x0b, z, st, scratch.block[: hi - lo], flush)
+        block = np.empty((hi - lo, block_nodes, model.n_modes))
+        _kernels.forward_full(x0b, z, st, block, flush)
 
     run_pass(model, x0, grid, rng_seed, n_paths, unit, sink=dump.increments)
     return out

@@ -1,5 +1,3 @@
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -20,9 +18,3 @@ def two_mode():
 def dirichlet4():
     return dirichlet_model(4)
 
-
-@pytest.fixture(scope="module")
-def two_worker_pool():
-    """A pool for forward.run_pass: with the caller's thread, three threads on any host."""
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        yield pool

@@ -232,7 +232,7 @@ class TestExitCodes:
         # numpy's floating-point warnings must stay silenced wherever the
         # kernels run, so stderr holds the domain error alone. At 512 steps x
         # 2 modes a path holds forward.THREADED_ROW_MIN normals, so the units
-        # also run on forward.run_pass's pool threads, wherever it has them
+        # also run on forward.run_pass's worker threads, wherever it starts them
         for kind, n_paths, n_steps in (
             ("sine", 400, 32), ("bounded_rational", 4096, 32), ("bounded_rational", 4096, 512),
         ):
@@ -339,11 +339,15 @@ def test_package_import_leaves_scipy_unloaded():
 
 
 def test_package_import_starts_no_thread():
-    # forward.run_pass's thread pool, and concurrent.futures with it, load on
-    # the first threaded pass
+    # forward.run_pass starts its threads, and loads concurrent.futures, only
+    # in a threaded pass: not on import, nor in a pass of rows below the floor
+    # (4 steps x 2 modes), even at three cores
     code = (
         "import sys, threading, spdebridge, spdebridge.tasks, spdebridge.scenario, "
-        "spdebridge.io; "
+        "spdebridge.io; import numpy as np; from spdebridge import forward; "
+        "forward.available_cores = lambda: 3; "
+        "forward.run_pass(spdebridge.dirichlet_model(2), np.zeros(2), "
+        "spdebridge.uniform_grid(1.0, 4), 31, 4 * forward.UNIT, lambda *unit: None); "
         "print('concurrent.futures' in sys.modules, threading.active_count())"
     )
     env = dict(os.environ, PYTHONPATH=str(FilePath(spdebridge.__file__).parents[1]))

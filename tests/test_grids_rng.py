@@ -1,8 +1,8 @@
+import concurrent.futures
 import hashlib
 import multiprocessing
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -98,16 +98,15 @@ class TestRngStreams:
             fresh = Generator(Philox(key=key, counter=i << 192)).standard_normal((16, 3))
             assert np.array_equal(got[row], fresh)
 
-    # The next three tests are of forward.run_pass, the one caller that
-    # draws on several threads.
+    # The tests from here to the one whose threads outlive no pass are of
+    # forward.run_pass, the one caller that draws on several threads.
     @pytest.mark.parametrize("n_modes", [1, 4, 9])
     @pytest.mark.parametrize("n", [1, 2, 31, 33, 1279, 1280, 2047, 2048, 4099])
-    def test_same_bits_at_every_thread_count(self, monkeypatch, two_worker_pool, n, n_modes):
+    def test_same_bits_at_every_thread_count(self, monkeypatch, n, n_modes):
         # up to three threads whatever the host has, on rows of any length:
         # every unit goes out once, and its normals and stepped states land
         # in its rows with the same bits at every thread count
         monkeypatch.setattr(forward, "THREADED_ROW_MIN", 1)
-        monkeypatch.setattr(forward, "_pool", two_worker_pool)
         model, grid = dirichlet_model(n_modes), uniform_grid(1.0, 8)
         st = forward.stepper(model, sine_nemytskii(0.5), grid, 4)
         slots = np.arange(9, dtype=np.int64)
@@ -154,14 +153,12 @@ class TestRngStreams:
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                monkeypatch.setattr(forward, "_pool", pool)
-                run = threading.Thread(
-                    target=forward.run_pass, args=(model, np.zeros(1), grid, 31, n, unit)
-                )
-                run.start()
-                run.join(timeout=60)
-                assert not run.is_alive()
+            run = threading.Thread(
+                target=forward.run_pass, args=(model, np.zeros(1), grid, 31, n, unit)
+            )
+            run.start()
+            run.join(timeout=60)
+            assert not run.is_alive()
         finally:
             sys.setswitchinterval(switch)
         assert sorted(taken) == list(forward.units(n)) and not failures
@@ -195,28 +192,27 @@ class TestRngStreams:
         ],
     )
     def test_thread_count(self, monkeypatch, cores, n, n_steps, workers):
-        real = forward._executor
         asked = []
 
-        def executor():
-            asked.append(1)
-            return real()
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                asked.append(max_workers)
+                super().__init__(max_workers, **kwargs)
 
         monkeypatch.setattr(forward, "available_cores", lambda: cores)
-        monkeypatch.setattr(forward, "_executor", executor)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
         forward.run_pass(
             dirichlet_model(4), np.zeros(4), uniform_grid(1.0, n_steps), 31, n,
             lambda lo, hi, x0b, z: None,
         )
-        assert len(asked) == workers
+        assert asked == ([workers] if workers else [])
 
     def test_draw_in_forked_child(self, monkeypatch):
-        # the parent's pool exists before the fork; the child must not queue
-        # its units on that pool's threads, which it does not have
+        # a threaded pass runs before the fork; the child's pass starts its
+        # own threads and gives the same normals
         monkeypatch.setattr(forward, "available_cores", lambda: 2)
         monkeypatch.setattr(forward, "THREADED_ROW_MIN", 1)
         want = hashlib.sha256(_pass_normals(2048).tobytes()).hexdigest()
-        assert forward._pool is not None
         ctx = multiprocessing.get_context("fork")
         queue = ctx.SimpleQueue()
         child = ctx.Process(target=_pass_digest_into, args=(queue, 2048))
@@ -227,6 +223,38 @@ class TestRngStreams:
             child.kill()
         assert not alive and child.exitcode == 0
         assert queue.get() == want
+
+    def test_no_pass_thread_outlives_its_pass(self, monkeypatch):
+        # three faked cores: the pass starts two threads and joins them when
+        # it returns, also when a unit raises on one of them; that unit's
+        # error surfaces, and no unit starts twice
+        monkeypatch.setattr(forward, "available_cores", lambda: 3)
+        monkeypatch.setattr(forward, "THREADED_ROW_MIN", 1)
+        model, grid, n = dirichlet_model(1), uniform_grid(1.0, 2), 8 * forward.UNIT
+
+        def pass_threads():
+            return [t for t in threading.enumerate() if t.name.startswith("spdebridge-pass")]
+
+        forward.run_pass(model, np.zeros(1), grid, 31, n, lambda lo, hi, x0b, z: None)
+        assert not pass_threads()
+
+        class UnitError(Exception):
+            pass
+
+        caller, started, raised = threading.current_thread(), [], threading.Event()
+
+        def unit(lo, hi, x0b, z):
+            started.append((lo, hi))
+            if threading.current_thread() is caller:
+                raised.wait(timeout=60)  # until a worker has taken a unit
+                return
+            raised.set()
+            raise UnitError(lo)
+
+        with pytest.raises(UnitError):
+            forward.run_pass(model, np.zeros(1), grid, 31, n, unit)
+        assert raised.is_set() and not pass_threads()
+        assert len(started) == len(set(started))
 
     def test_negative_path_index_rejected(self):
         with pytest.raises(ValueError):

@@ -29,12 +29,12 @@ def _setup(dirichlet4, nonlin, n=7, n_steps=12):
     x0 = gen.standard_normal((n, 4)) * 0.3
     dt = np.full(n_steps, 1.0 / n_steps)
     st = _kernels.Stepper(
-        *step_coefficients(dirichlet4, dt), *sine_basis(dirichlet4, 16), nonlin.code, nonlin.alpha
+        *step_coefficients(dirichlet4, dt), *sine_basis(dirichlet4, 16), nonlin.kind, nonlin.alpha
     )
     return x0, z, dt, st
 
 
-# one nonlinearity per kernel code 0..3
+# one nonlinearity of each kind
 NONLINS = [zero(), linear_scale(-0.7), bounded_rational(0.8), sine_nemytskii(0.5)]
 by_kind = pytest.mark.parametrize("nonlin", NONLINS, ids=lambda nl: nl.kind)
 # path counts whose wide view folds g rows together at 4 modes: 7 -> g = 1
@@ -84,7 +84,7 @@ def test_forward_full_matches_one_step_map(dirichlet4, nonlin, n):
             x = exponential_euler_step(
                 dirichlet4, nonlin, k * dt[k], dt[k], x, z[i, k], oversample=4
             )
-            if nonlin.code in (_kernels.KIND_ZERO, _kernels.KIND_LINEAR):
+            if nonlin.kind in ("zero", "linear"):
                 # F is exact elementwise here, so the in-place update must
                 # keep the bits of E x + P F + S z written with temporaries
                 assert _bits(states[i, k + 1]) == _bits(x)
@@ -321,7 +321,7 @@ def test_guided_log_weights_sum_like_np_sum_at_nine_modes():
     x0 = gen.standard_normal((n, 9)) * 0.3
     y = gen.standard_normal((n, 9)) * 0.2
     dt = np.full(n_steps, 1.0 / n_steps)
-    st = _kernels.Stepper(*step_coefficients(model, dt), *sine_basis(model, 36), 3, 0.5)
+    st = _kernels.Stepper(*step_coefficients(model, dt), *sine_basis(model, 36), "sine", 0.5)
     r = np.cumsum(dt[::-1])[::-1].copy()
     Bg = np.exp(model.lam * r[:, None])
     Wg = Bg / covariance_qt_diag(model, r)

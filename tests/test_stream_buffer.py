@@ -4,8 +4,10 @@ These tests pin what that buffer may and may not change: each streamed
 caller gives the same bits as with fresh normals per unit (so none keeps
 its unit's normals past the call), and peak memory holds one unit of
 normals per thread, not more. The forward task's paths dump holds no more:
-its states go to the file a node block at a time, so no unit holds all of
-its states, and its normals go straight from the draw.
+its states go to the file a node block at a time, from one block per unit
+being stepped, so no unit holds all of its states, and its normals go
+straight from the draw. A pass starts its threads itself, so a test sets
+the thread count by faking ``forward.available_cores``.
 """
 
 import hashlib
@@ -167,7 +169,7 @@ def test_martingale_diag_shared_buffer_matches_fresh_normals(tmp_path, monkeypat
 
 
 @pytest.mark.parametrize("name", list(STREAMED))
-def test_peak_memory_holds_one_chunk_of_normals(monkeypatch, two_worker_pool, name):
+def test_peak_memory_holds_one_chunk_of_normals(monkeypatch, name):
     # one unit per thread: at two threads, one chunk; rows of 64 steps x 4
     # modes are past the lowered row floor. Peak memory is counted in units
     # of normals per thread, plus half a unit for what a pass holds once
@@ -175,7 +177,6 @@ def test_peak_memory_holds_one_chunk_of_normals(monkeypatch, two_worker_pool, na
     grid = geometric_grid(1.0, 64)
     one_unit = UNIT * grid.n_steps * MODEL.n_modes * 8
     monkeypatch.setattr(forward, "THREADED_ROW_MIN", 1)
-    monkeypatch.setattr(forward, "_pool", two_worker_pool)
     # the dump's node block, as the same share of a unit of normals as at 512
     # steps: the whole budget would hold all 65 nodes, a unit of states
     monkeypatch.setattr(forward, "DUMP_BLOCK_BYTES", forward.DUMP_BLOCK_BYTES * 64 // 512)

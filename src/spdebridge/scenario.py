@@ -2,12 +2,19 @@
 
 A scenario is a single JSON document with model / dynamics / task / grid /
 sampling / output blocks. ``resolve_scenario`` validates it against the
-published schema, fills every default, and returns the canonical dict that
-is echoed verbatim into the run manifest; rebuilding a scenario from a
-manifest therefore reproduces the run exactly.
+published JSON Schema ``SCENARIO_SCHEMA``, fills every default, and returns
+the canonical dict that is echoed verbatim into the run manifest; rebuilding
+a scenario from a manifest therefore reproduces the run exactly.
+
+Validation is ``_violations``, a walker over the schema's own keywords, so no
+third-party validator is imported. Every number must be finite: JSON has no
+NaN or infinity, but ``json.load`` reads them, and reads a literal such as
+``1e400`` as infinity.
 """
 
-import jsonschema
+import math
+import operator
+
 import numpy as np
 
 from .forward import Nonlinearity, sample_stationary
@@ -203,27 +210,87 @@ class SchemaError(ValueError):
     """Scenario failed schema validation; message names the offending field."""
 
 
-# built once: jsonschema.validate checks the schema itself on every call. JSON
-# Schema counts 1.0 as an integer; a count, an index or a seed must be an int
-_VALIDATOR = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)
-    ),
-)(SCENARIO_SCHEMA)
+# a test of each JSON type: a count, an index or a seed must be an int, so
+# "integer" excludes 1.0 (JSON Schema admits it); a "number" must be finite
+_IS_TYPE = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, float) and math.isfinite(v) or _IS_TYPE["integer"](v),
+}
+_BOUNDS = {
+    "minimum": (operator.ge, "at least"),
+    "exclusiveMinimum": (operator.gt, "greater than"),
+    "exclusiveMaximum": (operator.lt, "less than"),
+}
+_KEYWORDS = {"$schema", "type", "enum", "const", *_BOUNDS, "minItems", "items", "required",
+             "properties", "additionalProperties", "if", "then", "allOf"}
+
+
+def _violations(schema, value, path):
+    """Yield ``(path, message)`` for each way ``value`` breaks ``schema``.
+
+    Walks the JSON Schema keywords ``SCENARIO_SCHEMA`` uses, in the schema's
+    key order, and raises on any other keyword, so that a schema edit cannot
+    go unchecked. ``path`` is the tuple of keys and indices down to ``value``;
+    a missing or unknown key is reported at its own path.
+    """
+    if schema is True:
+        return
+    if schema is False:
+        yield path, "no value is allowed here"
+        return
+    for keyword, arg in schema.items():
+        if keyword not in _KEYWORDS:
+            raise ValueError(f"schema keyword {keyword!r} is not implemented")
+        if keyword == "type":
+            types = [arg] if isinstance(arg, str) else arg
+            if not any(_IS_TYPE[t](value) for t in types):
+                names = " or ".join("finite number" if t == "number" else t for t in types)
+                yield path, f"expected {names}, got {value!r}"
+                return  # the other keywords assume the type
+        elif keyword == "enum" and value not in arg:
+            yield path, f"expected one of {arg}, got {value!r}"
+        elif keyword == "const" and value != arg:
+            yield path, f"expected {arg!r}, got {value!r}"
+        elif keyword in _BOUNDS:
+            holds, relation = _BOUNDS[keyword]
+            if _IS_TYPE["number"](value) and not holds(value, arg):
+                yield path, f"expected a value {relation} {arg}, got {value!r}"
+        elif keyword == "minItems" and isinstance(value, list) and len(value) < arg:
+            yield path, f"expected at least {arg} entries, got {len(value)}"
+        elif keyword == "items" and isinstance(value, list):
+            for i, item in enumerate(value):
+                yield from _violations(arg, item, path + (i,))
+        elif keyword == "required" and isinstance(value, dict):
+            for key in arg:
+                if key not in value:
+                    yield path + (key,), "required key is missing"
+        elif keyword == "properties" and isinstance(value, dict):
+            for key, sub in arg.items():
+                if key in value:
+                    yield from _violations(sub, value[key], path + (key,))
+        elif keyword == "additionalProperties" and isinstance(value, dict):
+            for key in value:
+                if key not in schema.get("properties", {}):
+                    yield from _violations(arg, value[key], path + (key,))
+        elif keyword == "if":
+            if not any(_violations(arg, value, path)):
+                yield from _violations(schema.get("then", True), value, path)
+        elif keyword == "allOf":
+            for sub in arg:
+                yield from _violations(sub, value, path)
 
 
 def validate_scenario(raw: dict) -> None:
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
-    if error is None:
+    """Raise SchemaError naming the first violation with the shortest path."""
+    found = min(_violations(SCENARIO_SCHEMA, raw, ()), key=lambda v: len(v[0]), default=None)
+    if found is None:
         return
-    # a missing or unknown key is reported at its own path, not its object's
-    if error.validator == "required":
-        error.path.append(next(k for k in error.validator_value if k not in error.instance))
-    elif error.validator == "additionalProperties":
-        allowed = error.schema["properties"]
-        error.path.append(next(k for k in error.instance if k not in allowed))
-    raise SchemaError(f"{error.json_path}: {error.message}") from error
+    path, message = found
+    field = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+    raise SchemaError(f"{field}: {message}")
 
 
 def resolve_scenario(raw: dict) -> dict:
@@ -274,6 +341,14 @@ def _check_semantics(scenario: dict) -> None:
     if x0["kind"] == "explicit" and len(x0["values"]) != n:
         raise SchemaError(f"$.dynamics.x0.values: expected {n} entries")
     task = scenario["task"]
+    endpoint = task.get("endpoint", {})
+    vectors = [(key, task.get(key)) for key in ("target", "obs_var")]
+    vectors += [(f"endpoint.{key}", endpoint.get(key)) for key in ("target", "mean", "var")]
+    vectors += [(f"test_functions[{i}].a", tf["a"])
+                for i, tf in enumerate(task.get("test_functions", []))]
+    for field, values in vectors:
+        if isinstance(values, list) and len(values) != n:
+            raise SchemaError(f"$.task.{field}: expected {n} entries")
     if task["name"] == "ck-check":
         for i, mode in enumerate(task.get("modes", [])):
             if not 0 <= mode < n:

@@ -295,6 +295,34 @@ class TestExitCodes:
              "$.task.probe_time"),
             ({"name": "conditioned", "endpoint": {"kind": "dirac", "target": [0.5, -0.2]},
               "probe_time": -0.1}, None, "$.task.probe_time"),
+            ({"name": "forward"},
+             {"dynamics": {"nonlinearity": {"kind": "sine", "alpha": float("nan")}}},
+             "$.dynamics.nonlinearity.alpha"),
+            # json.dumps writes inf as Infinity; json.load reads that, and a
+            # literal such as 1e400, as inf
+            ({"name": "forward"},
+             {"dynamics": {"nonlinearity": {"kind": "sine", "alpha": float("inf")}}},
+             "$.dynamics.nonlinearity.alpha"),
+            ({"name": "forward"}, {"grid": {"horizon": float("nan")}}, "$.grid.horizon"),
+            ({"name": "forward"},
+             {"model": {"eigenvalues": {"rule": "dirichlet"}, "domain_length": float("inf")}},
+             "$.model.domain_length"),
+            ({"name": "ou-bridge", "target": [0.5, -0.2, 0.1]}, None, "$.task.target"),
+            ({"name": "guided", "target": [0.5]}, None, "$.task.target"),
+            ({"name": "martingale-diag", "target": [0.5, -0.2, 0.1]}, None, "$.task.target"),
+            ({"name": "guided", "target": [0.5, -0.2], "conditioning": "noisy_obs",
+              "obs_var": [0.1]}, None, "$.task.obs_var"),
+            ({"name": "conditioned", "endpoint": {"kind": "dirac", "target": [0.5]}}, None,
+             "$.task.endpoint.target"),
+            ({"name": "conditioned",
+              "endpoint": {"kind": "tilted", "mean": [0.5, -0.2, 0.1], "var": [0.1, 0.1]}},
+             None, "$.task.endpoint.mean"),
+            ({"name": "conditioned",
+              "endpoint": {"kind": "tilted", "mean": [0.5, -0.2], "var": [0.1]}},
+             None, "$.task.endpoint.var"),
+            ({"name": "dynkin", "test_functions": [{"a": [0.5, 0.1], "c": 0.0},
+                                                   {"a": [0.5], "c": 0.0}]},
+             None, "$.task.test_functions[1].a"),
         ],
         ids=[
             "unknown-key", "bridge-target", "dirac-target", "endpoint-kind", "dynkin-c",
@@ -305,6 +333,10 @@ class TestExitCodes:
             "ck-mid-empty", "ck-modes-empty", "times-empty", "no-test-functions",
             "time-past-horizon", "time-negative", "bridge-time-past-horizon",
             "probe-past-horizon", "probe-negative",
+            "alpha-nan", "alpha-infinity", "horizon-nan", "domain-length-infinity",
+            "bridge-target-length", "guided-target-length", "martingale-target-length",
+            "obs-var-length", "dirac-target-length", "tilted-mean-length", "tilted-var-length",
+            "test-function-length",
         ],
     )
     def test_task_block_checked_at_resolve_time(self, tmp_path, capsys, task, blocks, field):
@@ -325,17 +357,24 @@ class TestExitCodes:
         assert run_cli(["run", str(f), "--out", str(tmp_path / "r"), "--assert"]) == 0
 
 
-def test_package_import_leaves_scipy_unloaded():
-    # only the ck-check task needs scipy; it is imported there, on first use
+def test_package_import_loads_no_third_party_package_but_numpy():
+    # only the ck-check task needs scipy, imported there on first use, and a
+    # scenario is validated by the package itself. A module with no file is
+    # the runtime state of a compiled extension, not a package
+    scenario = json.dumps(base_scenario({"name": "forward"}))
     code = (
-        "import sys, spdebridge, spdebridge.tasks, spdebridge.scenario, spdebridge.io; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import json, sys; before = set(sys.modules); "
+        "import spdebridge, spdebridge.tasks, spdebridge.scenario, spdebridge.io; "
+        f"spdebridge.scenario.resolve_scenario(json.loads({scenario!r})); "
+        "loaded = {m.split('.')[0] for m in set(sys.modules) - before "
+        "if getattr(sys.modules[m], '__file__', None)}; "
+        "print(sorted(loaded - set(sys.stdlib_module_names)))"
     )
     env = dict(os.environ, PYTHONPATH=str(FilePath(spdebridge.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "['numpy', 'spdebridge']"
 
 
 def test_package_import_starts_no_thread():

@@ -1,23 +1,27 @@
 """Property test of the CLI contract: every drawn scenario ends in an exit
 code of 0, 1, 2 or 3 and one-line messages, never a traceback; a task value
 of the wrong type, an empty task list, and a task time off the grid each
-exit 1 with a message naming the field.
+exit 1 with a message naming the field. Scenario validation agrees with
+jsonschema on every drawn scenario with one mutation.
 
 Scenarios are drawn at small sizes (a few modes, steps and paths) so the
 whole test stays within a few seconds.
 """
 
 import contextlib
+import copy
 import io
 import json
 import tempfile
 from pathlib import Path
 
+import jsonschema
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from spdebridge.cli import main
-from spdebridge.scenario import validate_scenario
+from spdebridge.scenario import SCENARIO_SCHEMA, SchemaError, _violations, validate_scenario
 
 finite = st.floats(-3.0, 3.0, allow_nan=False)
 any_number = st.one_of(
@@ -309,3 +313,146 @@ def test_ck_check_mode_outside_the_model_names_the_field(n_modes, data):
             code = main(["run", str(path), "--out", str(Path(tmp) / "run")])
     assert code == 1
     assert err.getvalue().startswith(f"error: $.task.modes[{bad[0]}]: "), err.getvalue()
+
+
+# The oracle: jsonschema's Draft 2020-12 validator, with the package's rule
+# that an integer is an int (JSON Schema also counts 1.0 as one).
+ORACLE = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)
+    ),
+)(SCENARIO_SCHEMA)
+WALKED_KEYWORDS = {
+    "$schema", "type", "enum", "const", "minimum", "exclusiveMinimum", "exclusiveMaximum",
+    "minItems", "items", "required", "properties", "additionalProperties", "if", "then",
+    "allOf",
+}
+
+
+def schema_keywords(schema):
+    """Every keyword ``schema`` and its subschemas use."""
+    if isinstance(schema, bool):
+        return set()
+    found = set(schema)
+    for keyword, arg in schema.items():
+        if keyword == "properties":
+            subschemas = arg.values()
+        elif keyword == "allOf":
+            subschemas = arg
+        else:
+            subschemas = [arg] if isinstance(arg, (dict, bool)) else []
+        for subschema in subschemas:
+            found |= schema_keywords(subschema)
+    return found
+
+
+def test_schema_uses_only_walked_keywords():
+    assert schema_keywords(SCENARIO_SCHEMA) <= WALKED_KEYWORDS
+    with pytest.raises(ValueError, match="maxItems"):
+        list(_violations({"type": "array", "maxItems": 1}, [], ()))
+
+
+def oracle_paths(scenario):
+    """The JSON path of each violation jsonschema finds.
+
+    jsonschema reports a missing or unknown key at its object's path; here
+    it is reported at its own path, as the package reports it.
+    """
+    paths = set()
+    for error in ORACLE.iter_errors(scenario):
+        if error.validator == "required":
+            keys = [k for k in error.validator_value if k not in error.instance]
+        elif error.validator == "additionalProperties":
+            keys = [k for k in error.instance if k not in error.schema.get("properties", {})]
+        else:
+            paths.add(error.json_path)
+            continue
+        paths |= {f"{error.json_path}.{key}" for key in keys}
+    return paths
+
+
+def nodes(value, path=()):
+    """Every (path, value) pair of a JSON document, the root's included."""
+    yield path, value
+    if isinstance(value, (dict, list)):
+        for key, sub in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from nodes(sub, path + (key,))
+
+
+@st.composite
+def mutated(draw, scenario):
+    """Copies of ``scenario``, each with one mutation at a drawn place.
+
+    A drawn value is replaced by each value of a wrong type and a drawn
+    number by each value on or past a bound (every bound in the schema is 0
+    or 1); a key is added, a key is deleted, a word is replaced by one no
+    enum lists, and a list is emptied.
+    """
+    mutations = {kind: [] for kind in ("retype", "add", "delete", "enum", "bound", "empty")}
+    for path, value in nodes(scenario):
+        if path:
+            mutations["retype"].append(path)
+        if isinstance(value, dict):
+            mutations["add"].append(path + ("unknown_key",))
+            mutations["delete"] += [path + (key,) for key in value]
+        elif isinstance(value, str):
+            mutations["enum"].append(path)
+        elif isinstance(value, list) and value:
+            mutations["empty"].append(path)
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            if isinstance(path[-1], str):  # the schema bounds object values only
+                mutations["bound"].append(path)
+    replacements = {
+        "retype": ["soon", True, None, {"at": 0.5}, [0.5], 0.5, 3],
+        "add": [0.5],
+        "delete": [None],
+        "enum": ["frobnicate"],
+        "bound": [-1, 0, 1],
+        "empty": [[]],
+    }
+    copies = []
+    for kind, paths in mutations.items():
+        if not paths:
+            continue
+        *parents, key = draw(st.sampled_from(paths))
+        for replacement in replacements[kind]:
+            mutant = copy.deepcopy(scenario)
+            parent = mutant
+            for step in parents:
+                parent = parent[step]
+            if kind == "delete":
+                del parent[key]
+            elif kind == "bound":
+                parent[key] = type(parent[key])(replacement)
+            else:
+                parent[key] = copy.deepcopy(replacement)
+            copies.append(mutant)
+    return copies
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(scenario=scenarios(), data=st.data())
+def test_validation_agrees_with_jsonschema(scenario, data):
+    # finite numbers only: the package also rejects NaN and the infinities
+    for mutant in data.draw(mutated(scenario)):
+        expected = oracle_paths(mutant)
+        found = {
+            "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+            for path, _ in _violations(SCENARIO_SCHEMA, mutant, ())
+        }
+        assert found == expected, mutant
+        if not expected:
+            validate_scenario(mutant)
+            continue
+        with pytest.raises(SchemaError) as raised:
+            validate_scenario(mutant)
+        reported = str(raised.value).split(": ", 1)[0]
+        assert reported in expected
+        if len(expected) == 1:
+            assert reported == expected.pop()

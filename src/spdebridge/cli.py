@@ -14,13 +14,38 @@ import sys
 
 from .errors import DomainError
 from .io import read_manifest, read_summary
-from .scenario import SchemaError, resolve_scenario
+from .scenario import SchemaError, resolve_scenario, validate
 from .tasks import AssertionFailure, run_scenario
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_ASSERT = 3
+
+
+# A tolerance file. A cell of a quantity's column takes the quantity's
+# tolerance for that column, else the column's, else the default, else none
+# (exact); an absent abs or rel is 0.
+_AT_LEAST_0 = {"type": "number", "minimum": 0}
+_TOLERANCE = {
+    "type": "object",
+    "additionalProperties": False,
+    "properties": {"abs": _AT_LEAST_0, "rel": _AT_LEAST_0},
+}
+_PER_COLUMN = {
+    "type": "object",
+    "additionalProperties": False,
+    "properties": {"value": _TOLERANCE, "stderr": _TOLERANCE},
+}
+TOLERANCE_SCHEMA = {
+    "type": "object",
+    "additionalProperties": False,
+    "properties": {
+        "default": _TOLERANCE,
+        "columns": _PER_COLUMN,
+        "quantities": {"type": "object", "additionalProperties": _PER_COLUMN},
+    },
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,8 +133,10 @@ def compare_runs(dir_a: str, dir_b: str, tol_spec: dict) -> dict:
     the tolerance spec. A quantity both runs report must have the same rows
     in each, and a cell empty in one run must be empty in the other;
     quantities only one run reports are not compared. Returns a report dict
-    listing every offending cell and unmatched row.
+    listing every offending cell and unmatched row. A tol_spec that breaks
+    ``TOLERANCE_SCHEMA`` raises SchemaError naming the field.
     """
+    validate(TOLERANCE_SCHEMA, tol_spec)
     man_a = read_manifest(dir_a)
     man_b = read_manifest(dir_b)
     for block in ("model", "grid"):

@@ -8,7 +8,6 @@ grid, map pointwise, analyze back.
 """
 
 import contextvars
-import hashlib
 import os
 from dataclasses import dataclass
 
@@ -88,13 +87,6 @@ def sine_nemytskii(alpha: float) -> Nonlinearity:
     return Nonlinearity("sine", float(alpha))
 
 
-def model_id(model: SpectralModel) -> str:
-    payload = model.lam.tobytes() + model.q.tobytes() + np.float64(
-        model.domain_length
-    ).tobytes()
-    return hashlib.sha1(payload).hexdigest()[:12]
-
-
 @dataclass(frozen=True)
 class Path:
     """One trajectory plus the standard-normal draws that generated it."""
@@ -102,7 +94,6 @@ class Path:
     grid: TimeGrid
     states: np.ndarray  # (n_nodes, J)
     increments: np.ndarray  # (n_steps, J)
-    model_ref: str
 
     def __post_init__(self):
         if self.states.shape[0] != self.grid.nodes.size:
@@ -118,14 +109,13 @@ class PathEnsemble:
     grid: TimeGrid
     states: np.ndarray  # (n_paths, n_nodes, J)
     increments: np.ndarray  # (n_paths, n_steps, J)
-    model_ref: str
 
     @property
     def n_paths(self) -> int:
         return self.states.shape[0]
 
     def path(self, i: int) -> Path:
-        return Path(self.grid, self.states[i], self.increments[i], self.model_ref)
+        return Path(self.grid, self.states[i], self.increments[i])
 
 
 def grid_size(model: SpectralModel, oversample: int) -> int:
@@ -243,7 +233,7 @@ def simulate_ensemble(
     st = stepper(model, nonlin, grid, oversample)
     x0b = np.broadcast_to(x0, (n_paths, model.n_modes)).copy()
     states = _kernels.forward_full(x0b, z, st)
-    return PathEnsemble(grid, states, z, model_id(model))
+    return PathEnsemble(grid, states, z)
 
 
 def replay_path(
@@ -399,9 +389,10 @@ def forward_snapshots(
 
     Returns (n_paths, n_snapshots, J) without storing full trajectories.
     With ``dump``, an ``io.PathDump`` such as ``io.path_dump`` yields, every
-    path's states and normals also go to it, from any thread and with no
-    lock: the normals a block of paths at a time as they are drawn, and the
-    states a node block at a time as they are stepped, from one
+    path's states and normals also go to it, from any thread through the
+    dump's one descriptor and with no lock (``os.pwrite`` at each block's
+    offset): the normals a block of paths at a time as they are drawn, and
+    the states a node block at a time as they are stepped, from one
     ``DUMP_BLOCK_BYTES`` block per unit being stepped. No unit holds all its
     states.
     """

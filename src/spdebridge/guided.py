@@ -21,7 +21,6 @@ from .forward import (
     Path,
     _resolve_increments,
     _transform_matrices,  # unused here; the benchmark's tracer patches this name
-    model_id,
     node_at_or_before,
     run_pass,
     step_coefficients,  # unused here; the benchmark's tracer patches this name
@@ -148,7 +147,7 @@ def simulate_guided(
         x0b, z, stepper(model, nonlin, grid, oversample), _guide_precomps(model, spec, grid),
         _targets(model, spec, 1, None), grid.steps, every, wslots,
     )
-    path = Path(grid, states[0], z[0], model_id(model))
+    path = Path(grid, states[0], z[0])
     return WeightedPath(path, float(logw[0, 0]), float(grid.nodes[k]))
 
 

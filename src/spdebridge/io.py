@@ -10,11 +10,12 @@ The binary dump layout ("SPDB") is:
 Storing the increments makes every dumped path replayable through the
 stepper, which the stochastic-exponential cross-checks require.
 
-``path_dump`` writes the header and grid once and then, each at its offset
-and through one unbuffered file handle per thread, node blocks of paths'
-states and blocks of paths' increments, so a streamed ensemble is dumped
-while it is drawn and stepped and never held whole; ``write_path_dump`` is
-the same writer given one stored ensemble as a single block.
+``path_dump`` opens the file once and writes the header and grid; then any
+thread writes node blocks of paths' states and blocks of paths' increments,
+each at its offset, through that one descriptor with ``os.pwrite`` (Linux,
+macOS), so a streamed ensemble is dumped while it is drawn and stepped and
+never held whole. ``write_path_dump`` is the same writer given one stored
+ensemble as a single block.
 """
 
 import csv
@@ -22,8 +23,7 @@ import errno
 import json
 import os
 import struct
-import threading
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from pathlib import Path as FilePath
 
 import numpy as np
@@ -96,35 +96,17 @@ def summary_row(
     }
 
 
-def _seek_write(fh, data, at: int) -> int:
-    """One write of ``data`` at offset ``at`` of fh, through fh's file position."""
-    fh.seek(at)
-    return fh.write(data)
+def _write_at(fd: int, at: int, data: np.ndarray) -> None:
+    """Write every byte of the C-contiguous array ``data`` at offset ``at`` of fd.
 
-
-def _pwrite(fh, data, at: int) -> int:
-    """One write of ``data`` at offset ``at`` of fh, leaving its file position."""
-    return os.pwrite(fh.fileno(), data, at)
-
-
-# One write per call: os.pwrite is one system call, and one release of the
-# GIL, per write; seeking first makes two of each. On a 2-core Xeon VM at two
-# threads, forward-dump-zero's median run_s read 0.415 s with os.pwrite and
-# 0.436 s with a seek, os.pwrite lower in 9 of 10 alternating pairs. Windows
-# has no os.pwrite, so there each thread seeks its own handle.
-_write_once = _pwrite if hasattr(os, "pwrite") else _seek_write
-
-
-def _write_at(fh, at: int, data: np.ndarray) -> None:
-    """Write every byte of the C-contiguous array ``data`` at offset ``at`` of fh.
-
-    One write may write fewer bytes than asked: the rest follows in further
+    ``os.pwrite`` moves no file position, so threads need no lock. One
+    write may write fewer bytes than asked: the rest follows in further
     writes, and a write of no byte raises ``OSError``, so a dump is never
     cut short in silence.
     """
     done = 0
     while done < data.nbytes:
-        n = _write_once(fh, memoryview(data).cast("B")[done:] if done else data, at + done)
+        n = os.pwrite(fd, memoryview(data).cast("B")[done:] if done else data, at + done)
         if not n:
             left = data.nbytes - done
             raise OSError(errno.EIO, f"wrote no byte of {left} at offset {at + done}")
@@ -132,29 +114,13 @@ def _write_at(fh, at: int, data: np.ndarray) -> None:
 
 
 class PathDump:
-    """Positional writer of the paths of one open SPDB dump (see ``path_dump``).
+    """Positional writer of one open SPDB dump: every thread writes through its one fd."""
 
-    Each thread writes through its own unbuffered handle on the file, at
-    every write's offset in the layout, so writers on several threads need
-    no lock and share no file position.
-    """
-
-    def __init__(
-        self, path: FilePath, handles: ExitStack, n_paths: int, n_nodes: int, n_modes: int
-    ):
-        self._path, self._handles = path, handles
-        self._local = threading.local()
+    def __init__(self, fd: int, n_paths: int, n_nodes: int, n_modes: int):
+        self._fd = fd
         self.n_paths, self.n_nodes, self.n_modes = n_paths, n_nodes, n_modes
         self._states_at = 20 + 8 * n_nodes
         self._increments_at = self._states_at + 8 * n_paths * n_nodes * n_modes
-
-    def _handle(self):
-        """This thread's handle on the file, opened on its first write."""
-        fh = getattr(self._local, "fh", None)
-        if fh is None:
-            fh = open(self._path, "r+b", buffering=0)
-            self._local.fh = self._handles.enter_context(fh)
-        return fh
 
     def _check(self, fits, what, lo, arr):
         if not (fits and 0 <= lo <= self.n_paths - len(arr)):
@@ -178,9 +144,8 @@ class PathDump:
         at = self._states_at + lo * path_bytes + 8 * k0 * self.n_modes
         if block.dtype != _F8 or not block[:1].flags.c_contiguous:
             block = np.ascontiguousarray(block, dtype=_F8)
-        fh = self._handle()
         for row in block:
-            _write_at(fh, at, row)
+            _write_at(self._fd, at, row)
             at += path_bytes
 
     def increments(self, lo: int, rows: np.ndarray) -> None:
@@ -188,7 +153,7 @@ class PathDump:
         fits = rows.shape[1:] == (self.n_nodes - 1, self.n_modes)
         self._check(fits, "the increments", lo, rows)
         at = self._increments_at + 8 * lo * (self.n_nodes - 1) * self.n_modes
-        _write_at(self._handle(), at, np.ascontiguousarray(rows, dtype=_F8))
+        _write_at(self._fd, at, np.ascontiguousarray(rows, dtype=_F8))
 
 
 @contextmanager
@@ -198,16 +163,17 @@ def path_dump(path: FilePath, grid: TimeGrid, n_paths: int, n_modes: int):
     The header and grid are written at once. States and increments may then
     come in any order and pieces, from any thread: ``states`` takes a node
     block of some paths, ``increments`` the normals of some paths. The dump
-    is complete once every path's states and increments have been written;
-    every thread's handle is closed on leaving.
+    is complete once every path's states and increments have been written.
+    Without ``os.pwrite`` (Windows) it raises before the file is opened.
     """
+    if not hasattr(os, "pwrite"):
+        raise OSError(errno.ENOSYS, "the paths dump needs os.pwrite, which this platform lacks")
     nodes = np.ascontiguousarray(grid.nodes, dtype=_F8)
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<IIII", FORMAT_VERSION, n_modes, nodes.size, n_paths))
+        fh.write(MAGIC + struct.pack("<IIII", FORMAT_VERSION, n_modes, nodes.size, n_paths))
         fh.write(nodes)
-    with ExitStack() as handles:
-        yield PathDump(path, handles, n_paths, nodes.size, n_modes)
+        fh.flush()
+        yield PathDump(fh.fileno(), n_paths, nodes.size, n_modes)
 
 
 def write_path_dump(path: FilePath, ensemble: PathEnsemble) -> None:
@@ -247,4 +213,4 @@ def read_path_dump(path: FilePath, grid_kind: str = UNIFORM) -> PathEnsemble:
     else:
         kind = UNIFORM
     grid = TimeGrid(nodes, kind)
-    return PathEnsemble(grid, states, increments, model_ref="dump")
+    return PathEnsemble(grid, states, increments)

@@ -7,19 +7,22 @@ the canonical dict that is echoed verbatim into the run manifest; rebuilding
 a scenario from a manifest therefore reproduces the run exactly.
 
 Validation is ``_violations``, a walker over the schema's own keywords, so no
-third-party validator is imported. Every number must be finite: JSON has no
-NaN or infinity, but ``json.load`` reads them, and reads a literal such as
-``1e400`` as infinity.
+third-party validator is imported; ``validate`` also checks ``compare``'s
+tolerance files. Every number must be finite: JSON has no NaN or infinity,
+but ``json.load`` reads them, and reads a literal such as ``1e400`` as
+infinity; an integer literal in a number field must convert to a finite
+float.
 """
 
 import math
 import operator
+import sys
 
 import numpy as np
 
 from .forward import Nonlinearity, sample_stationary
 from .grids import GEOMETRIC, UNIFORM, geometric_grid, uniform_grid
-from .spectral import SpectralModel
+from .spectral import SpectralModel, dirichlet_model
 
 _NUMBER = {"type": "number"}
 _NUMBERS = {"type": "array", "items": _NUMBER}
@@ -207,17 +210,19 @@ SCENARIO_SCHEMA = {
 
 
 class SchemaError(ValueError):
-    """Scenario failed schema validation; message names the offending field."""
+    """A scenario or tolerance file failed validation; message names the offending field."""
 
 
 # a test of each JSON type: a count, an index or a seed must be an int, so
-# "integer" excludes 1.0 (JSON Schema admits it); a "number" must be finite
+# "integer" excludes 1.0 (JSON Schema admits it); a "number" must be finite,
+# and an int one within float range
 _IS_TYPE = {
     "object": lambda v: isinstance(v, dict),
     "array": lambda v: isinstance(v, list),
     "string": lambda v: isinstance(v, str),
     "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "number": lambda v: isinstance(v, float) and math.isfinite(v) or _IS_TYPE["integer"](v),
+    "number": lambda v: isinstance(v, float) and math.isfinite(v)
+    or _IS_TYPE["integer"](v) and abs(v) <= sys.float_info.max,
 }
 _BOUNDS = {
     "minimum": (operator.ge, "at least"),
@@ -283,9 +288,9 @@ def _violations(schema, value, path):
                 yield from _violations(sub, value, path)
 
 
-def validate_scenario(raw: dict) -> None:
-    """Raise SchemaError naming the first violation with the shortest path."""
-    found = min(_violations(SCENARIO_SCHEMA, raw, ()), key=lambda v: len(v[0]), default=None)
+def validate(schema: dict, value) -> None:
+    """Raise SchemaError naming the first violation of schema with the shortest path."""
+    found = min(_violations(schema, value, ()), key=lambda v: len(v[0]), default=None)
     if found is None:
         return
     path, message = found
@@ -295,7 +300,7 @@ def validate_scenario(raw: dict) -> None:
 
 def resolve_scenario(raw: dict) -> dict:
     """Validate and fill defaults; the result is the manifest's scenario block."""
-    validate_scenario(raw)
+    validate(SCENARIO_SCHEMA, raw)
     model = dict(raw["model"])
     model.setdefault("eigenvalues", {"rule": "dirichlet"})
     model.setdefault("noise", {"rule": "power", "rho": 0.0})
@@ -368,21 +373,18 @@ def _check_semantics(scenario: dict) -> None:
 
 def build_model(scenario: dict) -> SpectralModel:
     m = scenario["model"]
-    n = m["n_modes"]
-    length = m["domain_length"]
-    eig = m["eigenvalues"]
-    if eig["rule"] == "dirichlet":
-        j = np.arange(1, n + 1, dtype=np.float64)
-        lam = -((j * np.pi / length) ** 2)
-    else:
-        lam = np.asarray(eig["values"], dtype=np.float64)
-    noise = m["noise"]
-    if noise["rule"] == "power":
-        j = np.arange(1, n + 1, dtype=np.float64)
-        q = j ** (-float(noise["rho"]))
-    else:
-        q = np.asarray(noise["values"], dtype=np.float64)
-    return SpectralModel(lam=lam, q=q, domain_length=length)
+    eig, noise = m["eigenvalues"], m["noise"]
+    # the rules' formulas are dirichlet_model's, given the length and rho only
+    # where a rule reads them, so that an explicit list never meets a check
+    # of the formula it replaces
+    rules = dirichlet_model(
+        m["n_modes"],
+        noise["rho"] if noise["rule"] == "power" else 0.0,
+        m["domain_length"] if eig["rule"] == "dirichlet" else 1.0,
+    )
+    lam = eig["values"] if eig["rule"] == "explicit" else rules.lam
+    q = noise["values"] if noise["rule"] == "explicit" else rules.q
+    return SpectralModel(lam=lam, q=q, domain_length=m["domain_length"])
 
 
 def build_nonlinearity(scenario: dict) -> Nonlinearity:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path as FilePath
 
@@ -307,6 +308,10 @@ class TestExitCodes:
             ({"name": "forward"},
              {"model": {"eigenvalues": {"rule": "dirichlet"}, "domain_length": float("inf")}},
              "$.model.domain_length"),
+            # an int literal is exact: one beyond float range is no finite number
+            ({"name": "forward"},
+             {"dynamics": {"nonlinearity": {"kind": "sine", "alpha": 10**400}}},
+             "$.dynamics.nonlinearity.alpha"),
             ({"name": "ou-bridge", "target": [0.5, -0.2, 0.1]}, None, "$.task.target"),
             ({"name": "guided", "target": [0.5]}, None, "$.task.target"),
             ({"name": "martingale-diag", "target": [0.5, -0.2, 0.1]}, None, "$.task.target"),
@@ -334,6 +339,7 @@ class TestExitCodes:
             "time-past-horizon", "time-negative", "bridge-time-past-horizon",
             "probe-past-horizon", "probe-negative",
             "alpha-nan", "alpha-infinity", "horizon-nan", "domain-length-infinity",
+            "alpha-beyond-float",
             "bridge-target-length", "guided-target-length", "martingale-target-length",
             "obs-var-length", "dirac-target-length", "tilted-mean-length", "tilted-var-length",
             "test-function-length",
@@ -483,6 +489,48 @@ class TestCompare:
             writer.writerows(rows)
         return rows[row]
 
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ([], "$"),
+            ({"default": {"abs": "x"}}, "$.default.abs"),
+            ({"quantities": {"sample_mean": []}}, "$.quantities.sample_mean"),
+            ({"default": {"abs": -1}}, "$.default.abs"),
+            ({"defualt": {"abs": 0}}, "$.defualt"),
+            ({"columns": {"mean": {"abs": 0}}}, "$.columns.mean"),
+            ({"quantities": {"sample_var": {"value": {"rel": float("nan")}}}},
+             "$.quantities.sample_var.value.rel"),
+        ],
+        ids=["list", "string-abs", "list-quantity", "negative-abs", "misspelled-key",
+             "unknown-column", "nan-rel"],
+    )
+    def test_tolerance_file_checked(self, tmp_path, capsys, spec, field):
+        # a run compared with itself: only the tolerance file can be at fault
+        a = self._write_and_run(tmp_path, "a")
+        tol = tmp_path / "tol.json"
+        tol.write_text(json.dumps(spec))
+        assert run_cli(["compare", str(a), str(a), str(tol)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {field}: ")
+
+    def test_tolerance_precedence(self, tmp_path, capsys):
+        # a quantity's tolerance for a column, else the column's, else the default
+        a = self._write_and_run(tmp_path, "a")
+        b = self._write_and_run(tmp_path, "b", seed=78)
+        tol = tmp_path / "tol.json"
+        loose = {"abs": 1e9}
+        tol.write_text(json.dumps({
+            "default": {"abs": 0, "rel": 0},
+            "columns": {"stderr": loose},
+            "quantities": {"sample_mean": {"value": loose}, "sample_var": {"stderr": {}}},
+        }))
+        assert run_cli(["compare", str(a), str(b), str(tol)]) == 3
+        offending = json.loads(capsys.readouterr().out)["offending"]
+        assert {(c["quantity"], c["column"]) for c in offending} == {
+            ("sample_var", "value"), ("sample_var", "stderr")
+        }
+
     def _compare_zero_tol(self, tmp_path, a, b):
         tol = tmp_path / "tol.json"
         tol.write_text(json.dumps({"default": {"abs": 0.0, "rel": 0.0}}))
@@ -526,17 +574,13 @@ class TestCompare:
         assert run_cli(["compare", str(a), str(tmp_path / "c"), str(tol)]) == 2
 
 
-@pytest.fixture(
-    params=[
-        pytest.param(
-            "_pwrite", marks=pytest.mark.skipif(not hasattr(os, "pwrite"), reason="no os.pwrite")
-        ),
-        "_seek_write",
-    ]
-)
+@pytest.fixture(params=["_pwrite"])
 def write_once(request):
-    """Each way the dump writes at an offset: os.pwrite, or a seek of the thread's handle."""
-    return getattr(spdebridge.io, request.param)
+    """The dump's one way to write at an offset, os.pwrite, which the tests wrap.
+
+    Its one param keeps the write path's name in the ids of the tests that use it.
+    """
+    return os.pwrite
 
 
 class TestPathDump:
@@ -655,7 +699,13 @@ class TestPathDump:
     ):
         # blocks of 5 of the 17 nodes (5, 5, 5, 2) for 1024-path units; the
         # row floor lowered so that rows of 16 steps are past it
-        monkeypatch.setattr(spdebridge.io, "_write_once", write_once)
+        fds = set()
+
+        def pwrite(fd, data, at):
+            fds.add(fd)
+            return write_once(fd, data, at)
+
+        monkeypatch.setattr(os, "pwrite", pwrite)
         monkeypatch.setattr(spdebridge.forward, "DUMP_BLOCK_BYTES", 8 * 1024 * n_modes * 5)
         monkeypatch.setattr(spdebridge.forward, "THREADED_ROW_MIN", 1)
         scn = self._dump_scenario(n_modes, n_paths)
@@ -672,7 +722,7 @@ class TestPathDump:
         ]
         ens = PathEnsemble(
             grid, np.concatenate([u.states for u in units]),
-            np.concatenate([u.increments for u in units]), "units",
+            np.concatenate([u.increments for u in units]),
         )
         # the SPDB layout written out by hand: what every writer must match
         header = b"SPDB" + np.array([1, n_modes, 17, n_paths], "<u4").tobytes()
@@ -683,8 +733,49 @@ class TestPathDump:
         assert (tmp_path / "stored.spdb").read_bytes() == want
         for cores in (1, 2, 3):
             monkeypatch.setattr(spdebridge.forward, "available_cores", lambda: cores)
+            fds.clear()
             run_scenario(scn, tmp_path / str(cores))
             assert (tmp_path / str(cores) / "paths.spdb").read_bytes() == want, cores
+            assert len(fds) == 1, (cores, fds)  # every thread writes through one descriptor
+
+    def test_dump_opens_its_file_once(self, tmp_path, monkeypatch):
+        # three faked cores past the row floor: the dump is written from
+        # several threads, and io opens paths.spdb once for all of them
+        monkeypatch.setattr(spdebridge.forward, "THREADED_ROW_MIN", 1)
+        monkeypatch.setattr(spdebridge.forward, "available_cores", lambda: 3)
+        opened, writers = [], set()
+        real_pwrite = os.pwrite
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        def pwrite(fd, data, at):
+            writers.add(threading.get_ident())
+            return real_pwrite(fd, data, at)
+
+        monkeypatch.setattr(spdebridge.io, "open", counting_open, raising=False)
+        monkeypatch.setattr(os, "pwrite", pwrite)
+        run_scenario(self._dump_scenario(4, 2 * CHUNK + 3), tmp_path / "r")
+        assert len(writers) > 1
+        assert opened == [tmp_path / "r" / "paths.spdb"]
+
+    def test_dump_without_pwrite_fails_before_any_path_is_drawn(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        f = tmp_path / "scn.json"
+        scn = base_scenario({"name": "forward"}, output={"formats": ["csv", "json", "paths"]})
+        f.write_text(json.dumps(scn))
+        passes = []
+        monkeypatch.setattr(spdebridge.forward, "run_pass", lambda *a, **k: passes.append(a))
+        monkeypatch.delattr(os, "pwrite")
+        assert run_cli(["run", str(f), "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"error: OSError: [Errno {errno.ENOSYS}] the paths dump needs os.pwrite, "
+            "which this platform lacks"
+        ]
+        assert not passes and not (tmp_path / "r" / "paths.spdb").exists()
 
     def test_short_writes_complete_the_dump(self, tmp_path, monkeypatch, write_once):
         # a file write may write fewer bytes than asked; here every one
@@ -693,11 +784,11 @@ class TestPathDump:
         run_scenario(scn, tmp_path / "whole")
         calls = []
 
-        def short_write(fh, data, at):
+        def short_write(fd, data, at):
             calls.append(at)
-            return write_once(fh, memoryview(data).cast("B")[:1000], at)
+            return write_once(fd, memoryview(data).cast("B")[:1000], at)
 
-        monkeypatch.setattr(spdebridge.io, "_write_once", short_write)
+        monkeypatch.setattr(os, "pwrite", short_write)
         run_scenario(scn, tmp_path / "short")
         assert len(calls) > (tmp_path / "short" / "paths.spdb").stat().st_size // 1000
         for name in ("paths.spdb", "summary.csv"):
@@ -715,7 +806,7 @@ class TestPathDump:
         )
         f.write_text(json.dumps(scn))
         monkeypatch.setattr(spdebridge.forward, "THREADED_ROW_MIN", 1)
-        monkeypatch.setattr(spdebridge.io, "_write_once", lambda fh, data, at: 0)
+        monkeypatch.setattr(os, "pwrite", lambda fd, data, at: 0)
         assert run_cli(["run", str(f), "--out", str(tmp_path / "r")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: OSError: [Errno {errno.EIO}] wrote no byte")

@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from spdebridge.cli import main
-from spdebridge.scenario import SCENARIO_SCHEMA, SchemaError, _violations, validate_scenario
+from spdebridge.scenario import SCENARIO_SCHEMA, SchemaError, _violations, validate
 
 finite = st.floats(-3.0, 3.0, allow_nan=False)
 any_number = st.one_of(
@@ -245,7 +245,7 @@ def test_every_schema_valid_scenario_keeps_the_exit_code_contract(scenario, asse
         assert code == 1, err.getvalue()
         assert any(err.getvalue().startswith(f"error: {f}: ") for f in fields), err.getvalue()
     else:
-        validate_scenario(scenario)
+        validate(SCENARIO_SCHEMA, scenario)
 
 
 @st.composite
@@ -448,10 +448,10 @@ def test_validation_agrees_with_jsonschema(scenario, data):
         }
         assert found == expected, mutant
         if not expected:
-            validate_scenario(mutant)
+            validate(SCENARIO_SCHEMA, mutant)
             continue
         with pytest.raises(SchemaError) as raised:
-            validate_scenario(mutant)
+            validate(SCENARIO_SCHEMA, mutant)
         reported = str(raised.value).split(": ", 1)[0]
         assert reported in expected
         if len(expected) == 1:

@@ -265,7 +265,7 @@ def _martingale_rows_equal_one_full_ensemble(tmp_path, n_paths, oversample):
     stats = increment_orthogonality(series, ens.states[:, nodes[0]])
     expected.append((np.max(np.abs(stats)), None))
     # the Novikov rows read the first 4000 paths only
-    first = PathEnsemble(grid, ens.states[:4000], ens.increments[:4000], ens.model_ref)
+    first = PathEnsemble(grid, ens.states[:4000], ens.increments[:4000])
     expected += [novikov_estimate(first, h, model, frac * 0.8) for frac in (0.5, 0.9)]
     assert [r["quantity"] for r in rows] == (
         ["exp_martingale_mean"] * 3 + ["increment_orthogonality_max_stat"]
@@ -342,7 +342,7 @@ def test_martingale_diag_with_drift_reads_h_only_where_it_is_defined(tmp_path):
     k = nearest_node(grid, 0.5)
     head = PathEnsemble(
         TimeGrid(grid.nodes[: k + 1], grid.kind), ens.states[:, : k + 1],
-        ens.increments[:, :k], ens.model_ref,
+        ens.increments[:, :k],
     )
     vals = exp_martingale_from_definition(head, h, model, nonlin)[:, k]
     expected = [(vals.mean(), vals.std(ddof=1) / np.sqrt(n_paths))]

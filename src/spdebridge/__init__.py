@@ -19,13 +19,9 @@ from .forward import (
 )
 from .grids import TimeGrid, geometric_grid, uniform_grid
 from .guided import (
-    GaussianTilt,
     GuidedSpec,
     WeightedPath,
     effective_sample_size,
-    endpoint_sampler_bridge,
-    endpoint_sampler_tilted,
-    conditioned_snapshots,
     simulate_guided,
 )
 from .htransform import (

@@ -1,6 +1,10 @@
 """Conditioned-process sampling: guided simulation, endpoint disintegration,
 and importance weights.
 
+A conditioned ensemble over an endpoint law is the guided ensemble with
+one target per path: ``guided_snapshots(endpoints=...)`` guides path i to
+row i, and ``tilted_endpoints`` draws those rows from a Gaussian law.
+
 A guided path follows the base dynamics plus the drift increment built from
 the linear-process transition density toward the target. The accompanying
 log weight is the time integral of the nonlinearity paired with the guiding
@@ -10,7 +14,6 @@ by design; estimates stabilize as the cutoff approaches the horizon).
 """
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -195,85 +198,22 @@ def guided_snapshots(
     return snaps, logw
 
 
-# ---------------------------------------------------------------------------
-# endpoint samplers and disintegration
-# ---------------------------------------------------------------------------
+def tilted_endpoints(model: SpectralModel, mean, var, rng_seed, n: int) -> np.ndarray:
+    """n endpoint draws (n, J) of the per-mode Gaussian law N(mean_j, var_j).
 
-
-def endpoint_sampler_bridge(y) -> Callable:
-    """Point-mass endpoint: every draw is y."""
-    y = np.asarray(y, dtype=np.float64)
-
-    def sample(gen, n: int) -> np.ndarray:
-        return np.broadcast_to(y, (n, y.size)).copy()
-
-    return sample
-
-
-@dataclass(frozen=True)
-class GaussianTilt:
-    """Per-mode Gaussian endpoint lawN(mean_j, var_j), var_j <= stationary."""
-
-    mean: np.ndarray
-    var: np.ndarray
-
-
-def endpoint_sampler_tilted(model: SpectralModel, tilt: GaussianTilt) -> Callable:
-    mean = model.validate_field(np.asarray(tilt.mean, dtype=np.float64))
-    var = np.asarray(tilt.var, dtype=np.float64)
+    The draws come from the ``ENDPOINTS`` stream of rng_seed, and each
+    var_j must lie in (0, stationary variance].
+    """
+    mean = model.validate_field(np.asarray(mean, dtype=np.float64))
+    var = np.asarray(var, dtype=np.float64)
     if var.shape != (model.n_modes,):
         raise DomainError("tilt variance must have one entry per mode")
     if np.any(var <= 0.0):
         raise DomainError("tilt variances must be strictly positive")
-    qinf = covariance_qinf(model)
-    if np.any(var > qinf * (1.0 + 1e-12)):
+    if np.any(var > covariance_qinf(model) * (1.0 + 1e-12)):
         raise DomainError("tilt variances must not exceed the stationary variances")
-    scale = np.sqrt(var)
-
-    def sample(gen, n: int) -> np.ndarray:
-        return mean + scale * gen.standard_normal((n, mean.size))
-
-    return sample
-
-
-def draw_endpoints(sampler: Callable, rng_seed, n: int) -> np.ndarray:
     gen = rng.stream(rng_seed, rng.ENDPOINTS)
-    return sampler(gen, n)
-
-
-def conditioned_snapshots(
-    model: SpectralModel,
-    nonlin: Nonlinearity,
-    x0,
-    endpoint_sampler: Callable,
-    horizon: float,
-    grid: TimeGrid,
-    rng_seed,
-    n_paths: int,
-    *,
-    weight_cutoff: float | None = None,
-    snap_nodes=None,
-    oversample: int = 4,
-):
-    """Two-stage conditioned sampling: endpoint draws, then guided paths to them.
-
-    Path i is guided to endpoint draw i, with the noise stream of path i.
-    Returns (endpoints (n, J), snaps (n, s, J), log weights (n,)) with the
-    states at snap_nodes (default: the weight-cutoff node and the final
-    node) and the log weights read at the weight cutoff.
-    """
-    if n_paths < 1:
-        raise DomainError("need at least one path")
-    endpoints = draw_endpoints(endpoint_sampler, rng_seed, n_paths)
-    spec = GuidedSpec(y=endpoints[0], horizon=horizon, weight_cutoff=weight_cutoff)
-    k_w = weight_node(grid, spec.weight_cutoff)
-    if snap_nodes is None:
-        snap_nodes = [k_w, grid.n_steps]
-    snaps, logw = guided_snapshots(
-        model, nonlin, x0, spec, grid, rng_seed, n_paths,
-        snap_nodes, [k_w], oversample=oversample, endpoints=endpoints,
-    )
-    return endpoints, snaps, logw[:, 0]
+    return mean + np.sqrt(var) * gen.standard_normal((n, model.n_modes))
 
 
 # ---------------------------------------------------------------------------

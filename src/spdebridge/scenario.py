@@ -191,7 +191,7 @@ SCENARIO_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "n_paths": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer"},
+                "seed": {"type": "integer", "minimum": 0},
             },
         },
         "output": {

@@ -9,6 +9,10 @@ reported through the exit code; otherwise they are dropped. A configuration
 with no closed-form reference (a nonzero nonlinearity in ``forward``,
 ``guided`` or ``conditioned``, ``noisy_obs`` guiding, a dirac ``conditioned``
 endpoint) evaluates no moment check, so it has nothing to fail.
+
+``guided`` and ``conditioned`` run the same pass, ``guided_snapshots``: a
+dirac endpoint is its target, and a tilted endpoint law is a per-path
+target drawn by ``tilted_endpoints``.
 """
 
 from contextlib import nullcontext
@@ -25,14 +29,11 @@ from .forward import (
     simulate_ensemble,  # unused here; the benchmark's tracer patches this name
 )
 from .guided import (
-    GaussianTilt,
     GuidedSpec,
-    conditioned_snapshots,
     effective_sample_size,
-    endpoint_sampler_bridge,
-    endpoint_sampler_tilted,
     guided_snapshots,
     self_normalized_from_values,
+    tilted_endpoints,
     weight_node,
 )
 from .htransform import (
@@ -281,25 +282,24 @@ def task_conditioned(scenario, outdir):
     task = scenario["task"]
     horizon = grid.horizon
     endpoint = task["endpoint"]
-    if endpoint["kind"] == "dirac":
-        sampler = endpoint_sampler_bridge(np.asarray(endpoint["target"], dtype=np.float64))
-    else:  # "tilted", the schema's only other kind
-        tilt = GaussianTilt(
-            np.asarray(endpoint["mean"], dtype=np.float64),
-            np.asarray(endpoint["var"], dtype=np.float64),
+    seed = scenario["sampling"]["seed"]
+    endpoints = None
+    if endpoint["kind"] == "tilted":  # a tilt fault is reported before an n_paths one
+        endpoints = tilted_endpoints(
+            model, endpoint["mean"], endpoint["var"], seed, scenario["sampling"]["n_paths"]
         )
-        sampler = endpoint_sampler_tilted(model, tilt)
     probe_time = task.get("probe_time", horizon / 2.0)
     cutoff = task.get("weight_cutoff", 0.95 * horizon)
-    seed = scenario["sampling"]["seed"]
     n_paths = _n_paths(scenario)
     oversample = scenario["dynamics"]["oversample"]
     probe_node = nearest_node(grid, probe_time)
     k_w = weight_node(grid, cutoff)
     snap_idx = sorted({probe_node, grid.n_steps})
-    endpoints, snaps, logw = conditioned_snapshots(
-        model, nonlin, x0, sampler, horizon, grid, seed, n_paths,
-        weight_cutoff=cutoff, snap_nodes=snap_idx, oversample=oversample,
+    y = endpoint["target"] if endpoints is None else endpoints[0]
+    spec = GuidedSpec(y=y, horizon=horizon, weight_cutoff=cutoff)
+    snaps, logw = guided_snapshots(
+        model, nonlin, x0, spec, grid, seed, n_paths, snap_idx, [k_w],
+        oversample=oversample, endpoints=endpoints,
     )
     probe_slot = snap_idx.index(probe_node)
     end_slot = snap_idx.index(grid.n_steps)
@@ -313,12 +313,13 @@ def task_conditioned(scenario, outdir):
         rows, "sample", snaps[:, [probe_slot], :], [t_probe], "guided.conditioned_snapshots"
     )
     _weighted_rows(
-        rows, logw, snaps[:, probe_slot, :], float(grid.nodes[k_w]), t_probe
+        rows, logw[:, 0], snaps[:, probe_slot, :], float(grid.nodes[k_w]), t_probe
     )
-    if nonlin.kind == "zero" and endpoint["kind"] == "tilted":
+    if nonlin.kind == "zero" and endpoints is not None:
         _gaussian_check(
-            failures, snaps[:, end_slot, :], tilt.mean, tilt.var,
-            "conditioned endpoint", "the tilt law",
+            failures, snaps[:, end_slot, :], np.asarray(endpoint["mean"], dtype=np.float64),
+            np.asarray(endpoint["var"], dtype=np.float64), "conditioned endpoint",
+            "the tilt law",
         )
     return rows, {"probe_time": t_probe}, failures
 

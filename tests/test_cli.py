@@ -284,6 +284,7 @@ class TestExitCodes:
             ({"name": "forward"}, {"sampling": {"n_paths": 4.0}}, "$.sampling.n_paths"),
             ({"name": "forward"}, {"sampling": {"seed": 1.0}}, "$.sampling.seed"),
             ({"name": "forward"}, {"sampling": {"seed": True}}, "$.sampling.seed"),
+            ({"name": "forward"}, {"sampling": {"seed": -5}}, "$.sampling.seed"),
             ({"name": "ck-check", "mid": []}, None, "$.task.mid"),
             ({"name": "ck-check", "modes": []}, None, "$.task.modes"),
             ({"name": "forward", "times": []}, None, "$.task.times"),
@@ -334,7 +335,7 @@ class TestExitCodes:
             "paths-format", "ck-mode-too-large", "ck-mode-negative", "ck-mode-not-integer",
             "string-time", "times-not-array", "n-points-not-integer", "n-points-zero",
             "no-weight-cutoffs", "boolean-target",
-            "float-n-steps", "float-n-paths", "float-seed", "boolean-seed",
+            "float-n-steps", "float-n-paths", "float-seed", "boolean-seed", "negative-seed",
             "ck-mid-empty", "ck-modes-empty", "times-empty", "no-test-functions",
             "time-past-horizon", "time-negative", "bridge-time-past-horizon",
             "probe-past-horizon", "probe-negative",

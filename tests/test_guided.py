@@ -3,13 +3,10 @@ import pytest
 
 from spdebridge import (
     DomainError,
-    GaussianTilt,
     GuidedSpec,
     WeightedPath,
     bridge_marginal_mean_var,
     effective_sample_size,
-    endpoint_sampler_bridge,
-    endpoint_sampler_tilted,
     geometric_grid,
     semigroup_apply,
     simulate_guided,
@@ -20,10 +17,9 @@ from spdebridge import (
 from spdebridge import rng
 from spdebridge.forward import nearest_node
 from spdebridge.guided import (
-    conditioned_snapshots,
-    draw_endpoints,
     guided_snapshots,
     self_normalized_from_values,
+    tilted_endpoints,
     weight_node,
 )
 from spdebridge.ou import _conditional_coeffs
@@ -206,71 +202,50 @@ class TestSimulateGuided:
 
 
 class TestEndpointSamplers:
-    def test_dirac_deterministic(self):
-        y = np.array([0.3, -0.2])
-        sampler = endpoint_sampler_bridge(y)
-        for seed in (1, 2, 3):
-            draws = draw_endpoints(sampler, seed, 4)
-            np.testing.assert_array_equal(draws, np.tile(y, (4, 1)))
-
-    def test_dirac_zero(self):
-        draws = draw_endpoints(endpoint_sampler_bridge(np.zeros(2)), 5, 3)
-        assert np.all(draws == 0.0)
-
     def test_tilted_no_tilt_matches_invariant(self, two_mode):
         qinf = two_mode.q / (2 * np.abs(two_mode.lam))
-        sampler = endpoint_sampler_tilted(two_mode, GaussianTilt(np.zeros(2), qinf))
         n = 50_000
-        draws = draw_endpoints(sampler, 7, n)
+        draws = tilted_endpoints(two_mode, np.zeros(2), qinf, 7, n)
         se_var = qinf * np.sqrt(2.0 / (n - 1))
         assert np.all(np.abs(draws.var(axis=0, ddof=1) - qinf) < 4 * se_var)
 
     def test_tilted_point_mass_limit(self, two_mode):
         m = np.array([0.4, -0.1])
-        sampler = endpoint_sampler_tilted(two_mode, GaussianTilt(m, np.full(2, 1e-12)))
-        draws = draw_endpoints(sampler, 8, 100)
+        draws = tilted_endpoints(two_mode, m, np.full(2, 1e-12), 8, 100)
         assert np.max(np.abs(draws - m)) < 1e-5
 
     def test_tilted_reproducible(self, two_mode):
         qinf = two_mode.q / (2 * np.abs(two_mode.lam))
-        sampler = endpoint_sampler_tilted(two_mode, GaussianTilt(np.zeros(2), 0.5 * qinf))
         np.testing.assert_array_equal(
-            draw_endpoints(sampler, 11, 10), draw_endpoints(sampler, 11, 10)
+            tilted_endpoints(two_mode, np.zeros(2), 0.5 * qinf, 11, 10),
+            tilted_endpoints(two_mode, np.zeros(2), 0.5 * qinf, 11, 10),
         )
 
     def test_tilted_rejects_oversized_variance(self, two_mode):
         qinf = two_mode.q / (2 * np.abs(two_mode.lam))
-        with pytest.raises(DomainError):
-            endpoint_sampler_tilted(two_mode, GaussianTilt(np.zeros(2), 2.0 * qinf))
+        with pytest.raises(DomainError, match="must not exceed the stationary variances"):
+            tilted_endpoints(two_mode, np.zeros(2), 2.0 * qinf, 1, 4)
+
+
+def _conditioned(model, nonlin, endpoints, grid, seed, snap_nodes):
+    """Guided snapshots with path i guided to endpoints[i], weights at 0.95."""
+    spec = GuidedSpec(y=endpoints[0], horizon=grid.horizon)
+    k_w = weight_node(grid, spec.weight_cutoff)
+    snaps, logw = guided_snapshots(
+        model, nonlin, np.zeros(model.n_modes), spec, grid, seed, len(endpoints),
+        snap_nodes, [k_w], endpoints=endpoints,
+    )
+    return snaps, logw[:, 0]
 
 
 class TestSampleConditioned:
-    def test_dirac_reduces_to_guided(self, single_mode):
-        grid = geometric_grid(1.0, 64)
-        y = np.array([0.6])
-        _, snaps, logw = conditioned_snapshots(
-            single_mode, zero(), np.zeros(1), endpoint_sampler_bridge(y), 1.0,
-            grid, 13, 8, snap_nodes=np.arange(grid.n_steps + 1),
-        )
-        spec = GuidedSpec(y=y, horizon=1.0)
-        for i in range(8):
-            solo = simulate_guided(
-                single_mode, zero(), np.zeros(1), spec, grid, 13, path_index=i
-            )
-            np.testing.assert_array_equal(snaps[i], solo.path.states)
-            assert logw[i] == solo.log_weight
-
     def test_snapshot_route_matches_full(self, single_mode):
         # each conditioned path is the guided path to its endpoint draw
         grid = geometric_grid(1.0, 64)
         nonlin = sine_nemytskii(0.5)
         qinf = single_mode.q / (2 * np.abs(single_mode.lam))
-        sampler = endpoint_sampler_tilted(
-            single_mode, GaussianTilt(np.array([0.3]), 0.5 * qinf)
-        )
-        endpoints, snaps, logw = conditioned_snapshots(
-            single_mode, nonlin, np.zeros(1), sampler, 1.0, grid, 5, 16
-        )
+        endpoints = tilted_endpoints(single_mode, np.array([0.3]), 0.5 * qinf, 5, 16)
+        snaps, logw = _conditioned(single_mode, nonlin, endpoints, grid, 5, [grid.n_steps])
         wpaths = [
             simulate_guided(
                 single_mode, nonlin, np.zeros(1), GuidedSpec(y=y, horizon=1.0), grid, 5,
@@ -279,40 +254,29 @@ class TestSampleConditioned:
             for i, y in enumerate(endpoints)
         ]
         np.testing.assert_array_equal(
-            np.array([wp.path.states[-1] for wp in wpaths]), snaps[:, 1, :]
+            np.array([wp.path.states[-1] for wp in wpaths]), snaps[:, 0, :]
         )
         np.testing.assert_allclose(
             np.array([wp.log_weight for wp in wpaths]), logw, rtol=1e-12
         )
-
-    def test_zero_paths_rejected(self, single_mode):
-        grid = geometric_grid(1.0, 16)
-        with pytest.raises(DomainError):
-            conditioned_snapshots(
-                single_mode, zero(), np.zeros(1),
-                endpoint_sampler_bridge(np.array([0.0])), 1.0, grid, 1, 0,
-            )
 
     def test_tilted_disintegration_closed_form(self, single_mode):
         # linear and quadratic functionals of the midpoint marginal under a
         # Gaussian endpoint mixture have closed forms
         grid = geometric_grid(1.0, 128)
         qinf = single_mode.q / (2 * np.abs(single_mode.lam))
-        tilt = GaussianTilt(np.array([0.5]), 0.4 * qinf)
-        sampler = endpoint_sampler_tilted(single_mode, tilt)
+        mean, var = np.array([0.5]), 0.4 * qinf
         n = 20_000
         k = nearest_node(grid, 0.5)
-        endpoints, snaps, logw = conditioned_snapshots(
-            single_mode, zero(), np.zeros(1), sampler, 1.0, grid, 29, n,
-            snap_nodes=[k, grid.n_steps],
-        )
+        endpoints = tilted_endpoints(single_mode, mean, var, 29, n)
+        snaps, _ = _conditioned(single_mode, zero(), endpoints, grid, 29, [k, grid.n_steps])
         t = float(grid.nodes[k])
         # endpoint marginal equals the tilt law exactly (pinned construction)
-        se_m = np.sqrt(tilt.var[0] / n)
-        assert abs(snaps[:, 1, 0].mean() - tilt.mean[0]) < 4 * se_m
+        se_m = np.sqrt(var[0] / n)
+        assert abs(snaps[:, 1, 0].mean() - mean[0]) < 4 * se_m
         ca, cy, v = _conditional_coeffs(single_mode, t, 1.0 - t)
-        mix_mean = cy[0] * tilt.mean[0]  # x0 = 0
-        mix_var = v[0] + cy[0] ** 2 * tilt.var[0]
+        mix_mean = cy[0] * mean[0]  # x0 = 0
+        mix_var = v[0] + cy[0] ** 2 * var[0]
         vals = snaps[:, 0, 0]
         dt_allow = float(grid.steps.max())
         assert abs(vals.mean() - mix_mean) < 4 * np.sqrt(mix_var / n) + 0.5 * dt_allow

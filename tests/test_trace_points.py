@@ -41,8 +41,11 @@ def test_every_patch_point_resolves_to_a_callable(tracer):
         ({"name": "dynkin", "test_functions": [{"a": [0.5, 0.1], "c": 0.0}]}, "uniform",
          ["csv", "json"]),
         ({"name": "guided", "target": [0.5, -0.2]}, "geometric", ["csv", "json"]),
+        ({"name": "conditioned",
+          "endpoint": {"kind": "tilted", "mean": [0.5, -0.2], "var": [0.02, 0.005]}},
+         "geometric", ["csv", "json"]),
     ],
-    ids=["forward-paths", "dynkin", "guided"],
+    ids=["forward-paths", "dynkin", "guided", "conditioned"],
 )
 def test_traced_kernel_steps_are_counted_once(tmp_path, tracer, task, grid_kind, formats):
     # 2100 paths: two chunks of the streamed drivers, one of them a tail

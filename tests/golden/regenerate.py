@@ -51,6 +51,7 @@ def _tasks(n):
     return {
         "forward": {"name": "forward", "times": [0.25, 1.0]},
         "forward-paths": {"name": "forward", "times": [0.5, 1.0]},
+        "forward-early": {"name": "forward", "times": [0.25, 0.5]},
         "ou-bridge": {"name": "ou-bridge", "target": _vector(n, 0.5)},
         "guided-exact": {
             "name": "guided", "target": _vector(n, 0.5), "weight_cutoffs": [0.8, 0.95],
@@ -77,7 +78,18 @@ def _tasks(n):
             ],
             "times": [0.5, 1.0],
         },
+        "dynkin-early": {
+            "name": "dynkin",
+            "test_functions": [
+                {"a": _vector(n, 0.8), "c": 0.3},
+                {"a": _vector(n, -0.5), "c": 0.0, "phase": "cos"},
+            ],
+            "times": [0.25, 0.5],
+        },
         "martingale-diag": {"name": "martingale-diag", "target": _vector(n, 0.5)},
+        "martingale-early": {
+            "name": "martingale-diag", "target": _vector(n, 0.5), "times": [0.25, 0.5],
+        },
         "gamma-diag": {"name": "gamma-diag"},
         "ck-check": {"name": "ck-check", "x": [0.0, 0.4], "y": [0.2]},
     }

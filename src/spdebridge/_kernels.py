@@ -19,6 +19,10 @@ tracer wraps the four by name and counts one pass per traced task call.
 a time, so the forward paths dump never holds a unit's states whole.
 ``htransform.exp_martingale_mc`` also reads ``_nodes`` but is not a traced
 kernel, so its passes are not counted.
+
+Last node: a kernel steps as many steps as ``Z`` holds, which may be fewer
+than the Stepper's tables, because a pass stops at its last read node (see
+``forward.run_pass``). ``guided`` pins only at the tables' last node.
 ``BACKEND`` names the execution engine and is echoed into run manifests.
 
 Wide rows: every per-mode coefficient product runs on a wide view of the
@@ -195,7 +199,8 @@ class Stepper:
 def _nodes(x0, Z, st, drift=None):
     """Yield (k, x_k, F(x_k)) at each node k < n_steps, then (n_steps, x_n, None).
 
-    x_k and F(x_k) are (n, J). The state is stepped in place after each
+    n_steps is ``Z.shape[1]``: the pass's last read node, not always the
+    horizon. x_k and F(x_k) are (n, J). The state is stepped in place after each
     yield, on the wide view (see the module docstring), so a caller that
     keeps x_k past its loop body must copy it. ``drift(k, xw)`` is the extra
     term G on the wide view; without it the update is ``P * F`` rather than
@@ -288,15 +293,21 @@ def guided(x0, Z, st, guide, y, dt, slots, wslots):
     """Guided paths toward per-path targets y (n, J), with Girsanov log weights.
 
     ``guide`` is (Tables(Ag, Bg, Wg), pin): per-step guide rows and whether
-    the final state is set to y. Returns (snaps (n, n_snap, J), logw (n,
-    n_wckpt)): the states at the nodes whose ``slots`` entry is set, and at
-    each node k < n_steps whose ``wslots`` entry is set, the trapezoid
-    integral of the weight integrand <F(x), Wg (y - Bg x)> from node 0 to
-    node k. The integrand is singular at the horizon, so no weight is read
-    at the last node.
+    the state at the horizon is set to y. Returns (snaps (n, n_snap, J),
+    logw (n, n_wckpt)): the states at the nodes whose ``slots`` entry is
+    set, and at each node k before the horizon whose ``wslots`` entry is
+    set, the trapezoid integral of the weight integrand <F(x), Wg (y - Bg
+    x)> from node 0 to node k. The integrand is singular at the horizon, so
+    no weight is read there.
+
+    The horizon is node n_steps of the guide rows. If ``Z`` stops before
+    it, F is evaluated at its last node, so a weight read there is read. A
+    pinned pass writes y into a horizon slot, stepped to or not. ``slots``
+    may name no other node past the last node of ``Z``.
     """
     n, _, n_modes = Z.shape
     tables, pin = guide
+    horizon = tables[0].shape[0]
     shape, Agw, Bgw, Wgw = tables.wide(n, n_modes)
     yw = y.reshape(shape)
     snaps = np.empty((n, slots.max() + 1, n_modes))
@@ -308,7 +319,9 @@ def guided(x0, Z, st, guide, y, dt, slots, wslots):
         return Agw[k] * d
 
     for k, x, f in _nodes(x0, Z, st, drift):
-        if f is not None:
+        if k < horizon:
+            if f is None:  # the last node of a pass that stops before the horizon
+                f = st.F(x)
             d = yw - Bgw[k] * x.reshape(shape)
             w = row_sum((f.reshape(shape) * (Wgw[k] * d)).reshape(n, n_modes))
             if k > 0:
@@ -316,8 +329,8 @@ def guided(x0, Z, st, guide, y, dt, slots, wslots):
             w_prev = w
             if wslots[k] >= 0:
                 logw[:, wslots[k]] = cum
-        elif pin:
-            x = y
         if slots[k] >= 0:
             snaps[:, slots[k]] = x
+    if pin and slots[horizon] >= 0:
+        snaps[:, slots[horizon]] = y
     return snaps, logw

@@ -34,7 +34,8 @@ CHUNK = 2048
 # chunks of 1280 to 1889 paths.
 UNIT = 1024
 UNIT_MIN = 256
-# Normals per path below which ``run_pass`` runs on the caller's thread
+# Normals a path draws (reach x J, the steps up to the pass's last read node
+# times the modes) below which ``run_pass`` runs on the caller's thread
 # alone. Resetting the Philox to a path holds the GIL for about 10 us; on a
 # 2-core Xeon VM (numpy 2.4.6) two threads drew 512 paths 0.6-0.9x as fast
 # as one at 64-512 normals per path, about even at 768, and 1.3-1.8x as fast
@@ -271,6 +272,11 @@ def _snap_slots(grid: TimeGrid, nodes) -> tuple[np.ndarray, int]:
     return slots, nodes.size
 
 
+def last_node(slots: np.ndarray) -> int:
+    """The last node a slot table reads: the ``reach`` of a pass that reads only it."""
+    return int(np.flatnonzero(slots >= 0)[-1])
+
+
 def units(n_paths: int):
     """(lo, hi) of every unit of an n_paths pass, in path order.
 
@@ -294,7 +300,8 @@ def available_cores() -> int:
 
 
 def run_pass(
-    model: SpectralModel, x0, grid: TimeGrid, rng_seed, n_paths: int, unit_fn, sink=None
+    model: SpectralModel, x0, grid: TimeGrid, rng_seed, n_paths: int, unit_fn, sink=None,
+    reach: int | None = None,
 ) -> None:
     """Draw and step paths 0..n_paths-1 unit by unit, on every available core.
 
@@ -311,20 +318,25 @@ def run_pass(
     it draws to ``sink(i, rows)``: the path-major normals of paths i.., as
     ``rng.path_increments`` hands them out, before the unit is stepped.
 
+    A pass stops at its last read node ``reach`` (default ``grid.n_steps``):
+    ``z`` is (n, reach, J), the leading steps of each path's full draw (see
+    ``rng``), so every node up to reach gets the bits of a full-length pass.
+
     A path's normals depend on nothing but the seed and its index, and the
     cut on nothing but n_paths, so every row comes out the same at every
     T. T is every available core, but no more than there are units, and 1
-    when a path holds fewer than ``THREADED_ROW_MIN`` normals. Each thread
-    runs in a copy of the caller's context, so the caller's ``np.errstate``
-    holds on all of them. At T > 1 the pass starts T - 1 threads and joins
-    them before it returns, also when a unit raises; at T = 1 the caller
-    runs every unit and no thread is started.
+    when a path draws fewer than ``THREADED_ROW_MIN`` normals (reach x J).
+    Each thread runs in a copy of the caller's context, so the caller's
+    ``np.errstate`` holds on all of them. At T > 1 the pass starts T - 1
+    threads and joins them before it returns, also when a unit raises; at
+    T = 1 the caller runs every unit and no thread is started.
     """
+    n_steps = grid.n_steps if reach is None else reach
     spans = list(units(n_paths))
     if not spans:
         return
     n_threads = 1
-    if grid.n_steps * model.n_modes >= THREADED_ROW_MIN:
+    if n_steps * model.n_modes >= THREADED_ROW_MIN:
         n_threads = min(available_cores(), len(spans))
     m = max(hi - lo for lo, hi in spans)
     todo = iter(spans)  # each next() is one C call under the GIL: no unit goes twice
@@ -334,11 +346,11 @@ def run_pass(
         try:
             for lo, hi in todo:
                 if buf is None:
-                    buf = np.empty((grid.n_steps, m, model.n_modes)).transpose(1, 0, 2)
+                    buf = np.empty((n_steps, m, model.n_modes)).transpose(1, 0, 2)
                 x0b = np.broadcast_to(x0, (hi - lo, model.n_modes)).copy()
                 drawn = None if sink is None else (lambda r, rows: sink(lo + r, rows))
                 z = rng.path_increments(
-                    rng_seed, range(lo, hi), grid.n_steps, model.n_modes,
+                    rng_seed, range(lo, hi), n_steps, model.n_modes,
                     out=buf[: hi - lo], sink=drawn,
                 )
                 unit_fn(lo, hi, x0b, z)
@@ -388,13 +400,14 @@ def forward_snapshots(
     """States at selected nodes for a large ensemble, streamed in chunks.
 
     Returns (n_paths, n_snapshots, J) without storing full trajectories.
-    With ``dump``, an ``io.PathDump`` such as ``io.path_dump`` yields, every
-    path's states and normals also go to it, from any thread through the
-    dump's one descriptor and with no lock (``os.pwrite`` at each block's
-    offset): the normals a block of paths at a time as they are drawn, and
-    the states a node block at a time as they are stepped, from one
-    ``DUMP_BLOCK_BYTES`` block per unit being stepped. No unit holds all its
-    states.
+    Without ``dump`` the pass stops at the last snapshot node. With
+    ``dump``, an ``io.PathDump`` such as ``io.path_dump`` yields, every
+    path's states and normals over the whole grid also go to it, from any
+    thread through the dump's one descriptor and with no lock
+    (``os.pwrite`` at each block's offset): the normals a block of paths at
+    a time as they are drawn, and the states a node block at a time as they
+    are stepped, from one ``DUMP_BLOCK_BYTES`` block per unit being stepped.
+    No unit holds all its states.
     """
     x0 = model.validate_field(x0)
     slots, n_snap = _snap_slots(grid, snap_nodes)
@@ -405,7 +418,7 @@ def forward_snapshots(
         def unit(lo, hi, x0b, z):
             out[lo:hi] = _kernels.forward_snap(x0b, z, st, slots)
 
-        run_pass(model, x0, grid, rng_seed, n_paths, unit)
+        run_pass(model, x0, grid, rng_seed, n_paths, unit, reach=last_node(slots))
         return out
     rows = max((hi - lo for lo, hi in units(n_paths)), default=1)
     n_nodes = grid.n_steps + 1

@@ -172,7 +172,9 @@ def guided_snapshots(
 
     ``endpoints`` optionally supplies a per-path target array (n_paths, J)
     for disintegration sampling; by default every path is guided to spec.y.
-    Returns (snaps (n, s, J), logw (n, w)).
+    Returns (snaps (n, s, J), logw (n, w)). The pass stops at the last
+    weight or snapshot node; under exact conditioning a path's state at the
+    horizon is its target, so a snapshot there is not stepped to.
     """
     x0 = model.validate_field(x0)
     _check_guided_grid(spec, grid)
@@ -185,6 +187,9 @@ def guided_snapshots(
     guide = _guide_precomps(model, spec, grid)
     slots, n_snap = _snap_slots(grid, snap_nodes)
     wslots, _ = _snap_slots(grid, weight_nodes)
+    read = (slots >= 0) | (wslots >= 0)
+    read[-1] &= not guide[1]  # a pinned path is y at the horizon: no step goes there
+    reach = int(np.flatnonzero(read)[-1])
     y_all = _targets(model, spec, n_paths, endpoints)
     snaps = np.empty((n_paths, n_snap, model.n_modes))
     logw = np.empty((n_paths, weight_nodes.size))
@@ -194,7 +199,7 @@ def guided_snapshots(
             x0b, z, st, guide, np.ascontiguousarray(y_all[lo:hi]), grid.steps, slots, wslots
         )
 
-    run_pass(model, x0, grid, rng_seed, n_paths, unit)
+    run_pass(model, x0, grid, rng_seed, n_paths, unit, reach=reach)
     return snaps, logw
 
 

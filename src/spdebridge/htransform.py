@@ -241,8 +241,8 @@ def dynkin_residual_mc(
     """Dynkin residuals of a streamed ensemble, without storing paths.
 
     All test functions in ``phis`` share one pass over the paths, so each
-    path's noise is drawn and stepped once; the result holds one DynkinStats
-    per function, in order.
+    path's noise is drawn and stepped once, up to the last output node; the
+    result holds one DynkinStats per function, in order.
     """
     if not phis:
         raise DomainError("need at least one test function")
@@ -268,7 +268,7 @@ def dynkin_residual_mc(
             x0b, z, st, grid.nodes, grid.steps, a, c, phase_sin, lam_a, qaa, slots
         )
 
-    run_pass(model, x0, grid, rng_seed, n_paths, unit)
+    run_pass(model, x0, grid, rng_seed, n_paths, unit, reach=int(sorted_idx[-1]))
     # folded per chunk, in chunk order: the sums' bytes depend on both
     total = np.zeros((len(phis), n_snap))
     total_sq = np.zeros((len(phis), n_snap))
@@ -402,6 +402,7 @@ def exp_martingale_mc(
     values up to each time of ``novikov_upto`` of the first ``n_novikov``
     paths (all paths if fewer). Lh/h takes F from the stepper; every row equals its row of
     ``exp_martingale_from_definition`` and ``novikov_estimate`` bit for bit.
+    The pass stops at the last read, probe or Novikov node.
     """
     slots, n_read = _snap_slots(grid, node_idx)
     read = np.flatnonzero(slots >= 0)
@@ -441,7 +442,10 @@ def exp_martingale_mc(
         for i, k in enumerate(k_nov):
             novikov[i, lo : lo + m] = _novikov_values(norms, grid.steps, k)
 
-    run_pass(model, model.validate_field(x0), grid, rng_seed, n_paths, unit)
+    run_pass(
+        model, model.validate_field(x0), grid, rng_seed, n_paths, unit,
+        reach=int(max(read[-1], probe_node, k_norm)),
+    )
     return series, probes, novikov
 
 

@@ -164,16 +164,23 @@ def path_dump(path: FilePath, grid: TimeGrid, n_paths: int, n_modes: int):
     come in any order and pieces, from any thread: ``states`` takes a node
     block of some paths, ``increments`` the normals of some paths. The dump
     is complete once every path's states and increments have been written.
-    Without ``os.pwrite`` (Windows) it raises before the file is opened.
+    If the block raises, the file is closed and removed: no partial dump is
+    left behind. Without ``os.pwrite`` (Windows) it raises before the file
+    is opened.
     """
     if not hasattr(os, "pwrite"):
         raise OSError(errno.ENOSYS, "the paths dump needs os.pwrite, which this platform lacks")
     nodes = np.ascontiguousarray(grid.nodes, dtype=_F8)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC + struct.pack("<IIII", FORMAT_VERSION, n_modes, nodes.size, n_paths))
-        fh.write(nodes)
-        fh.flush()
-        yield PathDump(fh.fileno(), n_paths, nodes.size, n_modes)
+    fh = open(path, "wb")
+    try:
+        with fh:
+            fh.write(MAGIC + struct.pack("<IIII", FORMAT_VERSION, n_modes, nodes.size, n_paths))
+            fh.write(nodes)
+            fh.flush()
+            yield PathDump(fh.fileno(), n_paths, nodes.size, n_modes)
+    except BaseException:
+        FilePath(path).unlink(missing_ok=True)
+        raise
 
 
 def write_path_dump(path: FilePath, ensemble: PathEnsemble) -> None:

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError
-from .forward import _snap_slots, run_pass
+from .forward import _snap_slots, last_node, run_pass
 from .grids import TimeGrid
 from .spectral import (
     SpectralModel,
@@ -76,20 +76,27 @@ def grad_log_ptilde(
 # ---------------------------------------------------------------------------
 
 
-def _conditional_coeffs(model: SpectralModel, a: float, b: float):
+def _conditional_coeffs(model: SpectralModel, a, b):
     """Per-mode mean coefficients and variance of Z(s+a) given Z(s), Z(s+a+b).
 
-    mean = ca * z + cy * y, variance = v, with v = q_a q_b / q_{a+b}.
+    mean = ca * z + cy * y, variance = v, with v = q_a q_b / q_{a+b}; where
+    b <= 0, ca = 0, cy = 1 and v = 0. Scalar lags give (J,) rows, arrays of
+    lags one row per pair, with the bits of the scalar evaluation.
     """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    later = (b > 0.0)[..., None]
+    b = np.where(b > 0.0, b, 1.0)  # any positive lag: where b <= 0 the rows are replaced
     qa = covariance_qt_diag(model, a)
-    if b <= 0.0:
-        n = model.n_modes
-        return np.zeros(n), np.ones(n), np.zeros(n)
     qb = covariance_qt_diag(model, b)
-    ea = np.exp(model.lam * a)
-    eb = np.exp(model.lam * b)
+    ea = np.exp(model.lam * a[..., None])
+    eb = np.exp(model.lam * b[..., None])
     qab = qb + eb**2 * qa
-    return ea * qb / qab, eb * qa / qab, qa * qb / qab
+    return (
+        np.where(later, ea * qb / qab, 0.0),
+        np.where(later, eb * qa / qab, 1.0),
+        np.where(later, qa * qb / qab, 0.0),
+    )
 
 
 def bridge_marginal_mean_var(
@@ -118,12 +125,7 @@ def _bridge_table(model: SpectralModel, horizon: float, grid: TimeGrid, y):
     """
     if y.shape != (model.n_modes,):
         raise DomainError("the bridge target must be one field")
-    nodes = grid.nodes
-    steps = [
-        _conditional_coeffs(model, nodes[k + 1] - nodes[k], horizon - nodes[k + 1])
-        for k in range(grid.n_steps)
-    ]
-    ca, cy, v = (np.array(c) for c in zip(*steps))
+    ca, cy, v = _conditional_coeffs(model, grid.steps, horizon - grid.nodes[1:])
     return _kernels.Tables(ca, cy * y, np.sqrt(v))
 
 
@@ -131,6 +133,7 @@ def _bridge_run(x, table, z, out, slot):
     """Bridge recursion from states x (n, J) with normals z (n, steps, J).
 
     Writes the state at node k into out[:, slot[k], :] where slot[k] >= 0.
+    Runs z.shape[1] steps: a pass stops at its last read node.
     Steps a copy of x in place on its wide view, as the kernels do (see
     ``_kernels``), in the order ((ca x) + cyy) + (sv z).
     """
@@ -140,7 +143,7 @@ def _bridge_run(x, table, z, out, slot):
         out[:, slot[0]] = x
     xw = x.reshape(wide).copy()
     tw = np.empty(wide)
-    for k in range(ca.shape[0]):
+    for k in range(z.shape[1]):
         xw *= ca[k]
         xw += cyy[k]
         np.multiply(sv[k], z[:, k].reshape(wide), out=tw)
@@ -176,7 +179,10 @@ def ou_bridge_snapshots(
     n_paths: int,
     snap_nodes,
 ) -> np.ndarray:
-    """Bridge states at selected nodes for a large ensemble (no full storage)."""
+    """Bridge states at selected nodes for a large ensemble (no full storage).
+
+    The pass stops at the last snapshot node.
+    """
     x0 = model.validate_field(x0)
     y = model.validate_field(y)
     _check_bridge_grid(grid, horizon)
@@ -187,7 +193,7 @@ def ou_bridge_snapshots(
     def unit(lo, hi, x, z):
         _bridge_run(x, table, z, out[lo:hi], slot)
 
-    run_pass(model, x0, grid, rng_seed, n_paths, unit)
+    run_pass(model, x0, grid, rng_seed, n_paths, unit, reach=last_node(slot))
     return out
 
 

@@ -12,6 +12,10 @@ logical consumer gets a disjoint region of the counter space:
 This makes every path individually reproducible from
 ``(master_seed, purpose, path_index)`` alone.
 
+Prefix property: a path's first k x J normals do not depend on how many
+are drawn, so a pass that stops at its last read node k draws k steps and
+gets the leading k steps of the full draw, bit for bit.
+
 ``path_increments`` is a single-threaded loop: it resets one Philox to each
 path's counter block in turn. ``forward.run_pass`` draws different paths on
 different threads by calling it once per unit of paths. Its ``sink`` hands

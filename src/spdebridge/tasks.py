@@ -15,6 +15,7 @@ dirac endpoint is its target, and a tilted endpoint law is a per-path
 target drawn by ``tilted_endpoints``.
 """
 
+import shutil
 from contextlib import nullcontext
 from pathlib import Path as FilePath
 
@@ -30,6 +31,7 @@ from .forward import (
 )
 from .guided import (
     GuidedSpec,
+    SelfNormalizedEstimate,
     effective_sample_size,
     guided_snapshots,
     self_normalized_from_values,
@@ -135,15 +137,20 @@ def _closed_rows(rows, mean, var, t, mean_provenance, var_provenance):
 
 
 def _weighted_rows(rows, logw, probes, t_ess, t_mean):
-    """ESS of the log weights, then the weighted mean of each probe mode."""
+    """ESS of the log weights, then the weighted mean of each probe mode.
+
+    Non-finite log weights give NaN rows, which ``_check_finite`` reports.
+    """
+    finite = bool(np.all(np.isfinite(logw)))
+    unknown = SelfNormalizedEstimate(np.nan, np.nan, np.nan)
     rows.append(
         io.summary_row(
-            "ess", effective_sample_size(logw), time=t_ess,
+            "ess", effective_sample_size(logw) if finite else np.nan, time=t_ess,
             provenance="guided.effective_sample_size",
         )
     )
     for j in range(probes.shape[1]):
-        est = self_normalized_from_values(logw, probes[:, j])
+        est = self_normalized_from_values(logw, probes[:, j]) if finite else unknown
         rows.append(
             io.summary_row(
                 "weighted_mean", est.estimate, mode=j, time=t_mean,
@@ -503,37 +510,60 @@ def _check_finite(rows):
                 )
 
 
+def _outermost_missing(path: FilePath):
+    """The outermost directory that creating ``path`` would make, or None if it exists."""
+    made = None
+    while not path.exists():
+        made, path = path, path.parent
+    return made
+
+
 def run_scenario(scenario: dict, outdir, assert_mode: bool = False) -> dict:
     """Execute the scenario's task, writing all artifacts into outdir.
 
     Returns the diagnostics dict. The task's failed checks are recorded and
-    raised as AssertionFailure in assertion mode, and dropped otherwise. A
-    summary row whose value or stderr is not finite raises DomainError
-    before the manifest, summary and diagnostics are written.
+    raised as AssertionFailure in assertion mode, and dropped otherwise;
+    the artifacts stay. A summary row whose value or stderr is not finite
+    raises DomainError before the manifest, summary and diagnostics are
+    written.
+
+    Any other failure removes outdir if the run created it, else only the
+    paths dump the run wrote (``io.path_dump`` removes one it fails to finish).
     """
     outdir = FilePath(outdir)
+    made = _outermost_missing(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     name = scenario["task"]["name"]
-    # a result that left the finite range is reported once, as the
-    # DomainError below, not as numpy warnings on the way there
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows, diagnostics, failures = TASKS[name](scenario, outdir)
-    _check_finite(rows)
-    if not assert_mode:
-        failures = []
-    manifest = {
-        "tool": {"name": "spdebridge", "version": __version__},
-        "rng": {"generator": rng.GENERATOR_ID},
-        "backend": BACKEND,
-        "scenario": scenario,
-    }
-    io.write_manifest(outdir, manifest)
-    if "csv" in scenario["output"]["formats"]:
-        io.write_summary(outdir, rows)
-    if "json" in scenario["output"]["formats"]:
-        diagnostics = dict(diagnostics)
-        diagnostics["assertion_failures"] = failures
-        io.write_diagnostics(outdir, diagnostics)
+    dumped = None  # the paths dump, once the task has written it
+    try:
+        # a result that left the finite range is reported once, as the
+        # DomainError below, not as numpy warnings on the way there
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows, diagnostics, failures = TASKS[name](scenario, outdir)
+        if "paths" in scenario["output"]["formats"]:
+            dumped = outdir / "paths.spdb"
+        _check_finite(rows)
+        if not assert_mode:
+            failures = []
+        manifest = {
+            "tool": {"name": "spdebridge", "version": __version__},
+            "rng": {"generator": rng.GENERATOR_ID},
+            "backend": BACKEND,
+            "scenario": scenario,
+        }
+        io.write_manifest(outdir, manifest)
+        if "csv" in scenario["output"]["formats"]:
+            io.write_summary(outdir, rows)
+        if "json" in scenario["output"]["formats"]:
+            diagnostics = dict(diagnostics)
+            diagnostics["assertion_failures"] = failures
+            io.write_diagnostics(outdir, diagnostics)
+    except BaseException:
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        elif dumped is not None:
+            dumped.unlink(missing_ok=True)
+        raise
     if failures:
         raise AssertionFailure("; ".join(failures))
     return diagnostics

@@ -820,3 +820,95 @@ class TestPathDump:
         run_scenario(resolve_scenario(scn), tmp_path / "r")
         loaded = read_path_dump(tmp_path / "r" / "paths.spdb")
         assert loaded.states.shape == (5, 33, 2)
+
+
+class TestFailedRun:
+    """A run that ends in exit 1 or 2 names its cause and leaves nothing it made behind."""
+
+    def _write(self, tmp_path, scn):
+        f = tmp_path / "scn.json"
+        f.write_text(json.dumps(scn))
+        return f
+
+    @pytest.mark.parametrize(
+        "task",
+        [
+            {"name": "guided", "target": [1e308, 0.0]},
+            {"name": "conditioned",
+             "endpoint": {"kind": "tilted", "mean": [1e308, 0.0], "var": [0.1, 0.05]}},
+        ],
+        ids=["guided", "conditioned-tilted"],
+    )
+    def test_weighted_overflow_names_its_quantity(self, tmp_path, capsys, task):
+        # the log weights go non-finite with the states: the line names the
+        # first row that left the finite range, not the weights' estimator
+        f = self._write(tmp_path, base_scenario(task, grid=GEOMETRIC_GRID))
+        assert run_cli(["run", str(f), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert re.fullmatch(
+            rf"task {task['name']}: domain error: \w+_mean value is (inf|nan) "
+            r"at mode \d+, time [0-9.e-]+",
+            err[0],
+        ), err
+
+    @pytest.mark.parametrize("code", [1, 2])
+    def test_failure_removes_the_directories_the_run_made(
+        self, tmp_path, monkeypatch, capsys, code
+    ):
+        scn = base_scenario({"name": "forward"}, output={"formats": ["csv", "json", "paths"]})
+        if code == 1:
+            def broken(scenario, outdir):
+                (outdir / "partial.txt").write_text("written before the failure")
+                raise TypeError("unforeseen")
+
+            monkeypatch.setitem(tasks.TASKS, "forward", broken)
+        else:
+            scn["dynamics"]["nonlinearity"] = {"kind": "sine", "alpha": 1e308}
+        f = self._write(tmp_path, scn)
+        assert run_cli(["run", str(f), "--out", str(tmp_path / "new" / "r")]) == code
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scn.json"]
+
+    def _existing(self, tmp_path):
+        rundir = tmp_path / "r"
+        rundir.mkdir()
+        (rundir / "notes.txt").write_text("not the run's")
+        return rundir
+
+    def test_existing_directory_loses_only_the_dump_the_run_wrote(self, tmp_path, capsys):
+        # the dump is complete; the overflow is found after it
+        scn = base_scenario({"name": "forward"}, output={"formats": ["csv", "json", "paths"]})
+        scn["dynamics"]["nonlinearity"] = {"kind": "sine", "alpha": 1e308}
+        rundir = self._existing(tmp_path)
+        assert run_cli(["run", str(self._write(tmp_path, scn)), "--out", str(rundir)]) == 2
+        assert sorted(p.name for p in rundir.iterdir()) == ["notes.txt"]
+        assert (rundir / "notes.txt").read_text() == "not the run's"
+
+    def test_dump_cut_short_is_removed(self, tmp_path, monkeypatch, capsys):
+        scn = base_scenario(
+            {"name": "forward"}, sampling={"n_paths": CHUNK + 40, "seed": 77},
+            output={"formats": ["csv", "json", "paths"]},
+        )
+        rundir = self._existing(tmp_path)
+        monkeypatch.setattr(os, "pwrite", lambda fd, data, at: 0)
+        assert run_cli(["run", str(self._write(tmp_path, scn)), "--out", str(rundir)]) == 1
+        assert sorted(p.name for p in rundir.iterdir()) == ["notes.txt"]
+
+    def test_failure_before_the_dump_keeps_a_foreign_dump(self, tmp_path, capsys):
+        # n_paths = 1 fails before the dump is opened: the old paths.spdb
+        # is not the run's, and stays as it was
+        scn = base_scenario({"name": "forward"}, output={"formats": ["csv", "json", "paths"]})
+        scn["sampling"]["n_paths"] = 1
+        rundir = self._existing(tmp_path)
+        (rundir / "paths.spdb").write_bytes(b"an earlier run's dump")
+        assert run_cli(["run", str(self._write(tmp_path, scn)), "--out", str(rundir)]) == 2
+        assert sorted(p.name for p in rundir.iterdir()) == ["notes.txt", "paths.spdb"]
+        assert (rundir / "paths.spdb").read_bytes() == b"an earlier run's dump"
+
+    def test_assertion_failure_keeps_its_artifacts(self, tmp_path, capsys):
+        scn = base_scenario({"name": "ck-check", "mid": [0.5], "tolerance": 0.0})
+        f = self._write(tmp_path, scn)
+        assert run_cli(["run", str(f), "--out", str(tmp_path / "r"), "--assert"]) == 3
+        assert sorted(p.name for p in (tmp_path / "r").iterdir()) == [
+            "diagnostics.json", "manifest.json", "summary.csv",
+        ]

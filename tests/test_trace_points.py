@@ -34,20 +34,23 @@ def test_every_patch_point_resolves_to_a_callable(tracer):
         assert callable(getattr(mod, attr, None)), f"{mod.__name__}.{attr}"
 
 
+# reach: the last node a pass reads, where it stops. The guided and
+# conditioned passes read their last weight at node 6 of the 8-step
+# geometric grid (cutoff 0.95) and pin the horizon without stepping to it.
 @pytest.mark.parametrize(
-    "task, grid_kind, formats",
+    "task, grid_kind, formats, reach",
     [
-        ({"name": "forward"}, "uniform", ["csv", "json", "paths"]),
+        ({"name": "forward"}, "uniform", ["csv", "json", "paths"], 8),
         ({"name": "dynkin", "test_functions": [{"a": [0.5, 0.1], "c": 0.0}]}, "uniform",
-         ["csv", "json"]),
-        ({"name": "guided", "target": [0.5, -0.2]}, "geometric", ["csv", "json"]),
+         ["csv", "json"], 8),
+        ({"name": "guided", "target": [0.5, -0.2]}, "geometric", ["csv", "json"], 6),
         ({"name": "conditioned",
           "endpoint": {"kind": "tilted", "mean": [0.5, -0.2], "var": [0.02, 0.005]}},
-         "geometric", ["csv", "json"]),
+         "geometric", ["csv", "json"], 6),
     ],
     ids=["forward-paths", "dynkin", "guided", "conditioned"],
 )
-def test_traced_kernel_steps_are_counted_once(tmp_path, tracer, task, grid_kind, formats):
+def test_traced_kernel_steps_are_counted_once(tmp_path, tracer, task, grid_kind, formats, reach):
     # 2100 paths: two chunks of the streamed drivers, one of them a tail
     n_paths, n_steps = 2100, 8
     scn = resolve_scenario({
@@ -65,7 +68,8 @@ def test_traced_kernel_steps_are_counted_once(tmp_path, tracer, task, grid_kind,
         tr.uninstall()
     counts = tr.computed_counts()
     assert counts["driver.passes"] >= 1
-    assert counts["kernels.path_steps"] == counts["driver.passes"] * n_paths * n_steps
+    assert counts["kernels.path_steps"] == counts["driver.passes"] * n_paths * reach
+    assert counts["kernels.path_steps"] * 2 == counts["rng.normals_drawn"]
     for name, _, _, _, parent in tr.spans:
         if name != "kernels.step":
             continue

@@ -7,6 +7,8 @@ check each of the five passes that can read early, and the number of steps
 each pass asks ``rng.path_increments`` for.
 """
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -199,8 +201,6 @@ def test_pass_draws_exactly_its_reach(monkeypatch, tmp_path, name):
 def test_row_floor_counts_the_normals_a_path_draws(monkeypatch, reach, workers):
     # 512 steps x 4 modes is past THREADED_ROW_MIN, but a pass that stops at
     # node 255 draws 1020 normals a path and stays on the caller's thread
-    import concurrent.futures
-
     asked = []
 
     class Recording(concurrent.futures.ThreadPoolExecutor):

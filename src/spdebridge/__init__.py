@@ -8,7 +8,6 @@ from .forward import (
     PathEnsemble,
     apply_nonlinearity,
     bounded_rational,
-    exponential_euler_step,
     forward_snapshots,
     linear_scale,
     replay_path,
@@ -28,19 +27,15 @@ from .htransform import (
     ExpTestFunction,
     HFunction,
     bridge_h,
-    constant_h,
     dynkin_residual,
     exp_martingale_from_definition,
     exp_martingale_from_girsanov,
     l0_exp_test,
-    lipschitz_probe,
-    noisy_obs_h,
     novikov_estimate,
 )
 from .ou import (
     chapman_kolmogorov_residual,
     grad_log_ptilde,
-    log_h_noisy_obs,
     log_ptilde,
     bridge_marginal_mean_var,
 )

@@ -170,27 +170,6 @@ def apply_nonlinearity(
     return out.reshape(x.shape)
 
 
-def exponential_euler_step(
-    model: SpectralModel,
-    nonlin: Nonlinearity,
-    t: float,
-    dt: float,
-    x,
-    z,
-    oversample: int = DEFAULT_OVERSAMPLE,
-) -> np.ndarray:
-    """One mild-form step from state x with standard-normal draws z."""
-    if dt <= 0.0:
-        raise DomainError("dt must be positive")
-    x = model.validate_field(x)
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != x.shape:
-        raise DomainError("z must have one draw per mode")
-    exp_ldt, phi_dt, sqrt_qdt = step_coefficients(model, np.array([dt]))
-    f = apply_nonlinearity(model, nonlin, t, x, oversample)
-    return exp_ldt[0] * x + phi_dt[0] * f + sqrt_qdt[0] * z
-
-
 def _resolve_increments(
     grid: TimeGrid,
     n_modes: int,

@@ -7,8 +7,8 @@ input is the drift F, which the callers take from the stepper or from
 ``apply_nonlinearity``, never from h. The module provides the Kolmogorov
 action on exponential test functions, Dynkin-martingale residual
 statistics, the exponential martingale in both its defining and
-stochastic-exponential forms, and the diagnostics backing the sufficient
-martingale conditions (Novikov estimate, Lipschitz probe).
+stochastic-exponential forms, and the Novikov estimate backing a sufficient
+martingale condition.
 """
 
 from dataclasses import dataclass
@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import _kernels, rng
+from . import _kernels
 from .errors import DomainError
 from .forward import (
     CHUNK,
@@ -33,13 +33,8 @@ from .forward import (
     stepper,
 )
 from .grids import TimeGrid
-from .ou import (
-    grad_log_h_noisy_obs,
-    grad_log_ptilde,
-    log_h_noisy_obs,
-    log_ptilde,
-)
-from .spectral import SpectralModel, covariance_qt_diag
+from .ou import grad_log_ptilde, log_ptilde
+from .spectral import SpectralModel
 
 
 @dataclass(frozen=True)
@@ -56,14 +51,6 @@ class HFunction:
     horizon: float | None = None
 
 
-def constant_h() -> HFunction:
-    """h == 1: the identity change of measure."""
-    return HFunction(
-        log_h=lambda t, x: np.zeros(np.asarray(x).shape[:-1]),
-        grad_x_log_h=lambda t, x: np.zeros_like(np.asarray(x, dtype=np.float64)),
-    )
-
-
 def bridge_h(model: SpectralModel, horizon: float, y) -> HFunction:
     """Transform built from the linear-process transition density to (horizon, y)."""
     y = model.validate_field(np.asarray(y, dtype=np.float64))
@@ -72,44 +59,6 @@ def bridge_h(model: SpectralModel, horizon: float, y) -> HFunction:
         lambda t, x: grad_log_ptilde(model, t, x, horizon, y),
         horizon,
     )
-
-
-def noisy_obs_h(model: SpectralModel, horizon: float, v, obs_var) -> HFunction:
-    """Transform conditioning on a noisy endpoint observation v."""
-    v = model.validate_field(np.asarray(v, dtype=np.float64))
-    return HFunction(
-        lambda t, x: log_h_noisy_obs(model, t, x, horizon, v, obs_var),
-        lambda t, x: grad_log_h_noisy_obs(model, t, x, horizon, v, obs_var),
-        horizon,
-    )
-
-
-def check_gradient(
-    h: HFunction,
-    model: SpectralModel,
-    t: float,
-    x,
-    step: float = 1e-5,
-    rel_floor: float = 1e-5,
-) -> float:
-    """Max relative error of grad_x_log_h against central finite differences.
-
-    Modes whose gradient sits below the finite-difference roundoff floor
-    (eps * |log h| / step) cannot be certified at rel_floor and are
-    discounted through the denominator.
-    """
-    x = model.validate_field(x)
-    grad = np.asarray(h.grad_x_log_h(t, x), dtype=np.float64)
-    log_h0 = float(h.log_h(t, x))
-    fd = np.empty_like(grad)
-    noise = np.empty_like(grad)
-    for j in range(model.n_modes):
-        dx = np.zeros_like(x)
-        dx[j] = step * max(1.0, abs(x[j]))
-        fd[j] = (h.log_h(t, x + dx) - h.log_h(t, x - dx)) / (2.0 * dx[j])
-        noise[j] = np.finfo(float).eps * (1.0 + abs(log_h0)) / dx[j]
-    denom = np.abs(grad) + noise / rel_floor
-    return float(np.max(np.abs(fd - grad) / denom))
 
 
 # ---------------------------------------------------------------------------
@@ -447,55 +396,6 @@ def exp_martingale_mc(
         reach=int(max(read[-1], probe_node, k_norm)),
     )
     return series, probes, novikov
-
-
-def lipschitz_probe(
-    h: HFunction,
-    model: SpectralModel,
-    t_grid,
-    n_pairs: int,
-    radius: float,
-    rng_seed: int = 0,
-) -> float:
-    """Empirical sup of |sqrt(Q)(grad log h(t,x) - grad log h(t,x'))| / |x - x'|.
-
-    Random pairs are augmented with per-axis displacements so that diagonal
-    (per-mode linear) gradients are sampled at their extremal directions.
-    """
-    gen = rng.stream(rng_seed, rng.PROBES)
-    sqrt_q = np.sqrt(model.q)
-    sup = 0.0
-    eye = np.eye(model.n_modes)
-    for t in np.asarray(t_grid, dtype=np.float64):
-        xs = radius * gen.standard_normal((n_pairs, model.n_modes))
-        ys = radius * gen.standard_normal((n_pairs, model.n_modes))
-        base = radius * gen.standard_normal(model.n_modes)
-        xs = np.vstack([xs, np.tile(base, (model.n_modes, 1))])
-        ys = np.vstack([ys, base + radius * eye])
-        diff = xs - ys
-        norms = np.linalg.norm(diff, axis=-1)
-        keep = norms > 1e-12
-        gx = h.grad_x_log_h(t, xs[keep])
-        gy = h.grad_x_log_h(t, ys[keep])
-        num = np.linalg.norm(sqrt_q * (gx - gy), axis=-1)
-        sup = max(sup, float(np.max(num / norms[keep])))
-    return sup
-
-
-def lipschitz_constant_bridge(model: SpectralModel, horizon: float, t_grid) -> float:
-    """Closed-form Lipschitz constant of sqrt(Q) grad log h for the bridge h.
-
-    The map is linear per mode with coefficient -exp(2 lam r)/q_r, so the
-    constant at lag r is max_j sqrt(q_j) exp(2 lam_j r) / q_{j,r}.
-    """
-    best = 0.0
-    for t in np.asarray(t_grid, dtype=np.float64):
-        r = horizon - t
-        if r <= 0.0:
-            raise DomainError("t_grid must lie strictly before the horizon")
-        coef = np.sqrt(model.q) * np.exp(2.0 * model.lam * r) / covariance_qt_diag(model, r)
-        best = max(best, float(np.max(coef)))
-    return best
 
 
 def increment_orthogonality(series: np.ndarray, probes: np.ndarray) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Closed-form Gaussian analytics for the linear (zero-drift) process.
 
 Transition densities relative to the invariant measure, their gradients
-(the guiding drift is q times the gradient), exact bridge sampling by
-sequential Gaussian conditioning, and noisy-observation variants. Densities
-are kept as per-mode ratios against the invariant measure so they stay well
-scaled as the mode count grows.
+(the guiding drift is q times the gradient), and exact bridge sampling by
+sequential Gaussian conditioning. Densities are kept as per-mode ratios
+against the invariant measure so they stay well scaled as the mode count
+grows.
 """
 
 import numpy as np
@@ -152,23 +152,6 @@ def _bridge_run(x, table, z, out, slot):
             out[:, slot[k + 1]] = xw.reshape(n, n_modes)
 
 
-def ou_bridge_states(
-    model: SpectralModel, x0, horizon: float, y, grid: TimeGrid, z: np.ndarray
-) -> np.ndarray:
-    """Drive the bridge recursion with given standard normals z (..., steps, J)."""
-    x0 = model.validate_field(x0)
-    y = model.validate_field(y)
-    _check_bridge_grid(grid, horizon)
-    lead = z.shape[:-2]
-    z = z.reshape((-1,) + z.shape[-2:])
-    states = np.empty((z.shape[0], grid.nodes.size, model.n_modes))
-    x = np.broadcast_to(x0, (z.shape[0], model.n_modes)).copy()
-    _bridge_run(
-        x, _bridge_table(model, horizon, grid, y), z, states, range(grid.nodes.size)
-    )
-    return states.reshape(lead + states.shape[1:])
-
-
 def ou_bridge_snapshots(
     model: SpectralModel,
     x0,
@@ -211,47 +194,6 @@ def _obs_var_array(model: SpectralModel, obs_var) -> np.ndarray:
     if np.any(v <= 0.0):
         raise DomainError("observation variances must be strictly positive")
     return v
-
-
-def log_h_noisy_obs(
-    model: SpectralModel,
-    t: float,
-    x,
-    horizon: float,
-    v,
-    obs_var,
-):
-    """Log of the endpoint-observation transform: the transition density
-    convolved per mode with the Gaussian observation noise."""
-    x = model.validate_field(x)
-    v = model.validate_field(v)
-    sig2 = _obs_var_array(model, obs_var)
-    r = _lag(t, horizon, 0.0)
-    qr = covariance_qt_diag(model, r)
-    qinf = covariance_qinf(model)
-    den = qr + sig2
-    mean = np.exp(model.lam * r) * x
-    per_mode = (
-        -0.5 * np.log(den / qinf) - (v - mean) ** 2 / (2.0 * den) + v**2 / (2.0 * qinf)
-    )
-    return np.sum(per_mode, axis=-1)
-
-
-def grad_log_h_noisy_obs(
-    model: SpectralModel,
-    t: float,
-    x,
-    horizon: float,
-    v,
-    obs_var,
-) -> np.ndarray:
-    x = model.validate_field(x)
-    v = model.validate_field(v)
-    sig2 = _obs_var_array(model, obs_var)
-    r = _lag(t, horizon, 0.0)
-    den = covariance_qt_diag(model, r) + sig2
-    elr = np.exp(model.lam * r)
-    return elr * (v - elr * x) / den
 
 
 # ---------------------------------------------------------------------------

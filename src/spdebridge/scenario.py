@@ -109,7 +109,6 @@ _TASK_VARIANTS = {
         "tolerance": _NUMBER,
     }),
 }
-TASK_NAMES = list(_TASK_VARIANTS)
 
 SCENARIO_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",

@@ -51,7 +51,7 @@ from .ou import (
     ou_bridge_snapshots,
 )
 from .scenario import build_grid, build_model, build_nonlinearity, build_x0
-from .spectral import covariance_qt_diag, gamma_hs_norm_sq
+from .spectral import covariance_qt_diag, gamma_hs_norm_sq, semigroup_apply
 
 
 class AssertionFailure(RuntimeError):
@@ -186,7 +186,7 @@ def task_forward(scenario, outdir):
         for ti, t in enumerate(node_times):
             if t <= 0:
                 continue
-            closed_mean = np.exp(model.lam * t) * x0
+            closed_mean = semigroup_apply(model, t, x0)
             closed_var = covariance_qt_diag(model, float(t))
             _closed_rows(
                 rows, closed_mean, closed_var, t,

@@ -22,7 +22,6 @@ from spdebridge import (
     exp_martingale_from_girsanov,
     gamma_hs_norm_sq,
     geometric_grid,
-    lipschitz_probe,
     simulate_ensemble,
     uniform_grid,
 )
@@ -32,9 +31,11 @@ from spdebridge.guided import (
     self_normalized_from_values,
     weight_node,
 )
-from spdebridge.htransform import dynkin_residual_mc, lipschitz_constant_bridge
+from spdebridge.htransform import dynkin_residual_mc
 from spdebridge.scenario import resolve_scenario
 from spdebridge.tasks import run_scenario
+
+from oracles import lipschitz_constant_bridge, lipschitz_probe
 
 MODEL4 = dirichlet_model(4)
 TARGET4 = np.array([0.5, -0.3, 0.1, 0.0])

@@ -17,12 +17,15 @@ from spdebridge import (
 from spdebridge import rng
 from spdebridge.forward import nearest_node
 from spdebridge.guided import (
+    _guide_precomps,
     guided_snapshots,
     self_normalized_from_values,
     tilted_endpoints,
     weight_node,
 )
-from spdebridge.ou import _conditional_coeffs
+from spdebridge.ou import _conditional_coeffs, grad_log_ptilde
+
+from oracles import grad_log_h_noisy_obs
 
 
 class TestGuidedSpec:
@@ -37,6 +40,32 @@ class TestGuidedSpec:
     def test_noisy_needs_obs_var(self):
         with pytest.raises(DomainError):
             GuidedSpec(y=np.array([1.0]), horizon=1.0, conditioning="noisy_obs")
+
+
+class TestGuideRows:
+    @pytest.mark.parametrize(
+        "conditioning, obs_var",
+        [("exact", None), ("noisy_obs", 0.1), ("noisy_obs", [0.1, 0.02, 0.3, 0.05])],
+        ids=["exact", "noisy_scalar", "noisy_per_mode"],
+    )
+    def test_rows_are_the_h_transform_drift(self, dirichlet4, conditioning, obs_var):
+        # at every left node t_k: Ag (y - Bg x) = q grad log h(t_k, x) and
+        # Wg (y - Bg x) = grad log h(t_k, x), h the bridge or the noisy-observation h
+        grid = geometric_grid(1.0, 64)
+        y = np.array([0.5, -0.3, 0.1, 0.0])
+        spec = GuidedSpec(y=y, horizon=1.0, conditioning=conditioning, obs_var=obs_var)
+        (ag, bg, wg), pinned = _guide_precomps(dirichlet4, spec, grid)
+        assert pinned == (conditioning == "exact")
+        assert ag.shape == bg.shape == wg.shape == (grid.n_steps, 4)
+        gen = np.random.default_rng(3)
+        for k, t in enumerate(grid.nodes[:-1]):
+            x = gen.standard_normal((5, 4))
+            if conditioning == "exact":
+                grad = grad_log_ptilde(dirichlet4, t, x, 1.0, y)
+            else:
+                grad = grad_log_h_noisy_obs(dirichlet4, t, x, 1.0, y, obs_var)
+            np.testing.assert_allclose(ag[k] * (y - bg[k] * x), dirichlet4.q * grad, rtol=1e-13)
+            np.testing.assert_allclose(wg[k] * (y - bg[k] * x), grad, rtol=1e-13)
 
 
 class TestSimulateGuided:

@@ -5,14 +5,11 @@ from spdebridge import (
     DomainError,
     ExpTestFunction,
     bridge_h,
-    constant_h,
     dirichlet_model,
     dynkin_residual,
     exp_martingale_from_definition,
     exp_martingale_from_girsanov,
     l0_exp_test,
-    lipschitz_probe,
-    noisy_obs_h,
     novikov_estimate,
     sine_nemytskii,
     simulate_ensemble,
@@ -20,13 +17,10 @@ from spdebridge import (
     zero,
 )
 from spdebridge.forward import apply_nonlinearity, step_coefficients
-from spdebridge.htransform import (
-    check_gradient,
-    dynkin_residual_mc,
-    increment_orthogonality,
-    lipschitz_constant_bridge,
-)
+from spdebridge.htransform import dynkin_residual_mc, increment_orthogonality
 from spdebridge.spectral import covariance_qt_diag
+
+from oracles import constant_h, lipschitz_constant_bridge, lipschitz_probe
 
 
 def ou_mean_of_test_function(model, x0, t, phi):
@@ -36,27 +30,6 @@ def ou_mean_of_test_function(model, x0, t, phi):
     theta = mean @ phi.a + phi.c * t
     damp = np.exp(-0.5 * np.sum(phi.a**2 * var))
     return (np.sin(theta) if phi.phase == "sin" else np.cos(theta)) * damp
-
-
-class TestHFunction:
-    def test_constant_h_is_harmonic(self):
-        h = constant_h()
-        assert not h.grad_x_log_h(0.3, np.ones((5, 2))).any()
-        assert h.log_h(0.3, np.zeros((5, 2))).shape == (5,)
-
-    def test_gradient_self_check_bridge(self, dirichlet4):
-        y = np.array([0.5, -0.3, 0.1, 0.0])
-        h = bridge_h(dirichlet4, 1.0, y)
-        gen = np.random.default_rng(4)
-        for t in (0.1, 0.5, 0.9):
-            err = check_gradient(h, dirichlet4, t, gen.standard_normal(4) * 0.5)
-            assert err < 1e-5
-
-    def test_gradient_self_check_noisy(self, dirichlet4):
-        v = np.array([0.2, 0.1, 0.0, -0.1])
-        h = noisy_obs_h(dirichlet4, 1.0, v, 0.1)
-        err = check_gradient(h, dirichlet4, 0.4, np.full(4, 0.3))
-        assert err < 1e-5
 
 
 class TestKolmogorovOperator:

@@ -7,7 +7,6 @@ from spdebridge import (
     _kernels,
     bounded_rational,
     dirichlet_model,
-    exponential_euler_step,
     linear_scale,
     ou,
     sine_nemytskii,
@@ -16,6 +15,8 @@ from spdebridge import (
 )
 from spdebridge.forward import step_coefficients
 from spdebridge.spectral import covariance_qt_diag, sine_basis
+
+from oracles import exponential_euler_step
 
 
 def _bits(a):

@@ -9,17 +9,14 @@ from spdebridge import (
     chapman_kolmogorov_residual,
     geometric_grid,
     grad_log_ptilde,
-    log_h_noisy_obs,
     log_ptilde,
     uniform_grid,
 )
 from spdebridge import rng
-from spdebridge.ou import (
-    grad_log_h_noisy_obs,
-    ou_bridge_snapshots,
-    ou_bridge_states,
-)
+from spdebridge.ou import ou_bridge_snapshots
 from spdebridge.spectral import covariance_qt_diag, gamma_diag
+
+from oracles import grad_log_h_noisy_obs, log_h_noisy_obs, ou_bridge_states
 
 
 def qt_quad(lam, q, t):
@@ -114,21 +111,28 @@ class TestGuidedDrift:
         )
 
     def test_gradient_consistency_randomized(self, dirichlet4):
+        # the bridge h and the noisy-observation h (per-mode obs_var)
+        obs_var = np.array([0.1, 0.02, 0.3, 0.05])
+        transforms = [
+            (log_ptilde, grad_log_ptilde, ()),
+            (log_h_noisy_obs, grad_log_h_noisy_obs, (obs_var,)),
+        ]
         gen = np.random.default_rng(21)
         for _ in range(30):
             r = gen.uniform(0.05, 5.0)
             x = gen.standard_normal(4)
             y = gen.standard_normal(4) * 0.5
-            grad = grad_log_ptilde(dirichlet4, 0.0, x, r, y)
-            for j in range(4):
-                h = 1e-6 * max(1.0, abs(x[j]))
-                dx = np.zeros(4)
-                dx[j] = h
-                fd = (
-                    log_ptilde(dirichlet4, 0.0, x + dx, r, y)
-                    - log_ptilde(dirichlet4, 0.0, x - dx, r, y)
-                ) / (2 * h)
-                assert grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+            for log_h, grad_log_h, extra in transforms:
+                grad = grad_log_h(dirichlet4, 0.0, x, r, y, *extra)
+                for j in range(4):
+                    h = 1e-6 * max(1.0, abs(x[j]))
+                    dx = np.zeros(4)
+                    dx[j] = h
+                    fd = (
+                        log_h(dirichlet4, 0.0, x + dx, r, y, *extra)
+                        - log_h(dirichlet4, 0.0, x - dx, r, y, *extra)
+                    ) / (2 * h)
+                    assert grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
 class TestBridge:

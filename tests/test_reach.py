@@ -23,8 +23,10 @@ from spdebridge.forward import (
 from spdebridge.grids import geometric_grid
 from spdebridge.guided import GuidedSpec, guided_snapshots, simulate_guided, weight_node
 from spdebridge.htransform import ExpTestFunction, bridge_h, dynkin_residual_mc, exp_martingale_mc
-from spdebridge.ou import ou_bridge_snapshots, ou_bridge_states
+from spdebridge.ou import ou_bridge_snapshots
 from spdebridge.spectral import dirichlet_model
+
+from oracles import ou_bridge_states
 
 N_PATHS = 1300  # two units: 1024 paths and a 276-path tail
 SEED = 2718

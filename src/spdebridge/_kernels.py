@@ -53,12 +53,13 @@ same operands in the same order as the expression with temporaries, so the
 same bits.
 
 Normals Z (n, n_steps, J) come in either of two layouts with the same
-values: path-major (C-contiguous, as ``rng.path_increments`` returns by
-default) or step-major (``np.empty((n_steps, n, J)).transpose(1, 0, 2)``,
-as ``forward.run_pass`` draws them). In the step-major layout the
-normals of step k, ``Z[:, k]``, are one contiguous (n, J) block and their
-wide view is free; path-major they are gathered with a copy. The products
-are elementwise, so both layouts give the same bits.
+values: step-major (``np.empty((n_steps, n, J)).transpose(1, 0, 2)``, as
+``rng.path_increments`` draws them) or path-major (C-contiguous, as a
+paths dump stores them and as supplied increments usually come). In the
+step-major layout the normals of step k, ``Z[:, k]``, are one contiguous
+(n, J) block and their wide view is free; path-major they are gathered
+with a copy. The products are elementwise, so both layouts give the same
+bits.
 
 Row sums: the guided weight integrand is summed over modes by
 ``row_sum``, with column adds over all rows at once in the order numpy's

@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-    spdebridge run <scenario.json> [--out DIR] [--threads N] [--assert]
+    spdebridge run <scenario.json> [--out DIR] [--assert]
     spdebridge compare <dirA> <dirB> <tolerances.json>
 
 Exit codes: 0 ok, 1 usage/schema error (and any unforeseen failure, as one
@@ -59,10 +59,6 @@ def _build_parser() -> _Parser:
     run_p = sub.add_parser("run", help="execute a scenario")
     run_p.add_argument("scenario", help="path to the scenario JSON file")
     run_p.add_argument("--out", help="output directory (default from scenario)")
-    run_p.add_argument(
-        "--threads", type=int, default=None,
-        help="accepted and ignored: streamed passes use every available core",
-    )
     run_p.add_argument(
         "--assert", dest="assert_mode", action="store_true",
         help="turn built-in consistency checks into failures",

@@ -291,7 +291,8 @@ def run_pass(
     ``rng.path_increments`` into its own step-major normals buffer (the
     normals of step k, ``z[:, k]``, one contiguous (n, J) block, as the
     stepper reads them) and calls ``unit_fn(lo, hi, x0 rows, z)``, which
-    must write only rows lo..hi of its outputs; the buffer is overwritten
+    must write only rows lo..hi of its outputs. The x0 rows are a read-only
+    broadcast of x0: a kernel steps a copy. The buffer is overwritten
     by the thread's next unit, so ``z`` is valid inside the call only. With
     ``sink``, the draw also hands each block of up to ``rng.ROW_BLOCK`` paths
     it draws to ``sink(i, rows)``: the path-major normals of paths i.., as
@@ -326,7 +327,7 @@ def run_pass(
             for lo, hi in todo:
                 if buf is None:
                     buf = np.empty((n_steps, m, model.n_modes)).transpose(1, 0, 2)
-                x0b = np.broadcast_to(x0, (hi - lo, model.n_modes)).copy()
+                x0b = np.broadcast_to(x0, (hi - lo, model.n_modes))
                 drawn = None if sink is None else (lambda r, rows: sink(lo + r, rows))
                 z = rng.path_increments(
                     rng_seed, range(lo, hi), n_steps, model.n_modes,

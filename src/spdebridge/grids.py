@@ -21,7 +21,6 @@ class TimeGrid:
 
     nodes: np.ndarray
     kind: str
-    ratio: float | None = None
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=np.float64)
@@ -60,24 +59,18 @@ def uniform_grid(horizon: float, n_steps: int) -> TimeGrid:
     return TimeGrid(np.linspace(0.0, horizon, n_steps + 1), UNIFORM)
 
 
-def geometric_grid(
-    horizon: float,
-    n_steps: int,
-    ratio: float = 0.7,
-    final_step_floor: float | None = None,
-) -> TimeGrid:
+def geometric_grid(horizon: float, n_steps: int, ratio: float = 0.7) -> TimeGrid:
     """Uniform body with a geometrically shrinking tail toward the horizon.
 
-    Tail steps decay by ``ratio`` per step until they reach the floor, which
-    defaults to max(1e-6 * horizon, horizon / (50 * n_steps)) so that grid
-    refinement genuinely shrinks the final step.
+    Tail steps decay by ``ratio`` per step until they reach the floor
+    max(1e-6 * horizon, horizon / (50 * n_steps)), so that grid refinement
+    genuinely shrinks the final step.
     """
     if horizon <= 0.0 or n_steps < 2:
         raise DomainError("horizon must be positive and n_steps >= 2")
     if not (0.0 < ratio < 1.0):
         raise DomainError("ratio must lie in (0, 1)")
-    if final_step_floor is None:
-        final_step_floor = max(1e-6 * horizon, horizon / (50.0 * n_steps))
+    final_step_floor = max(1e-6 * horizon, horizon / (50.0 * n_steps))
 
     def tail_length(dt_head: float) -> int:
         if dt_head <= final_step_floor:
@@ -98,4 +91,4 @@ def geometric_grid(
     )
     nodes = np.concatenate([[0.0], np.cumsum(steps)])
     nodes[-1] = horizon
-    return TimeGrid(nodes, GEOMETRIC, ratio=ratio)
+    return TimeGrid(nodes, GEOMETRIC)

@@ -20,6 +20,7 @@ import numpy as np
 from . import _kernels, rng
 from .errors import DomainError
 from .forward import (
+    DEFAULT_OVERSAMPLE,
     Nonlinearity,
     Path,
     _resolve_increments,
@@ -127,7 +128,7 @@ def simulate_guided(
     rng_seed=None,
     *,
     path_index: int = 0,
-    oversample: int = 4,
+    oversample: int = DEFAULT_OVERSAMPLE,
     increments=None,
 ) -> WeightedPath:
     """One guided path with its log weight read at the configured cutoff.
@@ -165,7 +166,7 @@ def guided_snapshots(
     snap_nodes,
     weight_nodes,
     *,
-    oversample: int = 4,
+    oversample: int = DEFAULT_OVERSAMPLE,
     endpoints=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Streaming guided ensemble: states at snap_nodes, log weights at weight_nodes.

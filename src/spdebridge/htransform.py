@@ -185,7 +185,7 @@ def dynkin_residual_mc(
     n_paths: int,
     out_times,
     *,
-    oversample: int = 4,
+    oversample: int = DEFAULT_OVERSAMPLE,
 ) -> list[DynkinStats]:
     """Dynkin residuals of a streamed ensemble, without storing paths.
 

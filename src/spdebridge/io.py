@@ -82,7 +82,6 @@ def summary_row(
     mode: int | str = "",
     time: float | str = "",
     stderr: float | str = "",
-    units: str = "1",
     provenance: str = "",
 ) -> dict:
     return {
@@ -91,7 +90,7 @@ def summary_row(
         "time": time,
         "value": value,
         "stderr": stderr,
-        "units": units,
+        "units": "1",  # every reported quantity is dimensionless
         "provenance": provenance,
     }
 

@@ -13,12 +13,7 @@ from . import _kernels
 from .errors import DomainError
 from .forward import _snap_slots, last_node, run_pass
 from .grids import TimeGrid
-from .spectral import (
-    SpectralModel,
-    covariance_qinf,
-    covariance_qt_diag,
-    one_minus_exp,
-)
+from .spectral import SpectralModel, covariance_qt_diag, one_minus_exp
 
 _REL_HORIZON_FLOOR = 1e-10
 
@@ -33,6 +28,18 @@ def _lag(t: float, horizon: float, r_min: float) -> float:
     return r
 
 
+def _log_ptilde_mode(lam, q, r: float, x, y):
+    """Per-mode terms of ``log_ptilde``: lam and q are one mode's or (J,) rows."""
+    qr = q * one_minus_exp(2.0 * lam * r) / (2.0 * abs(lam))
+    qinf = q / (2.0 * abs(lam))
+    mean = np.exp(lam * r) * x
+    return (
+        -0.5 * np.log(one_minus_exp(2.0 * lam * r))
+        - (y - mean) ** 2 / (2.0 * qr)
+        + y**2 / (2.0 * qinf)
+    )
+
+
 def log_ptilde(model: SpectralModel, t: float, x, horizon: float, y):
     """Log transition density relative to the invariant measure.
 
@@ -45,14 +52,7 @@ def log_ptilde(model: SpectralModel, t: float, x, horizon: float, y):
     qr = covariance_qt_diag(model, r)
     if np.any(qr <= 0.0) or not np.all(np.isfinite(1.0 / qr)):
         raise DomainError("density evaluation too close to horizon")
-    qinf = covariance_qinf(model)
-    mean = np.exp(model.lam * r) * x
-    per_mode = (
-        -0.5 * np.log(one_minus_exp(2.0 * model.lam * r))
-        - (y - mean) ** 2 / (2.0 * qr)
-        + y**2 / (2.0 * qinf)
-    )
-    return np.sum(per_mode, axis=-1)
+    return np.sum(_log_ptilde_mode(model.lam, model.q, r, x, y), axis=-1)
 
 
 def grad_log_ptilde(
@@ -141,7 +141,7 @@ def _bridge_run(x, table, z, out, slot):
     wide, ca, cyy, sv = table.wide(n, n_modes)
     if slot[0] >= 0:
         out[:, slot[0]] = x
-    xw = x.reshape(wide).copy()
+    xw = x.copy().reshape(wide)
     tw = np.empty(wide)
     for k in range(z.shape[1]):
         xw *= ca[k]
@@ -201,17 +201,6 @@ def _obs_var_array(model: SpectralModel, obs_var) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _log_ptilde_mode(lam: float, q: float, r: float, x, y):
-    qr = q * one_minus_exp(2.0 * lam * r) / (2.0 * abs(lam))
-    qinf = q / (2.0 * abs(lam))
-    mean = np.exp(lam * r) * x
-    return (
-        -0.5 * np.log(one_minus_exp(2.0 * lam * r))
-        - (y - mean) ** 2 / (2.0 * qr)
-        + y**2 / (2.0 * qinf)
-    )
-
-
 def chapman_kolmogorov_residual(
     model: SpectralModel,
     mode: int,
@@ -220,14 +209,13 @@ def chapman_kolmogorov_residual(
     r: float,
     t: float,
     y: float,
-    n_quad: int = 200,
 ) -> float:
     """|p(s,x;t,y) - integral of p(s,x;r,z) p(r,z;t,y) d nu(z)| for one mode.
 
-    The integral against the invariant measure is evaluated by Gauss-Hermite
-    quadrature centered on the intermediate transition law (an exact change
-    of quadrature measure); a rule centered on the invariant measure cannot
-    resolve the near-delta density when r is close to s.
+    The integral against the invariant measure is evaluated by 200-node
+    Gauss-Hermite quadrature centered on the intermediate transition law (an
+    exact change of quadrature measure); a rule centered on the invariant
+    measure cannot resolve the near-delta density when r is close to s.
     """
     if not (s < r < t):
         raise DomainError("need s < r < t")
@@ -240,7 +228,7 @@ def chapman_kolmogorov_residual(
     # and loading it doubles the package's import time and adds ~20 MB RSS
     from scipy.special import roots_hermite
 
-    nodes, weights = roots_hermite(n_quad)
+    nodes, weights = roots_hermite(200)
     z = m_mid + np.sqrt(2.0 * q_mid) * nodes
 
     def log_phi(v, mean, var):

@@ -17,10 +17,12 @@ are drawn, so a pass that stops at its last read node k draws k steps and
 gets the leading k steps of the full draw, bit for bit.
 
 ``path_increments`` is a single-threaded loop: it resets one Philox to each
-path's counter block in turn. ``forward.run_pass`` draws different paths on
-different threads by calling it once per unit of paths. Its ``sink`` hands
-out each block of rows as it is drawn, which is how the forward paths dump
-writes its increments without a copy of its own.
+path's counter block in turn, and stores the normals step-major, those of
+step k of all its paths one contiguous block, as the stepper reads them.
+``forward.run_pass`` draws different paths on different threads by calling
+it once per unit of paths. Its ``sink`` hands out each block of rows as it
+is drawn, which is how the forward paths dump writes its increments without
+a copy of its own.
 """
 
 import numpy as np
@@ -47,29 +49,29 @@ def stream(master_seed: int, purpose: int = PATHS, index: int = 0) -> Generator:
     return Generator(Philox(key=key, counter=int(index) << 192))
 
 
-# Rows drawn at a time into a C-contiguous scratch block when ``out`` is
-# step-major, then copied into place (and handed to a sink, if any): 32 rows
-# of 512 steps x 4 modes are 512 KB, small enough to stay in cache between
-# the draw and the copy.
+# Rows drawn at a time into a C-contiguous scratch block, then copied into
+# the step-major ``out`` (and handed to a sink, if any): 32 rows of 512
+# steps x 4 modes are 512 KB, small enough to stay in cache between the
+# draw and the copy.
 ROW_BLOCK = 32
 
 
-def _is_step_major(out, shape) -> bool:
-    """False for a path-major ``out``, True for a step-major one, else ValueError."""
-    if (
+def _check_step_major(out, shape) -> None:
+    """ValueError unless ``out`` is a step-major float64 array of ``shape``."""
+    n, n_steps, n_modes = shape
+    if not (
         isinstance(out, np.ndarray)
         and out.shape == shape
         and out.dtype == np.float64
+        and (
+            n_steps == 0
+            or (out[:, :1].flags.c_contiguous and out.strides[1] >= n * n_modes * out.itemsize)
+        )
     ):
-        if out.flags.c_contiguous:
-            return False
-        n, _, n_modes = shape
-        if out[:, :1].flags.c_contiguous and out.strides[1] >= n * n_modes * out.itemsize:
-            return True
-    raise ValueError(
-        f"out must be a float64 array of shape {shape}, C-contiguous or "
-        "step-major (every out[:, k] C-contiguous and disjoint)"
-    )
+        raise ValueError(
+            f"out must be a step-major float64 array of shape {shape} "
+            "(every out[:, k] C-contiguous and disjoint)"
+        )
 
 
 def path_increments(
@@ -78,24 +80,18 @@ def path_increments(
     """Standard-normal increments for the given paths, shape (n, n_steps, n_modes).
 
     Path ``i`` always receives the same draws regardless of which other
-    paths are requested alongside it. If ``out`` is given it is filled and
-    returned. It must be a float64 array of exactly that shape, in one of
-    two layouts:
-
-    * path-major: C-contiguous, each path's draws one contiguous block;
-    * step-major: every step's (n, n_modes) block ``out[:, k]`` C-contiguous
-      and the blocks disjoint, as in
-      ``np.empty((n_steps, n, n_modes)).transpose(1, 0, 2)`` or a leading
-      slice of it.
-
-    Both layouts receive the same values; step-major rows are drawn
-    ``ROW_BLOCK`` at a time into a path-major scratch block and copied in.
+    paths are requested alongside it. The array is step-major: every step's
+    (n, n_modes) block ``out[:, k]`` is C-contiguous and the blocks are
+    disjoint, as in ``np.empty((n_steps, n, n_modes)).transpose(1, 0, 2)``
+    or a leading slice of it. If ``out`` is given it must be a float64 array
+    of exactly that shape and layout (any, at zero steps); it is filled and
+    returned. Rows are drawn ``ROW_BLOCK`` at a time into a C-contiguous
+    scratch block and copied in.
 
     With ``sink``, each block of up to ``ROW_BLOCK`` rows is also handed to
-    ``sink(r, rows)`` as soon as it is drawn: ``rows`` is C-contiguous and
-    holds the normals of ``path_indices[r : r + len(rows)]``. It is the
-    scratch block (or a slice of a path-major ``out``), valid inside the
-    call only.
+    ``sink(r, rows)`` as soon as it is drawn: ``rows`` is the C-contiguous
+    scratch block, valid inside the call only, and holds the normals of
+    ``path_indices[r : r + len(rows)]``.
     """
     key = philox_key(master_seed, PATHS)
     idx = np.asarray(path_indices, dtype=np.int64)
@@ -103,9 +99,9 @@ def path_increments(
         raise ValueError("path indices must be non-negative")
     shape = (idx.size, n_steps, n_modes)
     if out is None:
-        out = np.empty(shape)
-    step_major = _is_step_major(out, shape)
-    block = np.empty((min(ROW_BLOCK, idx.size), n_steps, n_modes)) if step_major else None
+        out = np.empty((n_steps, idx.size, n_modes)).transpose(1, 0, 2)
+    _check_step_major(out, shape)
+    block = np.empty((min(ROW_BLOCK, idx.size), n_steps, n_modes))
     # One (path, step) row of n_modes doubles as a single item: numpy copies
     # the scratch block into the strided step-major ``out`` item by item,
     # about a third faster than 8 bytes at a time, and the bytes are the same.
@@ -115,7 +111,7 @@ def path_increments(
     state = bitgen.state
     for lo in range(0, idx.size, ROW_BLOCK):
         dest = out[lo : lo + ROW_BLOCK]
-        rows = block[: len(dest)] if step_major else dest
+        rows = block[: len(dest)]
         for row, i in enumerate(idx[lo : lo + ROW_BLOCK]):
             # Same state as Philox(key=key, counter=i << 192): counter block
             # i, empty output buffer.
@@ -126,6 +122,5 @@ def path_increments(
             gen.standard_normal(out=rows[row])
         if sink is not None:
             sink(lo, rows)
-        if step_major:
-            dest.view(item)[...] = rows.view(item)
+        dest.view(item)[...] = rows.view(item)
     return out

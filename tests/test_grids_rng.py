@@ -80,6 +80,12 @@ def _pass_digest_into(queue, n):
     queue.put(hashlib.sha256(_pass_normals(n).tobytes()).hexdigest())
 
 
+def _oracle(seed, indices, n_steps, n_modes):
+    """Each path's normals drawn alone from its own stream, path-major."""
+    rows = [rng.stream(seed, rng.PATHS, i).standard_normal((n_steps, n_modes)) for i in indices]
+    return np.array(rows).reshape(len(rows), n_steps, n_modes)
+
+
 class TestRngStreams:
     def test_path_block_independent_of_batch(self):
         a = rng.path_increments(9, [5], 16, 3)[0]
@@ -104,8 +110,9 @@ class TestRngStreams:
     @pytest.mark.parametrize("n", [1, 2, 31, 33, 1279, 1280, 2047, 2048, 4099])
     def test_same_bits_at_every_thread_count(self, monkeypatch, n, n_modes):
         # up to three threads whatever the host has, on rows of any length:
-        # every unit goes out once, and its normals and stepped states land
-        # in its rows with the same bits at every thread count
+        # every unit goes out once with read-only x0 rows, and its normals
+        # and stepped states land in its rows with the same bits at every
+        # thread count
         monkeypatch.setattr(forward, "THREADED_ROW_MIN", 1)
         model, grid = dirichlet_model(n_modes), uniform_grid(1.0, 8)
         st = forward.stepper(model, sine_nemytskii(0.5), grid, 4)
@@ -120,6 +127,7 @@ class TestRngStreams:
 
             def unit(lo, hi, x0b, z):
                 taken.append((lo, hi))
+                assert not x0b.flags.writeable
                 normals[lo:hi] = z
                 states[lo:hi] = _kernels.forward_snap(x0b, z, st, slots)
 
@@ -261,10 +269,13 @@ class TestRngStreams:
             rng.path_increments(31, [3, -1], 4, 2)
 
     def test_out_filled_and_returned(self):
-        buf = np.full((3, 16, 3), np.nan)
-        got = rng.path_increments(31, [7, 0, 2048], 16, 3, out=buf)
-        assert got is buf
-        assert np.array_equal(buf, rng.path_increments(31, [7, 0, 2048], 16, 3))
+        # without out the array is allocated step-major; with it, out is filled
+        want = _oracle(31, [7, 0, 2048], 16, 3)
+        drawn = rng.path_increments(31, [7, 0, 2048], 16, 3)
+        assert drawn[:, 5].flags.c_contiguous and not drawn.flags.c_contiguous
+        buf = np.full((16, 3, 3), np.nan).transpose(1, 0, 2)
+        assert rng.path_increments(31, [7, 0, 2048], 16, 3, out=buf) is buf
+        assert np.array_equal(drawn, want) and np.array_equal(buf, want)
 
     @pytest.mark.parametrize(
         "indices",
@@ -283,13 +294,13 @@ class TestRngStreams:
         buf = np.full((16, len(indices), 3), np.nan).transpose(1, 0, 2)
         got = rng.path_increments(31, indices, 16, 3, out=buf)
         assert got is buf
-        assert np.array_equal(buf, rng.path_increments(31, indices, 16, 3))
+        assert np.array_equal(buf, _oracle(31, indices, 16, 3))
 
     def test_step_major_tail_slice_matches_path_major(self):
         # the last chunk of a 2049-path stream: one row of a 2048-row buffer
         buf = np.full((16, 2048, 3), np.nan).transpose(1, 0, 2)
         got = rng.path_increments(31, [2048], 16, 3, out=buf[:1])
-        assert np.array_equal(got, rng.path_increments(31, [2048], 16, 3))
+        assert np.array_equal(got, _oracle(31, [2048], 16, 3))
         assert np.all(np.isnan(buf[1:]))
 
     @pytest.mark.parametrize(
@@ -302,12 +313,21 @@ class TestRngStreams:
             np.lib.stride_tricks.as_strided(
                 np.empty(64), shape=(3, 16, 3), strides=(24, 24, 8)
             ),
+            np.empty((3, 16, 3)),
+            np.empty((3, 0, 3), dtype=np.float32),
         ],
-        ids=["shape", "float32", "strided", "transposed", "overlapping"],
+        ids=["shape", "float32", "strided", "transposed", "overlapping", "path-major",
+             "zero-step-float32"],
     )
     def test_bad_out_rejected(self, out):
         with pytest.raises(ValueError):
-            rng.path_increments(31, [7, 0, 2048], 16, 3, out=out)
+            rng.path_increments(31, [7, 0, 2048], out.shape[1], 3, out=out)
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_zero_step_out_accepted(self, n):
+        # a pass that reads only node 0 draws no step: any layout holds nothing
+        out = np.empty((n, 0, 3))
+        assert rng.path_increments(31, range(n), 0, 3, out=out) is out
 
     def test_purposes_are_disjoint_streams(self):
         a = rng.stream(9, rng.PATHS).standard_normal(8)

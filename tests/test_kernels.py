@@ -277,7 +277,8 @@ def test_row_sum_data_tells_summation_orders_apart():
 @by_kind_and_rows
 def test_step_major_normals_give_the_same_bits(dirichlet4, nonlin, n):
     # forward.run_pass hands the kernels step-major normals, where
-    # z[:, k] is one contiguous block; the path-major array must agree
+    # z[:, k] is one contiguous block; the path-major array of a dump or of
+    # supplied increments must agree
     x0, z, dt, st = _setup(dirichlet4, nonlin, n)
     z_step = np.empty((z.shape[1], n, 4)).transpose(1, 0, 2)
     z_step[...] = z

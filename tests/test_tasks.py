@@ -447,11 +447,15 @@ def test_assertion_failure_raises(tmp_path):
         run_scenario(scn, tmp_path / "r", assert_mode=True)
 
 
-def test_cli_threads_flag(tmp_path):
+def test_cli_threads_flag(tmp_path, capsys):
+    # there is no --threads: a pass runs on every core the process may use
     f = tmp_path / "scn.json"
     f.write_text(
         json.dumps(
             scenario({"name": "forward", "times": [1.0]}, sampling={"n_paths": 200, "seed": 2})
         )
     )
-    assert main(["run", str(f), "--out", str(tmp_path / "r"), "--threads", "2"]) == 0
+    assert main(["run", str(f), "--out", str(tmp_path / "r"), "--threads", "2"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "--threads" in err[0]
+    assert not (tmp_path / "r").exists()

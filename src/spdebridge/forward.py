@@ -154,14 +154,12 @@ def stepper(
 def apply_nonlinearity(
     model: SpectralModel,
     nonlin: Nonlinearity,
-    t: float,
     x,
     oversample: int = DEFAULT_OVERSAMPLE,
 ) -> np.ndarray:
     """Mode coefficients of the pointwise image; exact for zero/linear kinds.
 
-    Accepts a single field (J,) or a batch (..., J). The catalog is
-    autonomous, so ``t`` only keeps the drift signature uniform.
+    Accepts a single field (J,) or a batch (..., J).
     """
     x = model.validate_field(x)
     batch = np.atleast_2d(x)

@@ -100,7 +100,7 @@ def l0_exp_test(
     if a.shape != (model.n_modes,):
         raise DomainError("test function dimension mismatch")
     u = x @ a + phi.c * t
-    drift = x @ (model.lam * a) + apply_nonlinearity(model, nonlin, t, x) @ a
+    drift = x @ (model.lam * a) + apply_nonlinearity(model, nonlin, x) @ a
     qaa = float(np.sum(model.q * a * a))
     if phi.phase == "sin":
         return np.cos(u) * (phi.c + drift) - 0.5 * np.sin(u) * qaa
@@ -275,7 +275,7 @@ def exp_martingale_from_definition(
     if nonlin.kind != "zero":
         lh = np.empty((ens.n_paths, nodes.size))
         for k, t in enumerate(nodes):
-            f = apply_nonlinearity(model, nonlin, t, states[:, k], oversample)
+            f = apply_nonlinearity(model, nonlin, states[:, k], oversample)
             lh[:, k] = np.sum(f * h.grad_x_log_h(t, states[:, k]), axis=-1)
     log_h = np.stack([h.log_h(t, states[:, k]) for k, t in enumerate(nodes)], axis=1)
     return _exp_series(log_h, log_h[:, 0], lh, ens.grid.steps, np.arange(nodes.size))

@@ -7,13 +7,15 @@ against the invariant measure so they stay well scaled as the mode count
 grows.
 """
 
+import functools
+
 import numpy as np
 
 from . import _kernels
 from .errors import DomainError
 from .forward import _snap_slots, last_node, run_pass
 from .grids import TimeGrid
-from .spectral import SpectralModel, covariance_qt_diag, one_minus_exp
+from .spectral import SpectralModel, covariance_qinf, covariance_qt_diag, one_minus_exp
 
 _REL_HORIZON_FLOOR = 1e-10
 
@@ -201,6 +203,12 @@ def _obs_var_array(model: SpectralModel, obs_var) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _hermite_rule():
+    """200-node Gauss-Hermite nodes and weights, built once on first use."""
+    return np.polynomial.hermite.hermgauss(200)
+
+
 def chapman_kolmogorov_residual(
     model: SpectralModel,
     mode: int,
@@ -212,34 +220,26 @@ def chapman_kolmogorov_residual(
 ) -> float:
     """|p(s,x;t,y) - integral of p(s,x;r,z) p(r,z;t,y) d nu(z)| for one mode.
 
-    The integral against the invariant measure is evaluated by 200-node
-    Gauss-Hermite quadrature centered on the intermediate transition law (an
-    exact change of quadrature measure); a rule centered on the invariant
-    measure cannot resolve the near-delta density when r is close to s.
+    The integral against the invariant measure nu is evaluated by 200-node
+    Gauss-Hermite quadrature centered on the law of Z_r given Z_s = x and
+    Z_t = y (an exact change of quadrature measure). In z the integrand is
+    p(s,x;t,y) times that law's density, so the reweighted integrand is flat
+    and the near-delta factor is resolved with r close to s or to t alike.
     """
     if not (s < r < t):
         raise DomainError("need s < r < t")
-    lam = float(model.lam[mode])
-    q = float(model.q[mode])
-    qinf = q / (2.0 * abs(lam))
-    q_mid = q * one_minus_exp(2.0 * lam * (r - s)) / (2.0 * abs(lam))
-    m_mid = np.exp(lam * (r - s)) * x
-    # imported here, not at module level: only the ck-check task needs scipy,
-    # and loading it doubles the package's import time and adds ~20 MB RSS
-    from scipy.special import roots_hermite
-
-    nodes, weights = roots_hermite(200)
-    z = m_mid + np.sqrt(2.0 * q_mid) * nodes
-
-    def log_phi(v, mean, var):
-        return -0.5 * (np.log(2.0 * np.pi * var) + (v - mean) ** 2 / var)
-
+    lam, q = model.lam[mode], model.q[mode]
+    qinf = covariance_qinf(model)[mode]
+    ca, cy, v = (c[mode] for c in _conditional_coeffs(model, r - s, t - r))
+    nodes, weights = _hermite_rule()
+    m = ca * x + cy * y
+    z = m + np.sqrt(2.0 * v) * nodes
     lhs = np.exp(_log_ptilde_mode(lam, q, t - s, x, y))
     log_inner = (
         _log_ptilde_mode(lam, q, r - s, x, z)
         + _log_ptilde_mode(lam, q, t - r, z, y)
-        + log_phi(z, 0.0, qinf)
-        - log_phi(z, m_mid, q_mid)
+        # log of nu's density over the centring law's, both at the rounded z
+        + 0.5 * (np.log(v / qinf) - z**2 / qinf + (z - m) ** 2 / v)
     )
     rhs = float(np.sum(weights * np.exp(log_inner)) / np.sqrt(np.pi))
     return abs(lhs - rhs)

@@ -32,7 +32,6 @@ from spdebridge.spectral import SpectralModel, covariance_qinf, covariance_qt_di
 def exponential_euler_step(
     model: SpectralModel,
     nonlin: Nonlinearity,
-    t: float,
     dt: float,
     x,
     z,
@@ -46,7 +45,7 @@ def exponential_euler_step(
     if z.shape != x.shape:
         raise DomainError("z must have one draw per mode")
     exp_ldt, phi_dt, sqrt_qdt = step_coefficients(model, np.array([dt]))
-    f = apply_nonlinearity(model, nonlin, t, x, oversample)
+    f = apply_nonlinearity(model, nonlin, x, oversample)
     return exp_ldt[0] * x + phi_dt[0] * f + sqrt_qdt[0] * z
 
 

@@ -358,6 +358,13 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith(f"error: {field}: ")
         assert not (tmp_path / "r").exists()
 
+    def test_ck_check_near_horizon_asserts(self, tmp_path):
+        # the quadrature resolves the narrow density next to t as well as next to s
+        scn = base_scenario({"name": "ck-check", "mid": [0.999]})
+        f = tmp_path / "scn.json"
+        f.write_text(json.dumps(scn))
+        assert run_cli(["run", str(f), "--out", str(tmp_path / "r"), "--assert"]) == 0
+
     def test_successful_assert_run(self, tmp_path):
         scn = base_scenario({"name": "forward", "times": [1.0]})
         f = tmp_path / "scn.json"
@@ -365,15 +372,26 @@ class TestExitCodes:
         assert run_cli(["run", str(f), "--out", str(tmp_path / "r"), "--assert"]) == 0
 
 
-def test_package_import_loads_no_third_party_package_but_numpy():
-    # only the ck-check task needs scipy, imported there on first use, and a
-    # scenario is validated by the package itself. A module with no file is
-    # the runtime state of a compiled extension, not a package
+def test_package_import_loads_no_third_party_package_but_numpy(tmp_path):
+    # a scenario is validated by the package itself, and the ck-check task
+    # integrates with numpy's Gauss-Hermite rule, so neither loads scipy. A
+    # module with no file is the runtime state of a compiled extension, not a
+    # package. The ck-check scenario is the golden matrix's at J = 4
     scenario = json.dumps(base_scenario({"name": "forward"}))
+    ck_check = json.dumps({
+        "model": {"n_modes": 4},
+        "dynamics": {"nonlinearity": {"kind": "zero"}},
+        "task": {"name": "ck-check", "x": [0.0, 0.4], "y": [0.2]},
+        "grid": {"horizon": 1.0, "n_steps": 64, "kind": "geometric"},
+        "sampling": {"n_paths": 2, "seed": 4242},
+        "output": {"formats": ["csv", "json"]},
+    })
     code = (
         "import json, sys; before = set(sys.modules); "
         "import spdebridge, spdebridge.tasks, spdebridge.scenario, spdebridge.io; "
         f"spdebridge.scenario.resolve_scenario(json.loads({scenario!r})); "
+        "spdebridge.tasks.run_scenario(spdebridge.scenario.resolve_scenario("
+        f"json.loads({ck_check!r})), {str(tmp_path / 'ck')!r}, assert_mode=True); "
         "loaded = {m.split('.')[0] for m in set(sys.modules) - before "
         "if getattr(sys.modules[m], '__file__', None)}; "
         "print(sorted(loaded - set(sys.stdlib_module_names)))"

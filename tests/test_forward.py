@@ -37,14 +37,14 @@ class TestStep:
     def test_zero_drift_zero_noise_is_semigroup(self, dirichlet4):
         gen = np.random.default_rng(0)
         x = gen.standard_normal(4)
-        out = exponential_euler_step(dirichlet4, zero(), 0.0, 0.3, x, np.zeros(4))
+        out = exponential_euler_step(dirichlet4, zero(), 0.3, x, np.zeros(4))
         np.testing.assert_allclose(out, semigroup_apply(dirichlet4, 0.3, x), rtol=1e-15)
 
     def test_stationary_point_of_linear_drift(self):
         # lam x + F(x) = 0 at x = 1 for lam = -1, F = identity (single mode)
         model = SpectralModel(lam=np.array([-1.0]), q=np.array([1.0]))
         out = exponential_euler_step(
-            model, linear_scale(1.0), 0.0, 0.1, np.array([1.0]), np.array([0.0])
+            model, linear_scale(1.0), 0.1, np.array([1.0]), np.array([0.0])
         )
         assert out[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -52,7 +52,7 @@ class TestStep:
         model = SpectralModel(lam=np.array([-np.pi**2]), q=np.array([1.0]))
         dt = 0.05
         x = np.array([0.7])
-        out = exponential_euler_step(model, zero(), 0.0, dt, x, np.array([1.0]))
+        out = exponential_euler_step(model, zero(), dt, x, np.array([1.0]))
         expected = np.exp(-np.pi**2 * dt) * 0.7 + np.sqrt(qt_quad(-np.pi**2, 1.0, dt))
         assert out[0] == pytest.approx(expected, rel=1e-10)
 
@@ -124,13 +124,13 @@ class TestNonlinearity:
     def test_zero_kind(self, dirichlet4):
         gen = np.random.default_rng(2)
         x = gen.standard_normal(4)
-        assert np.all(apply_nonlinearity(dirichlet4, zero(), 0.0, x) == 0.0)
+        assert np.all(apply_nonlinearity(dirichlet4, zero(), x) == 0.0)
 
     def test_linear_exact(self, dirichlet4):
         gen = np.random.default_rng(3)
         x = gen.standard_normal(4)
         np.testing.assert_array_equal(
-            apply_nonlinearity(dirichlet4, linear_scale(0.7), 0.0, x), 0.7 * x
+            apply_nonlinearity(dirichlet4, linear_scale(0.7), x), 0.7 * x
         )
 
     def test_bounded_rational_against_quadrature(self):
@@ -147,11 +147,11 @@ class TestNonlinearity:
         )
         assert err < 1e-12
         fine = apply_nonlinearity(
-            model, bounded_rational(1.0), 0.0, np.array([c]), oversample=16
+            model, bounded_rational(1.0), np.array([c]), oversample=16
         )[0]
         assert fine == pytest.approx(truth, abs=1e-12)
         # the default 4x oversampling carries some aliasing
-        coarse = apply_nonlinearity(model, bounded_rational(1.0), 0.0, np.array([c]))[0]
+        coarse = apply_nonlinearity(model, bounded_rational(1.0), np.array([c]))[0]
         assert coarse == pytest.approx(truth, abs=5e-4)
 
     def test_lipschitz_metadata(self):
@@ -170,8 +170,8 @@ class TestNonlinearity:
         nonlin = sine_nemytskii(0.5)
         xs = gen.standard_normal((1000, 4))
         ys = gen.standard_normal((1000, 4))
-        fx = apply_nonlinearity(dirichlet4, nonlin, 0.0, xs)
-        fy = apply_nonlinearity(dirichlet4, nonlin, 0.0, ys)
+        fx = apply_nonlinearity(dirichlet4, nonlin, xs)
+        fy = apply_nonlinearity(dirichlet4, nonlin, ys)
         num = np.linalg.norm(fx - fy, axis=-1)
         den = np.linalg.norm(xs - ys, axis=-1)
         assert np.all(num <= nonlin.lipschitz_bound * den * 1.05)
@@ -180,7 +180,7 @@ class TestNonlinearity:
         gen = np.random.default_rng(11)
         nonlin = sine_nemytskii(0.5)
         xs = 3.0 * gen.standard_normal((500, 4))
-        f = apply_nonlinearity(dirichlet4, nonlin, 0.0, xs)
+        f = apply_nonlinearity(dirichlet4, nonlin, xs)
         norms = np.linalg.norm(f, axis=-1)
         bound = nonlin.lipschitz_bound * (1.0 + np.linalg.norm(xs, axis=-1))
         assert np.all(norms <= bound * 1.05)

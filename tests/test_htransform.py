@@ -59,7 +59,7 @@ class TestKolmogorovOperator:
             t0 = gen.uniform(0.0, 1.0)
             x = 0.5 * gen.standard_normal(2)
             z = gen.standard_normal((n, 2))
-            f = apply_nonlinearity(two_mode, nonlin, t0, x)
+            f = apply_nonlinearity(two_mode, nonlin, x)
             phi0 = phi.value(t0, x)
             vals = {}
             for label, (e, p, s), step in (

@@ -7,6 +7,7 @@ from spdebridge import (
     DomainError,
     bridge_marginal_mean_var,
     chapman_kolmogorov_residual,
+    dirichlet_model,
     geometric_grid,
     grad_log_ptilde,
     log_ptilde,
@@ -271,7 +272,30 @@ class TestChapmanKolmogorov:
 
     def test_degenerate_intermediate_time(self, single_mode):
         res = chapman_kolmogorov_residual(single_mode, 0, 0.0, 0.3, 1e-6, 1.0, -0.2)
-        assert res < 1e-6
+        assert res < 1e-8
+
+    @pytest.mark.parametrize("mid", [0.999, 1.0 - 1e-6])
+    @pytest.mark.parametrize("s", [0.0, 0.3])
+    @pytest.mark.parametrize("mode", range(4))
+    def test_intermediate_time_near_horizon(self, mode, s, mid):
+        # the law of Z_mid given Z_s and Z_1 narrows as mid nears 1; a rule
+        # centred on the law of Z_mid given Z_s alone misses it
+        model = dirichlet_model(4, 1.0)
+        for x in (0.0, 0.4, -1.0, 3.0):
+            for y in (0.2, -0.7, 2.0):
+                assert chapman_kolmogorov_residual(model, mode, s, x, mid, 1.0, y) < 1e-8
+
+    @pytest.mark.parametrize("lag", [1e-12, 1e-20, 1e-300])
+    def test_intermediate_time_near_start(self, lag):
+        # at these lags the nodes round to a few values next to x; the rule
+        # holds because the centring law's density is taken at the same
+        # rounded nodes as the near-delta factor, so the rounding cancels
+        model = dirichlet_model(4, 1.0)
+        for mode in range(4):
+            for x in (0.0, 0.4, -1.0, 3.0):
+                for y in (0.2, -0.7, 2.0):
+                    res = chapman_kolmogorov_residual(model, mode, 0.0, x, lag, 1.0, y)
+                    assert res < 1e-8
 
     def test_symmetric_case(self, single_mode):
         res = chapman_kolmogorov_residual(single_mode, 0, 0.0, 0.0, 0.5, 1.0, 0.0)

@@ -69,6 +69,17 @@ interleaved accumulators from 8 up, halves above 128), added to an initial
 reduction per row; ``row_sum`` runs J adds over n-element columns, with the
 same operations on the same operands, so the same bits.
 
+Dynkin readout: ``dynkin_snap`` reads the functional once per block of
+nodes, not once per node. Each stepped node stores only x a, x (lam a)
+and f a per test function, each the same (n, J) matrix-vector product as
+in a per-node readout (batched across nodes they would round
+differently); u = x a + c t, cos, sin, the generator, the trapezoid terms
+and phi - integral then run on (nodes, n) arrays. numpy drops and retakes the
+GIL around each call, so on threads the per-node form's dozens of small
+calls per node hand the GIL back and forth; per block they are a few per
+function. The running integral is still added node by node, so every
+operand meets the same operations in the same order: the same bits.
+
 Nonlinearity kinds, as ``forward.Nonlinearity`` names them: "zero",
 "linear" (alpha u), "bounded_rational" (alpha u/(1+u^2)) and "sine" (alpha
 sin u). The first two are evaluated spectrally (exact); the other two go
@@ -83,6 +94,13 @@ BACKEND = "numpy"
 # 8192-element multiply takes 18.5 us at row width 4 and 8.0 us at 128, and
 # no less at 256; tiled tables stay within n_steps * max(J, WIDE_ROW) doubles.
 WIDE_ROW = 128
+
+# Bytes of the Dynkin readout of one call: its block of b nodes holds at
+# most about 8 (m, b, n) arrays of doubles for m test functions and n paths
+# (three stored products, cos, sin, the generator), so b = 8 nodes at 2
+# functions x 1024 paths and fewer with more functions. Larger blocks save
+# few calls more and add their memory once per thread.
+DYNKIN_BLOCK_BYTES = 1 << 20
 
 
 def fold_factor(n: int, n_modes: int) -> int:
@@ -264,29 +282,64 @@ def dynkin_snap(x0, Z, st, t_nodes, dt, a, c, phase_sin, lam_a, qaa, slots):
     Row i of ``a`` and ``lam_a`` (m, J) and entry i of ``c``, ``phase_sin``
     and ``qaa`` describe test function i. Each path is stepped once and
     every function is evaluated on the same states; returns (n, m, n_snap).
+    Each node stores x a, x (lam a) and f a per function in a block of b
+    nodes (see ``DYNKIN_BLOCK_BYTES``), and the rest of the functional is
+    read once per block (see "Dynkin readout" in the module docstring).
     """
-    n = Z.shape[0]
-    funcs = range(len(c))
-    out = np.empty((n, len(c), slots.max() + 1))
-    integral = [np.zeros(n) for _ in funcs]
-    g_prev = [None] * len(c)
+    n, n_steps, _ = Z.shape
+    m = len(c)
+    b = max(1, min(n_steps + 1, DYNKIN_BLOCK_BYTES // (64 * m * n)))
+    out = np.empty((n, m, slots.max() + 1))
+    xa, xla, fa = np.empty((3, m, b, n))
+    # per block row j, each function's (a, lam a) and its three rows of row j
+    stores = [list(zip(a, lam_a, xa[:, j], xla[:, j], fa[:, j])) for j in range(b)]
+    g = np.empty((m, b + 1, n))  # row 0: g at the node before the block
+    half_dt = 0.5 * dt
+    integral = np.zeros((m, n))
+
+    def read(k0, r):
+        # the functional at nodes k0..k0+r-1, from rows 0..r-1 of the products;
+        # once read, the rows of x a and f a hold temporaries, and x (lam a)
+        # the trapezoid terms
+        u, drift, tmp = xa[:, :r], xla[:, :r], fa[:, :r]
+        u += c[:, None, None] * t_nodes[k0 : k0 + r, None]
+        drift += tmp
+        drift += c[:, None, None]  # c + drift
+        cu, su = np.cos(u), np.sin(u)
+        phi = []
+        for i in range(m):
+            # sin phase: cos(u) (c + drift) - sin(u) qaa / 2; cos phase: -sin, cos
+            if phase_sin[i]:
+                p, phi_i = cu[i], su[i]
+            else:
+                p, phi_i = np.negative(su[i], out=u[i]), cu[i]
+            drift[i] *= p
+            np.multiply(0.5, phi_i, out=tmp[i])
+            tmp[i] *= qaa[i]
+            np.subtract(drift[i], tmp[i], out=g[i, 1 : r + 1])
+            phi.append(phi_i)
+        lo = 1 if k0 == 0 else 0  # node 0 has no trapezoid term
+        trap = np.add(g[:, lo:r], g[:, lo + 1 : r + 1], out=xla[:, lo:r])
+        trap *= half_dt[k0 + lo - 1 : k0 + r - 1, None]
+        for j in range(r):
+            if k0 + j > 0:
+                np.add(integral, trap[:, j - lo], out=integral)
+            s = slots[k0 + j]
+            if s >= 0:
+                for i in range(m):
+                    np.subtract(phi[i][j], integral[i], out=out[:, i, s])
+        g[:, 0] = g[:, r]
+
     for k, x, f in _nodes(x0, Z, st):
         if f is None:
             f = st.F(x)
-        t, s = t_nodes[k], slots[k]
-        for i in funcs:
-            u = x @ a[i] + c[i] * t
-            drift = x @ lam_a[i] + f @ a[i]
-            if phase_sin[i]:
-                g = np.cos(u) * (c[i] + drift) - 0.5 * np.sin(u) * qaa[i]
-            else:
-                g = -np.sin(u) * (c[i] + drift) - 0.5 * np.cos(u) * qaa[i]
-            if k > 0:
-                integral[i] = integral[i] + 0.5 * dt[k - 1] * (g_prev[i] + g)
-            g_prev[i] = g
-            if s >= 0:
-                phi = np.sin(u) if phase_sin[i] else np.cos(u)
-                out[:, i, s] = phi - integral[i]
+        j = k % b
+        for ai, lai, xa_j, xla_j, fa_j in stores[j]:
+            np.dot(x, ai, out=xa_j)
+            np.dot(x, lai, out=xla_j)
+            np.dot(f, ai, out=fa_j)
+        if j == b - 1 or k == n_steps:
+            read(k - j, j + 1)
     return out
 
 

@@ -191,7 +191,10 @@ def dynkin_residual_mc(
 
     All test functions in ``phis`` share one pass over the paths, so each
     path's noise is drawn and stepped once, up to the last output node; the
-    result holds one DynkinStats per function, in order.
+    result holds one DynkinStats per function, in order. The kernel reads
+    the functional once per block of nodes rather than at every node, which
+    makes a few calls per block instead of dozens per node on the pass's
+    threads (see "Dynkin readout" in ``_kernels``), with the same bits.
     """
     if not phis:
         raise DomainError("need at least one test function")
@@ -226,7 +229,8 @@ def dynkin_residual_mc(
         total += chunk.sum(axis=0)
         total_sq += (chunk * chunk).sum(axis=0)
     mean = total / n_paths
-    var = (total_sq - n_paths * mean**2) / (n_paths - 1)
+    # the one-pass variance can round below zero where the values barely vary
+    var = np.maximum((total_sq - n_paths * mean**2) / (n_paths - 1), 0.0)
     stderr = np.sqrt(var / n_paths)
     inv = np.argsort(order)
     times = grid.nodes[sorted_idx][inv]

@@ -21,6 +21,7 @@ ensemble as a single block.
 import csv
 import errno
 import json
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -70,8 +71,19 @@ def read_summary(rundir: FilePath) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
+def _strict_json(value):
+    """``value`` with every non-finite float as None, which JSON writes as null."""
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def write_diagnostics(outdir: FilePath, diagnostics: dict) -> None:
-    text = json.dumps(diagnostics, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(_strict_json(diagnostics), sort_keys=True, indent=2) + "\n"
     (FilePath(outdir) / "diagnostics.json").write_text(text)
 
 

@@ -3,13 +3,14 @@
 No task, CLI path or README example reaches these: each is a direct,
 single-case form of a computation the package streams or fuses (one
 exponential-Euler step, one stored bridge batch, the closed-form
-noisy-observation transform, an empirical Lipschitz constant), or a trivial
-input (h == 1).
+noisy-observation transform, an empirical Lipschitz constant, the Dynkin
+functional read node by node), or a trivial input (h == 1).
 """
 
 import numpy as np
 
 from spdebridge import rng
+from spdebridge._kernels import _nodes
 from spdebridge.errors import DomainError
 from spdebridge.forward import (
     DEFAULT_OVERSAMPLE,
@@ -47,6 +48,33 @@ def exponential_euler_step(
     exp_ldt, phi_dt, sqrt_qdt = step_coefficients(model, np.array([dt]))
     f = apply_nonlinearity(model, nonlin, x, oversample)
     return exp_ldt[0] * x + phi_dt[0] * f + sqrt_qdt[0] * z
+
+
+def dynkin_snap_per_node(x0, Z, st, t_nodes, dt, a, c, phase_sin, lam_a, qaa, slots):
+    """``_kernels.dynkin_snap`` with the functional read at every node."""
+    n = Z.shape[0]
+    funcs = range(len(c))
+    out = np.empty((n, len(c), slots.max() + 1))
+    integral = [np.zeros(n) for _ in funcs]
+    g_prev = [None] * len(c)
+    for k, x, f in _nodes(x0, Z, st):
+        if f is None:
+            f = st.F(x)
+        t, s = t_nodes[k], slots[k]
+        for i in funcs:
+            u = x @ a[i] + c[i] * t
+            drift = x @ lam_a[i] + f @ a[i]
+            if phase_sin[i]:
+                g = np.cos(u) * (c[i] + drift) - 0.5 * np.sin(u) * qaa[i]
+            else:
+                g = -np.sin(u) * (c[i] + drift) - 0.5 * np.cos(u) * qaa[i]
+            if k > 0:
+                integral[i] = integral[i] + 0.5 * dt[k - 1] * (g_prev[i] + g)
+            g_prev[i] = g
+            if s >= 0:
+                phi = np.sin(u) if phase_sin[i] else np.cos(u)
+                out[:, i, s] = phi - integral[i]
+    return out
 
 
 def ou_bridge_states(

@@ -18,7 +18,7 @@ from spdebridge import replay_path, simulate_ensemble, sine_nemytskii, uniform_g
 from spdebridge import tasks
 from spdebridge.cli import main
 from spdebridge.forward import CHUNK, PathEnsemble
-from spdebridge.io import read_manifest, read_path_dump, write_path_dump
+from spdebridge.io import read_manifest, read_path_dump, read_summary, write_path_dump
 from spdebridge.scenario import SCENARIO_SCHEMA, SchemaError, resolve_scenario
 from spdebridge.tasks import run_scenario
 
@@ -357,6 +357,38 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {field}: ")
         assert not (tmp_path / "r").exists()
+
+    ZERO_A_DYNKIN = {
+        "model": {"n_modes": 4},
+        "dynamics": {"nonlinearity": {"kind": "sine", "alpha": 0.5}, "x0": {"kind": "zero"}},
+        "task": {"name": "dynkin", "test_functions": [{"a": [0.0] * 4, "c": 0.7}],
+                 "times": [0.25, 0.5, 1.0]},
+        "grid": {"horizon": 1.0, "n_steps": 64, "kind": "uniform"},
+        "sampling": {"n_paths": 3001, "seed": 5},
+    }
+
+    def _zero_a_dynkin(self, tmp_path, *flags):
+        # a = 0: phi and its generator take one value on every path, so the
+        # values' one-pass variance rounds below zero at t = 0.25
+        f = tmp_path / "scn.json"
+        f.write_text(json.dumps(self.ZERO_A_DYNKIN))
+        out = tmp_path / "r"
+        code = run_cli(["run", str(f), "--out", str(out), *flags])
+        text = (out / "diagnostics.json").read_text()
+        diag = json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in JSON"))
+        return code, diag, read_summary(out)
+
+    def test_dynkin_values_that_do_not_vary_have_zero_stderr(self, tmp_path):
+        code, diag, rows = self._zero_a_dynkin(tmp_path)
+        assert code == 0
+        assert float(rows[0]["stderr"]) == 0.0
+        assert diag == {"assertion_failures": [], "max_stat": None}
+
+    def test_dynkin_zero_stderr_fails_the_check_under_assert(self, tmp_path, capsys):
+        code, diag, _ = self._zero_a_dynkin(tmp_path, "--assert")
+        assert code == 3
+        assert "dynkin residual statistic inf > 4" in capsys.readouterr().err
+        assert diag["max_stat"] is None
 
     def test_ck_check_near_horizon_asserts(self, tmp_path):
         # the quadrature resolves the narrow density next to t as well as next to s

@@ -16,7 +16,7 @@ from spdebridge import (
 from spdebridge.forward import step_coefficients
 from spdebridge.spectral import covariance_qt_diag, sine_basis
 
-from oracles import exponential_euler_step
+from oracles import dynkin_snap_per_node, exponential_euler_step
 
 
 def _bits(a):
@@ -173,6 +173,37 @@ def test_dynkin_snap_stacked_matches_single(dirichlet4):
     # at t = 0 the functional is phi(0, x0)
     expected = np.where(phase_sin, np.sin(x0 @ a.T), np.cos(x0 @ a.T))
     np.testing.assert_allclose(stacked[:, :, 0], expected, rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 1300])
+@pytest.mark.parametrize("n_modes", [1, 3, 4, 9])
+def test_dynkin_block_length_changes_no_byte(monkeypatch, n_modes, n):
+    # the readout per block of nodes against the per-node readout, at block
+    # lengths 1, 3, the budget's own and one past the reach, over reaches
+    # that are and are not a multiple of the block, and a reach of 0
+    model = dirichlet_model(n_modes)
+    gen = np.random.default_rng(n_modes)
+    n_steps = 13
+    dt = gen.uniform(0.02, 0.12, n_steps)
+    nodes = np.concatenate([[0.0], np.cumsum(dt)])
+    z = gen.standard_normal((n, n_steps, n_modes))
+    x0 = gen.standard_normal((n, n_modes)) * 0.3
+    st = _kernels.Stepper(
+        *step_coefficients(model, dt), *sine_basis(model, 4 * n_modes), "sine", 0.5
+    )
+    a = gen.standard_normal((3, n_modes))
+    c = np.array([0.3, 0.0, -1.1])
+    phase_sin = [True, False, True]
+    args = (nodes, dt, a, c, phase_sin, model.lam * a, np.sum(model.q * a * a, axis=1))
+    budget = max(1, _kernels.DYNKIN_BLOCK_BYTES // (64 * 3 * n))
+    for reach in (n_steps, 8, 0):
+        slots = np.full(n_steps + 1, -1, dtype=np.int64)
+        slots[sorted({0, reach // 2, reach})] = range(len({0, reach // 2, reach}))
+        common = (x0, z[:, :reach], st)
+        ref = dynkin_snap_per_node(*common, *args, slots)
+        for block in (1, 3, budget, reach + 2):
+            monkeypatch.setattr(_kernels, "DYNKIN_BLOCK_BYTES", block * 64 * 3 * n)
+            np.testing.assert_array_equal(_kernels.dynkin_snap(*common, *args, slots), ref)
 
 
 def test_guided_log_weights_are_trapezoid_of_own_states(dirichlet4):

@@ -70,15 +70,15 @@ reduction per row; ``row_sum`` runs J adds over n-element columns, with the
 same operations on the same operands, so the same bits.
 
 Dynkin readout: ``dynkin_snap`` reads the functional once per block of
-nodes, not once per node. Each stepped node stores only x a, x (lam a)
-and f a per test function, each the same (n, J) matrix-vector product as
-in a per-node readout (batched across nodes they would round
-differently); u = x a + c t, cos, sin, the generator, the trapezoid terms
-and phi - integral then run on (nodes, n) arrays. numpy drops and retakes the
-GIL around each call, so on threads the per-node form's dozens of small
-calls per node hand the GIL back and forth; per block they are a few per
-function. The running integral is still added node by node, so every
-operand meets the same operations in the same order: the same bits.
+nodes, not at every node. Each node stores only x a, x (lam a) and f a per
+test function, each the same (n, J) matrix-vector product as at a single
+node (batched across nodes they would round differently); u = x a + c t,
+cos, sin, the generator, the trapezoid terms and phi - integral then run
+on (nodes, n) arrays. numpy drops and retakes the GIL around each call, so
+the dozens of small calls per node of a per-node readout hand the GIL back
+and forth between a pass's threads; per block they are a few per function.
+The running integral is still added node by node, so every operand meets
+the same operations in the same order: the same bits.
 
 Nonlinearity kinds, as ``forward.Nonlinearity`` names them: "zero",
 "linear" (alpha u), "bounded_rational" (alpha u/(1+u^2)) and "sine" (alpha
@@ -291,7 +291,7 @@ def dynkin_snap(x0, Z, st, t_nodes, dt, a, c, phase_sin, lam_a, qaa, slots):
     b = max(1, min(n_steps + 1, DYNKIN_BLOCK_BYTES // (64 * m * n)))
     out = np.empty((n, m, slots.max() + 1))
     xa, xla, fa = np.empty((3, m, b, n))
-    # per block row j, each function's (a, lam a) and its three rows of row j
+    # for block row j, per function: a, lam a and the function's three rows at j
     stores = [list(zip(a, lam_a, xa[:, j], xla[:, j], fa[:, j])) for j in range(b)]
     g = np.empty((m, b + 1, n))  # row 0: g at the node before the block
     half_dt = 0.5 * dt

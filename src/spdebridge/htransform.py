@@ -192,9 +192,8 @@ def dynkin_residual_mc(
     All test functions in ``phis`` share one pass over the paths, so each
     path's noise is drawn and stepped once, up to the last output node; the
     result holds one DynkinStats per function, in order. The kernel reads
-    the functional once per block of nodes rather than at every node, which
-    makes a few calls per block instead of dozens per node on the pass's
-    threads (see "Dynkin readout" in ``_kernels``), with the same bits.
+    the functional once per block of nodes, not at every node, so the pass's
+    threads hand over the GIL less often (see "Dynkin readout" in _kernels).
     """
     if not phis:
         raise DomainError("need at least one test function")

@@ -71,19 +71,16 @@ def read_summary(rundir: FilePath) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-def _strict_json(value):
-    """``value`` with every non-finite float as None, which JSON writes as null."""
-    if isinstance(value, dict):
-        return {k: _strict_json(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_strict_json(v) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
+def _json_value(value):
+    """A non-finite float as None, which JSON writes as null; a list item by item."""
+    if isinstance(value, list):
+        return [_json_value(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def write_diagnostics(outdir: FilePath, diagnostics: dict) -> None:
-    text = json.dumps(_strict_json(diagnostics), sort_keys=True, indent=2) + "\n"
+    strict = {k: _json_value(v) for k, v in diagnostics.items()}
+    text = json.dumps(strict, sort_keys=True, indent=2) + "\n"
     (FilePath(outdir) / "diagnostics.json").write_text(text)
 
 

@@ -197,13 +197,16 @@ def test_dynkin_block_length_changes_no_byte(monkeypatch, n_modes, n):
     args = (nodes, dt, a, c, phase_sin, model.lam * a, np.sum(model.q * a * a, axis=1))
     budget = max(1, _kernels.DYNKIN_BLOCK_BYTES // (64 * 3 * n))
     for reach in (n_steps, 8, 0):
+        read = sorted({0, reach // 2, reach})
         slots = np.full(n_steps + 1, -1, dtype=np.int64)
-        slots[sorted({0, reach // 2, reach})] = range(len({0, reach // 2, reach}))
+        slots[read] = range(len(read))
         common = (x0, z[:, :reach], st)
         ref = dynkin_snap_per_node(*common, *args, slots)
         for block in (1, 3, budget, reach + 2):
             monkeypatch.setattr(_kernels, "DYNKIN_BLOCK_BYTES", block * 64 * 3 * n)
-            np.testing.assert_array_equal(_kernels.dynkin_snap(*common, *args, slots), ref)
+            got = _kernels.dynkin_snap(*common, *args, slots)
+            np.testing.assert_array_equal(got, ref)
+            assert _bits(got) == _bits(ref)  # signed zeros too
 
 
 def test_guided_log_weights_are_trapezoid_of_own_states(dirichlet4):
